@@ -66,7 +66,6 @@ from .verify import (
     property_suite,
     sample_model_params,
 )
-from .cli import main, run_cli
 
 __version__ = "0.1.0"
 
@@ -125,3 +124,12 @@ __all__ = [
     "run_cli",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # The CLI pulls in argparse, csv and json; import it only when asked for.
+    if name in ("main", "run_cli"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

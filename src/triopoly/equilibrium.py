@@ -1,16 +1,21 @@
 """Nash equilibria of the relative-payoff game, one solve per strategy assignment.
 
-The route to an equilibrium is always the same, whatever mix of quantity and
-price choosers the assignment contains:
+For a fixed substitutability ``b`` and assignment, the whole equilibrium is a
+linear map of theta = (a, c_A, c_B, c_C). The solver keeps everything that
+does not depend on theta in one operator, cached on (b, assignment):
 
-1. Express the whole market state as an exact affine function of the three
-   committed strategic values v = (v_A, v_B, v_C), by solving the pinning
-   system symbolically (multi right-hand-side elimination over Fractions).
-2. Each firm's relative payoff psi_i then becomes an exact quadratic form in
-   v. Its own-variable first-order condition is one linear equation.
-3. Stack the three first-order conditions and solve the 3x3 system exactly.
-   Second-order conditions reduce to the own curvature of each quadratic
-   being negative, which is checked, not assumed.
+1. The pinning map x = X(b) v + x0(b) a from the committed values
+   v = (v_A, v_B, v_C) to the outputs, in closed form: a quantity chooser's
+   output is its committed value, and the price choosers' outputs solve a
+   demand block (1 - b) I + b J whose inverse is explicit.
+2. Each firm's relative payoff psi_i is then an exact quadratic in v whose
+   quadratic matrix depends on b only and whose linear and constant terms
+   are linear in theta. Stacking the own-variable first-order conditions
+   gives M(b) v + L(b) theta = 0. Second-order conditions reduce to the own
+   curvature of each quadratic being negative, which is checked, not assumed.
+3. The gain K(b) = -M^-1 L is solved once, when a solve first asks for it,
+   and checked exactly. Every solve is then v = K theta, outputs from the
+   pinning map, prices from inverse demand, and payoffs.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
@@ -24,11 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Sequence
 
 from .exact import (
-    AffineForm,
     QuadraticForm,
     RationalLike,
     SingularSystem,
@@ -40,7 +45,7 @@ from .exact import (
 from .market import (
     FIRMS,
     PATTERNS,
-    QUANTITY,
+    PRICE,
     AssignmentLike,
     MarketState,
     ModelParams,
@@ -50,7 +55,6 @@ from .market import (
     ensure_float_safe,
     firm_index,
     payoff_vector,
-    resolve_market,
 )
 
 __all__ = [
@@ -71,53 +75,138 @@ class ConcavityViolation(Exception):
     """A payoff is not strictly concave in the firm's own variable."""
 
 
-@lru_cache(maxsize=8192)
-def _affine_state(a: Fraction, b: Fraction,
-                  assignment: StrategyAssignment) -> tuple[tuple[AffineForm, ...],
-                                                           tuple[AffineForm, ...]]:
-    """Quantities and prices as affine forms in the committed vector v.
+# psi_i = pi_i - (pi_j + pi_k) / 2: the weight of firm k's profit in psi_i.
+_WEIGHTS = tuple(
+    tuple(Fraction(1) if k == i else Fraction(-1, 2) for k in range(3)) for i in range(3)
+)
 
-    Builds the same pinning system as resolve_market but with symbolic right
-    hand sides: one column per v-coordinate plus one constant column, solved
-    in a single elimination pass. Keyed by (a, b) rather than full params
-    because costs never enter the demand geometry; parameter sweeps then
-    share this work across draws that differ only in costs.
+
+def _dot(u, v) -> Fraction:
+    # Start from the first product: an int start would cost one more Fraction add.
+    products = map(mul, u, v)
+    return sum(products, next(products))
+
+
+def _theta(params: ModelParams) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    return (params.a, params.c_a, params.c_b, params.c_c)
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """Everything about one (b, assignment) game that does not depend on theta.
+
+    ``x_map``/``x_const`` are the pinning map x = X v + x0 a. ``free_const[i]``
+    is the coefficient of a in firm i's free variable: its price when it
+    commits a quantity, its output when it commits a price. ``psi_quad``
+    holds the three relative payoffs' quadratic matrices, and the stacked
+    own-variable first-order conditions read ``foc . v + foc_rhs . theta = 0``.
     """
-    rows = []
-    coeff_cols = [[Fraction(0)] * 3 for _ in range(3)]
-    const_col = [Fraction(0)] * 3
-    for i, choice in enumerate(assignment.choices):
-        if choice == QUANTITY:
-            rows.append([Fraction(1 if j == i else 0) for j in range(3)])
-            coeff_cols[i][i] = Fraction(1)
-        else:
-            rows.append([Fraction(1) if j == i else b for j in range(3)])
-            coeff_cols[i][i] = Fraction(-1)
-            const_col[i] = a
-    solution = _eliminate(rows, [*coeff_cols, const_col])
-    x_forms = tuple(
-        AffineForm(tuple(solution[i][j] for j in range(3)), solution[i][3])
-        for i in range(3)
-    )
-    p_forms = []
+
+    assignment: StrategyAssignment
+    x_map: tuple[tuple[Fraction, ...], ...]
+    x_const: tuple[Fraction, ...]
+    free_const: tuple[Fraction, ...]
+    psi_quad: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    foc: tuple[tuple[Fraction, ...], ...]
+    foc_rhs: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def gain(self) -> tuple[tuple[Fraction, ...], ...]:
+        """K = -M^-1 L, so the equilibrium is v = K theta; checked M K + L = 0."""
+        columns = [[-row[t] for row in self.foc_rhs] for t in range(4)]
+        gain = tuple(tuple(row) for row in _eliminate(self.foc, columns))
+        for i in range(3):
+            for t in range(4):
+                if _dot(self.foc[i], (row[t] for row in gain)) + self.foc_rhs[i][t] != 0:
+                    raise ArithmeticError(
+                        f"gain of {self.assignment} fails its first-order conditions"
+                    )
+        return gain
+
+    def outputs(self, chosen: Sequence[Fraction], a: Fraction) -> tuple[Fraction, ...]:
+        """x = X v + x0 a; a quantity chooser's row is the identity."""
+        return tuple(
+            _dot(self.x_map[i], chosen) + self.x_const[i] * a if choice == PRICE else chosen[i]
+            for i, choice in enumerate(self.assignment.choices)
+        )
+
+    def payoff_form(self, i: int, theta: Sequence[Fraction]) -> QuadraticForm:
+        """Firm i's relative payoff as a quadratic in v at the given theta.
+
+        Profit pi_k = (p_k - c_k) x_k has the linear term a free_const[k] e_k
+        - c_k X_k and the constant -a c_k x0_k; psi_i weights them by
+        _WEIGHTS[i].
+        """
+        a = theta[0]
+        weights = _WEIGHTS[i]
+        scaled_costs = tuple(map(mul, weights, theta[1:]))
+        lin = tuple(
+            a * weights[j] * self.free_const[j]
+            - _dot(scaled_costs, (row[j] for row in self.x_map))
+            for j in range(3)
+        )
+        const = -a * _dot(scaled_costs, self.x_const)
+        return QuadraticForm(self.psi_quad[i], lin, const)
+
+
+@lru_cache(maxsize=1024)
+def _operator(b: Fraction, assignment: StrategyAssignment) -> _Operator:
+    """Build the theta-free operator; keyed by (b, assignment) only.
+
+    The m price choosers' outputs solve ((1 - b) I + b J) x_P = a - v_P -
+    b sum(v_Q), and that block's inverse is (I - b J / D) / (1 - b) with
+    D = 1 + (m - 1) b, so no elimination is needed.
+    """
+    price = tuple(choice == PRICE for choice in assignment.choices)
+    d = 1 + (sum(price) - 1) * b
+    own = (b - d) / (d * (1 - b))
+    cross_price = b / (d * (1 - b))
+    cross_quantity = -b / d
+    zero, one = Fraction(0), Fraction(1)
+    x_map, x_const = [], []
     for i in range(3):
-        others = x_forms[(i + 1) % 3] + x_forms[(i + 2) % 3]
-        p_forms.append(a - x_forms[i] - b * others)
-    return x_forms, tuple(p_forms)
+        if price[i]:
+            x_map.append(tuple(
+                own if j == i else cross_price if price[j] else cross_quantity for j in range(3)
+            ))
+            x_const.append(1 / d)
+        else:
+            x_map.append(tuple(one if j == i else zero for j in range(3)))
+            x_const.append(zero)
 
+    # Each firm's free variable is free_map[i] . v + free_const[i] a; a quantity
+    # chooser's is its price p_i = a - x_i - b (x_j + x_k).
+    free_map, free_const = [], []
+    for i in range(3):
+        if price[i]:
+            free_map.append(x_map[i])
+            free_const.append(x_const[i])
+        else:
+            j, k = (i + 1) % 3, (i + 2) % 3
+            free_map.append(tuple(
+                -x_map[i][s] - b * (x_map[j][s] + x_map[k][s]) for s in range(3)
+            ))
+            free_const.append(1 - b * (x_const[j] + x_const[k]))
 
-@lru_cache(maxsize=512)
-def _relative_payoff_forms(params: ModelParams,
-                           assignment: StrategyAssignment) -> tuple[QuadraticForm, ...]:
-    x_forms, p_forms = _affine_state(params.a, params.b, assignment)
-    profits = tuple(
-        (p_forms[i] - params.costs[i]) * x_forms[i] for i in range(3)
-    )
-    half = Fraction(1, 2)
-    return tuple(
-        profits[i] - half * (profits[(i + 1) % 3] + profits[(i + 2) % 3])
+    # pi_k = v_k (free_map[k] . v) + ..., so psi_i = 3/2 pi_i - 1/2 sum(pi) has
+    # the quadratic matrix 3/2 sym(e_i free_map[i]') + shared, where shared is
+    # -1/2 sum_k sym(e_k free_map[k]').
+    shared = [[-(free_map[r][s] + free_map[s][r]) / 4 for s in range(3)] for r in range(3)]
+    psi_quad = []
+    for i in range(3):
+        quad = [row[:] for row in shared]
+        for s in range(3):
+            quad[i][s] = quad[s][i] = (
+                free_map[i][i] if s == i else shared[i][s] + 3 * free_map[i][s] / 4
+            )
+        psi_quad.append(tuple(map(tuple, quad)))
+    foc = tuple(tuple(2 * psi_quad[i][i][j] for j in range(3)) for i in range(3))
+    foc_rhs = tuple(
+        (free_const[i], *(-_WEIGHTS[i][k] * x_map[k][i] for k in range(3)))
         for i in range(3)
     )
+    return _Operator(assignment, tuple(x_map), tuple(x_const), tuple(free_const),
+                     tuple(psi_quad), foc, foc_rhs)
 
 
 @dataclass(frozen=True)
@@ -164,7 +253,7 @@ def build_payoff_quadratic(params: ModelParams, assignment: AssignmentLike,
                            firm: str) -> QuadraticPayoff:
     """Exact quadratic representation of one firm's relative payoff."""
     asg = as_assignment(assignment)
-    form = _relative_payoff_forms(params, asg)[firm_index(firm)]
+    form = _operator(params.b, asg).payoff_form(firm_index(firm), _theta(params))
     return QuadraticPayoff(firm, asg, form)
 
 
@@ -213,40 +302,41 @@ class Equilibrium:
 def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equilibrium:
     """Solve the stacked first-order conditions of one assignment exactly.
 
-    Row i of the system is firm i's own-variable first-order condition
-    2 Q_i[i, :] v = -lin_i[i]. The solution is verified by checking that each
-    firm's own gradient vanishes at it, then expanded into the market state.
+    The committed values are v = K theta from the (b, assignment) operator.
+    Before the state is expanded, every firm's own first-order condition is
+    checked to vanish at v, and the state is checked to reproduce each
+    committed value.
     """
-    return _solve_cached(params, as_assignment(assignment))
-
-
-@lru_cache(maxsize=512)
-def _solve_cached(params: ModelParams, assignment: StrategyAssignment) -> Equilibrium:
-    forms = _relative_payoff_forms(params, assignment)
-    rows = []
-    rhs = []
-    for i in range(3):
-        rows.append([2 * forms[i].quad[i][j] for j in range(3)])
-        rhs.append(-forms[i].lin[i])
+    asg = as_assignment(assignment)
+    op = _operator(params.b, asg)
+    theta = _theta(params)
     try:
-        chosen = tuple(rational_vector(_solve_foc(rows, rhs), 3))
+        gain = op.gain
     except SingularSystem as exc:
         raise SingularSystem(
             exc.pivot_step,
-            f"stacked first-order conditions for {assignment} at {params.describe()}",
+            f"stacked first-order conditions for {asg} at {params.describe()}",
         ) from None
+    chosen = tuple(_dot(row, theta) for row in gain)
     for i in range(3):
-        assert forms[i].gradient(chosen)[i] == 0
-    state = resolve_market(params, assignment, chosen)
+        if _dot(op.foc[i], chosen) + _dot(op.foc_rhs[i], theta) != 0:
+            raise ArithmeticError(
+                f"first-order condition of firm {FIRMS[i]} does not vanish "
+                f"for {asg} at {params.describe()}"
+            )
+    state = MarketState.from_outputs(params, op.outputs(chosen, params.a))
+    committed = tuple(
+        state.p[i] if choice == PRICE else state.x[i] for i, choice in enumerate(asg.choices)
+    )
+    if committed != chosen:
+        raise ArithmeticError(
+            f"market state does not reproduce the committed values "
+            f"for {asg} at {params.describe()}"
+        )
     payoffs = payoff_vector(params, state)
-    soc_ok = all(2 * forms[i].quad[i][i] < 0 for i in range(3))
+    soc_ok = all(op.foc[i][i] < 0 for i in range(3))
     interior = all(v >= 0 for v in state.x) and all(v >= 0 for v in state.p)
-    return Equilibrium(params, assignment, chosen, state, payoffs, interior, soc_ok)
-
-
-def _solve_foc(rows, rhs):
-    solution = _eliminate(rows, [rhs])
-    return [solution[i][0] for i in range(3)]
+    return Equilibrium(params, asg, chosen, state, payoffs, interior, soc_ok)
 
 
 @dataclass(frozen=True)
@@ -386,19 +476,20 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
         if len(current) != 3:
             raise ValueError(f"init must have 3 components, got {len(current)}")
 
-    forms = _relative_payoff_forms(params, asg)
+    op = _operator(params.b, asg)
+    theta = _theta(params)
     curvature = []
     slope = []
     intercept = []
     for i in range(3):
-        own = float(2 * forms[i].quad[i][i])
+        own = float(op.foc[i][i])
         if own >= 0:
             raise ConcavityViolation(
                 f"payoff of firm {FIRMS[i]} under {asg} is not concave in its own variable"
             )
         curvature.append(own)
-        slope.append([float(2 * forms[i].quad[i][j]) for j in range(3)])
-        intercept.append(float(forms[i].lin[i]))
+        slope.append([float(m) for m in op.foc[i]])
+        intercept.append(float(_dot(op.foc_rhs[i], theta)))
 
     converged = False
     iterations = 0
@@ -417,5 +508,9 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
         if delta < tol:
             converged = True
             break
-    assert all(math.isfinite(v) for v in current)
+    if not all(math.isfinite(v) for v in current):
+        raise FloatingPointError(
+            f"best-response iteration for {asg} left the finite floats "
+            f"after {iterations} iterations"
+        )
     return IterationResult(tuple(current), converged, iterations)

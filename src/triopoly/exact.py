@@ -141,7 +141,8 @@ def solve_linear(matrix: Sequence[Sequence[RationalLike]],
     x = tuple(solution[i][0] for i in range(n))
     for i in range(n):
         residual = sum(rows[i][j] * x[j] for j in range(n)) - vec[i]
-        assert residual == 0, "back-substitution check failed"
+        if residual != 0:
+            raise ArithmeticError(f"back-substitution check failed in row {i}")
     return x
 
 

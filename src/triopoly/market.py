@@ -343,5 +343,6 @@ def payoff_vector(params: ModelParams, state: MarketState) -> PayoffVector:
     pi = tuple(profit(params, firm, state) for firm in FIRMS)
     half = Fraction(1, 2)
     psi = tuple(pi[i] - half * (pi[(i + 1) % 3] + pi[(i + 2) % 3]) for i in range(3))
-    assert sum(psi, start=Fraction(0)) == 0
+    if sum(psi, start=Fraction(0)) != 0:
+        raise ArithmeticError(f"relative payoffs {psi} do not sum to zero")
     return PayoffVector(pi, psi)

@@ -1,5 +1,7 @@
 import io
+import os
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,11 @@ def cli():
         return code, out.getvalue(), err.getvalue()
 
     return invoke
+
+
+@pytest.fixture
+def src_env():
+    """Environment for a subprocess that imports the package from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from triopoly.equilibrium import (
     ConcavityViolation,
     QuadraticPayoff,
+    _operator,
     best_response,
     best_response_iteration,
     build_payoff_quadratic,
     closed_form_outputs,
     solve_equilibrium,
 )
-from triopoly.exact import QuadraticForm
+from triopoly.exact import QuadraticForm, solve_linear
 from triopoly.market import (
     ALL_ASSIGNMENTS,
     FIRMS,
@@ -135,6 +136,43 @@ def test_foc_gradients_vanish_on_random_draws():
             for i, firm in enumerate(FIRMS):
                 form = build_payoff_quadratic(params, pattern, firm).form
                 assert form.gradient(eq.chosen)[i] == 0
+
+
+def _asymmetric_draws():
+    """Draws with c_A != c_B, b over 64 and over two large primes."""
+    rng = random.Random(41)
+    draws = []
+    for den in (64, 1_000_003, 2**61 - 1):
+        found = 0
+        while found < 4:
+            a = rng.randint(5, 50)
+            b = Fraction(rng.randint(1, den - 1), den)
+            costs = [Fraction(rng.randint(0, 8 * a - 1), 8) for _ in range(3)]
+            if costs[0] != costs[1]:
+                draws.append(ModelParams(a, b, *costs))
+                found += 1
+    return draws
+
+
+ASYMMETRIC_DRAWS = _asymmetric_draws()
+
+
+@pytest.mark.parametrize("asg", ALL_ASSIGNMENTS, ids=str)
+def test_operator_solve_matches_independent_routes(asg):
+    for params in ASYMMETRIC_DRAWS:
+        eq = solve_equilibrium(params, asg)
+        forms = [build_payoff_quadratic(params, asg, firm).form for firm in FIRMS]
+        rows = [[2 * forms[i].quad[i][j] for j in range(3)] for i in range(3)]
+        rhs = [-forms[i].lin[i] for i in range(3)]
+        assert eq.chosen == solve_linear(rows, rhs)
+        assert resolve_market(params, asg, eq.chosen) == eq.state
+
+
+def test_operator_cache_is_bounded_and_holds_the_sampler():
+    # The sampler draws 63 values of b, each solved under up to 8 assignments.
+    maxsize = _operator.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize >= 63 * len(ALL_ASSIGNMENTS)
 
 
 def test_solve_accepts_string_and_int():

@@ -1,5 +1,7 @@
 """Market model tests: parameters, assignments, demand, resolution, payoffs."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -208,6 +210,29 @@ def test_payoff_vector_symmetric_zero():
 def test_zero_sum_identity(vec):
     payoffs = payoff_vector(SPOT, MarketState.from_outputs(SPOT, vec))
     assert sum(payoffs.psi, start=Fraction(0)) == 0
+
+
+# Float profits (1e16, 1, 1) round so that the relative payoffs sum to 2.
+_BROKEN_ZERO_SUM = """
+import triopoly.market as market
+from triopoly.market import MarketState, ModelParams, payoff_vector
+
+market.profit = lambda params, firm, state: {"A": 1e16, "B": 1.0, "C": 1.0}[firm]
+params = ModelParams(10, "1/2", 2, 2, 3)
+try:
+    payoff_vector(params, MarketState.from_outputs(params, (2, 2, 2)))
+except ArithmeticError as exc:
+    print(exc)
+else:
+    raise SystemExit("payoff_vector accepted a nonzero sum")
+"""
+
+
+def test_zero_sum_check_survives_optimize_flag(src_env):
+    run = subprocess.run([sys.executable, "-O", "-c", _BROKEN_ZERO_SUM], env=src_env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "do not sum to zero" in run.stdout
 
 
 def test_state_serialization():
