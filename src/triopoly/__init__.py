@@ -9,7 +9,6 @@ certifies the minimax equalities on a grid.
 """
 
 from .exact import (
-    AffineForm,
     QuadraticForm,
     Rational,
     SingularSystem,
@@ -70,7 +69,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineForm",
     "QuadraticForm",
     "Rational",
     "SingularSystem",

@@ -180,7 +180,7 @@ def _cmd_solve(args) -> int:
     else:
         try:
             rows, docs = _solve_float_rows(params, selection)
-        except (ValueError, ConcavityViolation) as exc:
+        except (ValueError, ConcavityViolation, FloatingPointError) as exc:
             raise _CliError(str(exc)) from None
         doc = {"params": params.to_dict(), "mode": "float", "equilibria": docs}
 
@@ -210,7 +210,8 @@ def _solve_float_rows(params, selection):
         payoffs = payoff_vector(params, state)
         values = state.x + state.p + payoffs.psi
         decimals = [decimal_string(v) for v in values]
-        soc_ok = solve_equilibrium(params, asg).soc_ok
+        # A returned iterate has soc_ok: the iteration raises ConcavityViolation otherwise.
+        soc_ok = True
         interior = all(v >= 0 for v in state.x) and all(v >= 0 for v in state.p)
         rows.append(
             [_pattern_label(asg), str(asg)]

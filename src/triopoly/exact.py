@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: scalars, small linear solves, affine and quadratic forms.
+"""Exact rational arithmetic: scalars, small linear solves, quadratic forms.
 
 Everything the solver computes runs over ``fractions.Fraction``, so equality
 checks are decisive and no tolerance ever enters the algebra. Floats appear
@@ -16,8 +16,6 @@ Rational = Fraction
 
 RationalLike = Union[int, str, Fraction]
 
-_SCALARS = (int, Fraction)
-
 __all__ = [
     "Rational",
     "RationalLike",
@@ -27,7 +25,6 @@ __all__ = [
     "rational_vector",
     "SingularSystem",
     "solve_linear",
-    "AffineForm",
     "QuadraticForm",
 ]
 
@@ -147,91 +144,6 @@ def solve_linear(matrix: Sequence[Sequence[RationalLike]],
 
 
 @dataclass(frozen=True)
-class AffineForm:
-    """An exact affine map ``v -> coeffs . v + const`` over a fixed variable vector."""
-
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", rational_vector(self.coeffs))
-        object.__setattr__(self, "const", as_rational(self.const))
-
-    @classmethod
-    def constant(cls, dim: int, value: RationalLike) -> "AffineForm":
-        return cls((Fraction(0),) * dim, as_rational(value))
-
-    @classmethod
-    def variable(cls, dim: int, index: int) -> "AffineForm":
-        if not 0 <= index < dim:
-            raise ValueError(f"variable index {index} out of range for dimension {dim}")
-        coeffs = tuple(Fraction(1 if i == index else 0) for i in range(dim))
-        return cls(coeffs, Fraction(0))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-    def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        vec = rational_vector(point, self.dim)
-        return sum((c * v for c, v in zip(self.coeffs, vec)), start=self.const)
-
-    def _check_dim(self, other: "AffineForm") -> None:
-        if self.dim != other.dim:
-            raise ValueError("affine forms have mismatched dimensions")
-
-    def __add__(self, other):
-        if isinstance(other, AffineForm):
-            self._check_dim(other)
-            return AffineForm(
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                self.const + other.const,
-            )
-        if isinstance(other, _SCALARS):
-            return AffineForm(self.coeffs, self.const + other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AffineForm(tuple(-c for c in self.coeffs), -self.const)
-
-    def __sub__(self, other):
-        if isinstance(other, (AffineForm, *_SCALARS)):
-            return self + (-other if isinstance(other, AffineForm) else -as_rational(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
-            return (-self) + other
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, AffineForm):
-            self._check_dim(other)
-            n = self.dim
-            half = Fraction(1, 2)
-            quad = tuple(
-                tuple(
-                    half * (self.coeffs[i] * other.coeffs[j] + other.coeffs[i] * self.coeffs[j])
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            lin = tuple(
-                self.const * other.coeffs[i] + other.const * self.coeffs[i]
-                for i in range(n)
-            )
-            return QuadraticForm(quad, lin, self.const * other.const)
-        if isinstance(other, _SCALARS):
-            scalar = as_rational(other)
-            return AffineForm(tuple(c * scalar for c in self.coeffs), self.const * scalar)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
 class QuadraticForm:
     """An exact quadratic map ``v -> v' Q v + lin . v + const`` with symmetric Q.
 
@@ -313,36 +225,3 @@ class QuadraticForm:
             for g, vg in fixed_vals.items():
                 const += self.quad[f][g] * vf * vg
         return QuadraticForm(quad, lin, const)
-
-    def _check_dim(self, other: "QuadraticForm") -> None:
-        if self.dim != other.dim:
-            raise ValueError("quadratic forms have mismatched dimensions")
-
-    def __add__(self, other):
-        if isinstance(other, QuadraticForm):
-            self._check_dim(other)
-            quad = tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.quad, other.quad)
-            )
-            lin = tuple(a + b for a, b in zip(self.lin, other.lin))
-            return QuadraticForm(quad, lin, self.const + other.const)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, QuadraticForm):
-            return self + (-other)
-        return NotImplemented
-
-    def __neg__(self):
-        quad = tuple(tuple(-e for e in row) for row in self.quad)
-        return QuadraticForm(quad, tuple(-e for e in self.lin), -self.const)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            s = as_rational(other)
-            quad = tuple(tuple(e * s for e in row) for row in self.quad)
-            return QuadraticForm(quad, tuple(e * s for e in self.lin), self.const * s)
-        return NotImplemented
-
-    __rmul__ = __mul__

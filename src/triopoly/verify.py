@@ -34,6 +34,7 @@ from .market import (
     payoff_vector,
 )
 from .equilibrium import (
+    _operator,
     build_payoff_quadratic,
     closed_form_outputs,
     solve_equilibrium,
@@ -546,12 +547,13 @@ def _check_foc_residual(case: _SuiteCase, oracle: str):
 
 
 def _check_own_concavity(case: _SuiteCase, oracle: str):
+    # Own curvature depends on b alone: the operator's own FOC coefficient.
     for asg in ALL_ASSIGNMENTS:
-        for firm in FIRMS:
-            payoff = build_payoff_quadratic(case.params, asg, firm)
-            if payoff.own_curvature >= 0:
+        foc = _operator(case.params.b, asg).foc
+        for i, firm in enumerate(FIRMS):
+            if foc[i][i] >= 0:
                 return "fail", {"assignment": str(asg), "firm": firm,
-                                "curvature": format_rational(payoff.own_curvature)}
+                                "curvature": format_rational(foc[i][i])}
     return "ok", None
 
 

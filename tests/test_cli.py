@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from triopoly.verify import PropertyResult, SuiteReport
 
 SPOT_ARGS = ["--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2", "--cC", "3"]
@@ -105,6 +107,22 @@ def test_invalid_b_is_exit_1(cli):
     assert code == 1
     assert out == ""
     assert "b must satisfy 0 < b < 1" in err
+
+
+# Valid parameters on which the damped float iteration diverges for three patterns.
+DIVERGENT_ARGS = ["--a", "50", "--b", "57/64", "--cA", "181/8", "--cB", "201/8",
+                  "--cC", "237/8"]
+
+
+@pytest.mark.parametrize("pattern", ["QQP", "QPQ", "PQQ"])
+def test_float_divergence_is_one_line_exit_1(cli, pattern):
+    code, out, err = cli(["solve", *DIVERGENT_ARGS, "--pattern", pattern, "--mode", "float"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = cli(["solve", *DIVERGENT_ARGS, "--pattern", pattern, "--mode", "exact"])
+    assert code == 0
+    assert pattern in out
 
 
 def test_invalid_rational_names_flag(cli):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triopoly.exact import (
-    AffineForm,
     QuadraticForm,
     SingularSystem,
     as_rational,
@@ -206,44 +205,3 @@ def test_slice_requires_partition():
     with pytest.raises(ValueError):
         form.slice((0,), {1: 0})
 
-
-# --- affine forms -------------------------------------------------------------
-
-
-def affine_forms(dim=3):
-    return st.builds(
-        AffineForm,
-        st.tuples(*([small_rationals] * dim)),
-        small_rationals,
-    )
-
-
-@given(affine_forms(), affine_forms(), vectors())
-@settings(max_examples=60, deadline=None)
-def test_affine_product_is_pointwise_product(left, right, point):
-    product = left * right
-    assert isinstance(product, QuadraticForm)
-    assert product.evaluate(point) == left.evaluate(point) * right.evaluate(point)
-
-
-@given(affine_forms(), affine_forms(), small_rationals, vectors())
-@settings(max_examples=60, deadline=None)
-def test_affine_arithmetic_is_pointwise(left, right, scalar, point):
-    assert (left + right).evaluate(point) == left.evaluate(point) + right.evaluate(point)
-    assert (left - right).evaluate(point) == left.evaluate(point) - right.evaluate(point)
-    assert (scalar * left).evaluate(point) == scalar * left.evaluate(point)
-    assert (scalar - left).evaluate(point) == scalar - left.evaluate(point)
-
-
-def test_affine_constructors():
-    const = AffineForm.constant(3, "1/2")
-    assert const.evaluate((9, 9, 9)) == Fraction(1, 2)
-    var = AffineForm.variable(3, 1)
-    assert var.evaluate((4, 5, 6)) == 5
-    with pytest.raises(ValueError):
-        AffineForm.variable(3, 3)
-
-
-def test_affine_dimension_mismatch():
-    with pytest.raises(ValueError):
-        AffineForm((1, 2), 0) + AffineForm((1, 2, 3), 0)

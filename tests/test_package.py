@@ -1,8 +1,12 @@
-"""Package-wide checks: no stripped correctness checks, a light top-level import."""
+"""Package-wide checks: no stripped correctness checks, a light top-level import,
+every exported name, and the README examples."""
 
 import ast
+import io
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -28,3 +32,21 @@ def test_import_does_not_load_cli(src_env):
     run = subprocess.run([sys.executable, "-c", code], env=src_env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+def test_every_exported_name_resolves():
+    import triopoly
+
+    missing = [name for name in triopoly.__all__ if not hasattr(triopoly, name)]
+    assert missing == []
+
+
+def test_readme_python_examples_run():
+    # README is the public-API contract; its examples run in order in one namespace.
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    namespace = {}
+    with redirect_stdout(io.StringIO()):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
