@@ -387,6 +387,9 @@ def run_cli(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"error: a value lies outside the float range ({exc})", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -458,8 +458,10 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
 
     All three firms respond at once to the previous iterate and the update is
     averaged with weight ``damping`` toward the response. Stops when the
-    iterate moves by less than ``tol`` in the max norm. This is the package's
-    independent numeric route to the same equilibria the exact solver finds.
+    iterate moves by less than ``tol`` in the max norm, and raises
+    FloatingPointError at the first iterate that leaves the finite floats.
+    This is the package's independent numeric route to the same equilibria
+    the exact solver finds.
     """
     asg = as_assignment(assignment)
     ensure_float_safe(params)
@@ -475,6 +477,8 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
         current = [float(v) for v in init]
         if len(current) != 3:
             raise ValueError(f"init must have 3 components, got {len(current)}")
+        if not all(map(math.isfinite, current)):
+            raise ValueError(f"init must be finite, got {current}")
 
     op = _operator(params.b, asg)
     theta = _theta(params)
@@ -499,18 +503,15 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
             / curvature[i]
             for i in range(3)
         ]
-        nxt = [
-            (1 - damping) * current[i] + damping * responses[i]
-            for i in range(3)
-        ]
+        nxt = [(1 - damping) * c + damping * r for c, r in zip(current, responses)]
+        if not all(map(math.isfinite, nxt)):
+            raise FloatingPointError(
+                f"best-response iteration for {asg} left the finite floats "
+                f"at iteration {iterations}"
+            )
         delta = max(abs(nxt[i] - current[i]) for i in range(3))
         current = nxt
         if delta < tol:
             converged = True
             break
-    if not all(math.isfinite(v) for v in current):
-        raise FloatingPointError(
-            f"best-response iteration for {asg} left the finite floats "
-            f"after {iterations} iterations"
-        )
     return IterationResult(tuple(current), converged, iterations)

@@ -8,7 +8,8 @@ Three layers, in increasing breadth:
   must satisfy, with an a-priori tolerance derived from the grid step and an
   exact bound on the outer derivative;
 * a seeded property suite that re-runs the structural identities of the
-  model on randomly drawn parameter sets.
+  model on randomly drawn parameter sets; each draw's eight assignments are
+  solved once, and every property reads those solved states.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .market import (
     payoff_vector,
 )
 from .equilibrium import (
+    Equilibrium,
     _operator,
     build_payoff_quadratic,
     closed_form_outputs,
@@ -102,6 +104,15 @@ def _assignment_label(value: AssignmentLike) -> str:
     return str(asg.pattern) if asg.pattern is not None else str(asg)
 
 
+def _compare(left: AssignmentLike, right: AssignmentLike, el: Equilibrium,
+             er: Equilibrium) -> EquivalenceReport:
+    max_diff = max(abs(a - b) for a, b in zip(el.state.x + el.state.p,
+                                               er.state.x + er.state.p))
+    witness = None if max_diff == 0 else (el.state, er.state)
+    return EquivalenceReport(_assignment_label(left), _assignment_label(right),
+                             max_diff == 0, max_diff, witness)
+
+
 def check_equivalence(params: ModelParams, left: AssignmentLike,
                       right: AssignmentLike) -> EquivalenceReport:
     """Compare two assignments' equilibrium states by exact equality.
@@ -110,34 +121,27 @@ def check_equivalence(params: ModelParams, left: AssignmentLike,
     report carries the largest componentwise difference and, when they
     differ, both states as a witness.
     """
-    el = solve_equilibrium(params, as_assignment(left))
-    er = solve_equilibrium(params, as_assignment(right))
-    diffs = [abs(a - b) for a, b in zip(el.state.x + el.state.p, er.state.x + er.state.p)]
-    max_diff = max(diffs)
-    equal = max_diff == 0
-    witness = None if equal else (el.state, er.state)
-    return EquivalenceReport(
-        _assignment_label(left), _assignment_label(right), equal, max_diff, witness
-    )
+    return _compare(left, right, solve_equilibrium(params, left),
+                    solve_equilibrium(params, right))
 
 
 def equivalence_matrix(params: ModelParams) -> list[list[EquivalenceReport]]:
     """All pairwise comparisons of the six numbered patterns (6x6, diagonal trivial)."""
+    solved = {k: solve_equilibrium(params, k) for k in PATTERN_NUMBERS}
     return [
-        [check_equivalence(params, i, j) for j in PATTERN_NUMBERS]
+        [_compare(i, j, solved[i], solved[j]) for j in PATTERN_NUMBERS]
         for i in PATTERN_NUMBERS
     ]
 
 
 def equal_pattern_pairs(params: ModelParams) -> list[tuple[int, int]]:
     """Unordered pattern pairs (i < j) whose equilibria coincide exactly."""
-    matrix = equivalence_matrix(params)
-    pairs = []
-    for i_pos, i in enumerate(PATTERN_NUMBERS):
-        for j_pos, j in enumerate(PATTERN_NUMBERS):
-            if i < j and matrix[i_pos][j_pos].equal:
-                pairs.append((i, j))
-    return pairs
+    return [
+        (i, j)
+        for i, row in zip(PATTERN_NUMBERS, equivalence_matrix(params))
+        for j, report in zip(PATTERN_NUMBERS, row)
+        if i < j and report.equal
+    ]
 
 
 def closed_form_discrepancies(params: ModelParams) -> list[dict]:
@@ -233,24 +237,12 @@ def _check_not_degenerate(form: QuadraticForm) -> None:
 def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
                  inner_maximize: bool, outer_pick_max: bool, mode: str):
     inner = 1 - outer
-    if mode == "float":
-        q_ii = float(form.quad[inner][inner])
-        q_io = float(form.quad[inner][outer])
-        q_oo = float(form.quad[outer][outer])
-        l_i = float(form.lin[inner])
-        l_o = float(form.lin[outer])
-        k = float(form.const)
-        lo, hi = float(grid.lo), float(grid.hi)
-        points = grid.float_values()
-    else:
-        q_ii = form.quad[inner][inner]
-        q_io = form.quad[inner][outer]
-        q_oo = form.quad[outer][outer]
-        l_i = form.lin[inner]
-        l_o = form.lin[outer]
-        k = form.const
-        lo, hi = grid.lo, grid.hi
-        points = grid.values()
+    num = float if mode == "float" else as_rational
+    q_ii, q_io, q_oo = (num(form.quad[r][c])
+                        for r, c in ((inner, inner), (inner, outer), (outer, outer)))
+    l_i, l_o, k = num(form.lin[inner]), num(form.lin[outer]), num(form.const)
+    lo, hi = num(grid.lo), num(grid.hi)
+    points = grid.float_values() if mode == "float" else grid.values()
     best = None
     for t in points:
         beta = 2 * q_io * t + l_i
@@ -465,12 +457,16 @@ def _sample_vector(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(rng.randint(-256, 1024), 16) for _ in range(3))
 
 
+# What each draw solves once: patterns 1-6 and the A/B mirrors of 5 and 3.
+_SUITE_ASSIGNMENTS = (*PATTERN_NUMBERS, "QPP", "PQQ")
+
+
 @dataclass(frozen=True)
 class _SuiteCase:
-    index: int
     params: ModelParams
     outputs: tuple
     prices: tuple
+    solved: dict  # key of _SUITE_ASSIGNMENTS -> Equilibrium
 
 
 @dataclass(frozen=True)
@@ -535,11 +531,12 @@ def _check_demand_round_trip(case: _SuiteCase, oracle: str):
 
 
 def _check_foc_residual(case: _SuiteCase, oracle: str):
+    # The payoff quadratics are an independent route to the first-order conditions.
     for pattern in PATTERN_NUMBERS:
-        eq = solve_equilibrium(case.params, pattern)
+        chosen = case.solved[pattern].chosen
         forms = [build_payoff_quadratic(case.params, pattern, firm).form for firm in FIRMS]
         for i in range(3):
-            grad = forms[i].gradient(eq.chosen)[i]
+            grad = forms[i].gradient(chosen)[i]
             if grad != 0:
                 return "fail", {"pattern": pattern, "firm": FIRMS[i],
                                 "residual": format_rational(grad)}
@@ -563,7 +560,7 @@ def _check_closed_form_agreement(case: _SuiteCase, oracle: str):
     for pattern in PATTERN_NUMBERS:
         table = closed_form_outputs(case.params, pattern)
         target = table.corrected if oracle == "corrected" else table.printed
-        solved = solve_equilibrium(case.params, pattern).state.x
+        solved = case.solved[pattern].state.x
         if solved != target:
             mismatch = next(i for i in range(3) if solved[i] != target[i])
             return "fail", {
@@ -579,7 +576,7 @@ def _check_ab_symmetry(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b:
         return "vacuous", None
     for pattern in (1, 2, 4, 6):
-        state = solve_equilibrium(case.params, pattern).state
+        state = case.solved[pattern].state
         if state.x[0] != state.x[1] or state.p[0] != state.p[1]:
             return "fail", {"pattern": pattern, "state": state.to_dict()}
     return "ok", None
@@ -589,9 +586,7 @@ def _check_ab_swap_covariance(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b:
         return "vacuous", None
     for mirror, pattern in (("QPP", 5), ("PQQ", 3)):
-        mirrored = solve_equilibrium(case.params, mirror).state
-        base = solve_equilibrium(case.params, pattern).state
-        if mirrored != base.swap_ab():
+        if case.solved[mirror].state != case.solved[pattern].state.swap_ab():
             return "fail", {"assignment": mirror, "pattern": pattern}
     return "ok", None
 
@@ -600,7 +595,7 @@ def _check_quantity_price_c_equivalence(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b:
         return "vacuous", None
     for left, right in ((1, 2), (6, 4)):
-        report = check_equivalence(case.params, left, right)
+        report = _compare(left, right, case.solved[left], case.solved[right])
         if not report.equal:
             return "fail", report.to_dict()
     return "ok", None
@@ -610,10 +605,9 @@ def _check_non_equivalence(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b or case.params.c_c == case.params.c_a:
         return "vacuous", None
     for left, right in NON_EQUIVALENT_PAIRS:
-        report = check_equivalence(case.params, left, right)
-        if report.equal:
+        if _compare(left, right, case.solved[left], case.solved[right]).equal:
             return "fail", {"left": left, "right": right,
-                            "state": solve_equilibrium(case.params, left).state.to_dict()}
+                            "state": case.solved[left].state.to_dict()}
     return "ok", None
 
 
@@ -622,7 +616,7 @@ def _check_full_symmetry_collapse(case: _SuiteCase, oracle: str):
     if not (p.c_a == p.c_b == p.c_c):
         return "vacuous", None
     expected = (p.a - p.c_a) / (2 + p.b)
-    states = [solve_equilibrium(p, pattern).state for pattern in PATTERN_NUMBERS]
+    states = [case.solved[pattern].state for pattern in PATTERN_NUMBERS]
     for pattern, state in zip(PATTERN_NUMBERS, states):
         if state != states[0] or any(x != expected for x in state.x):
             return "fail", {"pattern": pattern, "state": state.to_dict(),
@@ -650,8 +644,11 @@ def property_suite(params: ModelParams, draws: int = 100, seed: int = 0, *,
 
     Draw 0 is the caller's parameter set verbatim; the remaining draws - 1
     sets come from :func:`sample_model_params` seeded with ``seed``, so a
-    report is reproducible byte for byte. A property that applies to no draw
-    at all (for example the fully symmetric collapse when no draw has equal
+    report is reproducible byte for byte. Each draw's eight assignments
+    (patterns 1-6 plus the mirrors QPP and PQQ) are solved once, and every
+    property that has not failed yet reads those solved states. A property
+    stops at its first failing draw. A property that applies to no draw at
+    all (for example the fully symmetric collapse when no draw has equal
     costs) is reported as skipped rather than silently passing.
 
     ``oracle`` picks which closed-form table variant the agreement property
@@ -663,29 +660,26 @@ def property_suite(params: ModelParams, draws: int = 100, seed: int = 0, *,
     if oracle not in ("corrected", "printed"):
         raise ValueError(f"oracle must be 'corrected' or 'printed', got {oracle!r}")
     rng = random.Random(seed)
-    cases = []
+    checked = {name: 0 for name, _ in _SUITE_CHECKS}
+    failures = {}
     for index in range(draws):
         p = params if index == 0 else sample_model_params(rng)
         outputs = tuple(_sample_vector(rng) for _ in range(3))
         prices = tuple(_sample_vector(rng) for _ in range(2))
-        cases.append(_SuiteCase(index, p, outputs, prices))
-
-    results = []
-    for name, check in _SUITE_CHECKS:
-        checked = 0
-        failure = None
-        for case in cases:
+        solved = {key: solve_equilibrium(p, key) for key in _SUITE_ASSIGNMENTS}
+        case = _SuiteCase(p, outputs, prices, solved)
+        for name, check in _SUITE_CHECKS:
+            if name in failures:
+                continue
             status, detail = check(case, oracle)
             if status == "vacuous":
                 continue
-            checked += 1
+            checked[name] += 1
             if status == "fail":
-                failure = {"draw": case.index, "params": case.params.to_dict(), **detail}
-                break
-        if failure is not None:
-            results.append(PropertyResult(name, "fail", checked, failure))
-        elif checked == 0:
-            results.append(PropertyResult(name, "skipped", 0))
-        else:
-            results.append(PropertyResult(name, "pass", checked))
+                failures[name] = {"draw": index, "params": p.to_dict(), **detail}
+
+    results = []
+    for name in checked:
+        status = "fail" if name in failures else "pass" if checked[name] else "skipped"
+        results.append(PropertyResult(name, status, checked[name], failures.get(name)))
     return SuiteReport(draws, seed, oracle, tuple(results))

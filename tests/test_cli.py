@@ -125,6 +125,33 @@ def test_float_divergence_is_one_line_exit_1(cli, pattern):
     assert pattern in out
 
 
+# The spot parameters with a demand intercept beyond the largest float.
+HUGE_A = ["--a", "1e400", *SPOT_ARGS[2:]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *HUGE_A],
+    ["solve", *HUGE_A, "--mode", "float"],
+    ["minimax", *HUGE_A],
+    ["minimax", *HUGE_A, "--mode", "exact"],
+    ["minimax", *SPOT_ARGS, "--grid-hi", "1e400"],
+    ["minimax", *SPOT_ARGS, "--grid-hi", "1e400", "--mode", "exact"],
+])
+def test_value_beyond_float_range_is_one_line_exit_1(cli, argv):
+    code, out, err = cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float range" in err
+
+
+def test_verify_renders_no_floats_for_huge_values(cli):
+    code, out, err = cli(["verify", *HUGE_A, "--draws", "2"])
+    assert code == 0
+    assert "verification: PASS" in out
+    assert err == ""
+
+
 def test_invalid_rational_names_flag(cli):
     code, _, err = cli(["solve", "--a", "10", "--b", "x/y", "--cA", "2",
                         "--cB", "2", "--cC", "3"])

@@ -1,5 +1,6 @@
 """Equilibrium solver tests: payoff quadratics, best responses, FOC solve, oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -265,6 +266,20 @@ def test_iteration_reports_non_convergence():
     assert result.iterations == 3
 
 
+def test_iteration_stops_at_first_non_finite_iterate():
+    # Valid parameters on which the damped iteration diverges for QQP, QPQ and PQQ.
+    params = ModelParams(50, "57/64", "181/8", "201/8", "237/8")
+    for asg in ("QQP", "QPQ", "PQQ"):
+        with pytest.raises(FloatingPointError, match=r"at iteration (\d+)$") as info:
+            best_response_iteration(params, asg)
+        n = int(info.value.args[0].rsplit(" ", 1)[1])
+        assert n == 5387
+        result = best_response_iteration(params, asg, max_iter=n - 1)
+        assert not result.converged
+        assert result.iterations == n - 1
+        assert all(math.isfinite(v) for v in result.chosen)
+
+
 def test_iteration_within_ten_tol_of_exact():
     rng = random.Random(31)
     tol = 1e-12
@@ -288,6 +303,8 @@ def test_iteration_validation():
         best_response_iteration(SPOT, 1, max_iter=-1)
     with pytest.raises(ValueError, match="init"):
         best_response_iteration(SPOT, 1, init=(0.0, 0.0))
+    with pytest.raises(ValueError, match="init must be finite"):
+        best_response_iteration(SPOT, 1, init=(0.0, math.inf, 0.0), max_iter=0)
     near_one = ModelParams(10, Fraction(10**7 - 1, 10**7), 2, 2, 3)
     with pytest.raises(ValueError, match="float mode"):
         best_response_iteration(near_one, 1)

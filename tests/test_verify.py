@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import triopoly.verify
 from triopoly.equilibrium import solve_equilibrium
 from triopoly.exact import QuadraticForm
 from triopoly.market import ModelParams
@@ -269,3 +270,40 @@ def test_suite_deterministic():
     left = property_suite(SPOT, draws=10, seed=9).to_dict()
     right = property_suite(SPOT, draws=10, seed=9).to_dict()
     assert left == right
+
+
+def test_suite_keeps_counting_after_another_property_fails():
+    # Draw 0 has cA != cB, so the table checks first apply at draw 1.
+    report = property_suite(ModelParams(10, "1/2", 2, 3, 4), draws=5, seed=0,
+                            oracle="printed")
+    outcome = {p.name: p for p in report.properties}
+    agreement = outcome["closed_form_agreement"]
+    assert (agreement.status, agreement.checked) == ("fail", 1)
+    assert agreement.counterexample["draw"] == 1
+    assert outcome["zero_sum"].checked == 5
+    assert outcome["ab_symmetry"].checked == 4
+    assert outcome["full_symmetry_collapse"].status == "skipped"
+    assert all(p.status == "pass" for p in report.properties
+               if p.name not in ("closed_form_agreement", "full_symmetry_collapse"))
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count the solves the verify module runs."""
+    calls = []
+    real = triopoly.verify.solve_equilibrium
+
+    def counted(params, assignment):
+        calls.append(assignment)
+        return real(params, assignment)
+
+    monkeypatch.setattr(triopoly.verify, "solve_equilibrium", counted)
+    return calls
+
+
+def test_suite_solves_each_draw_once(solve_calls):
+    property_suite(SPOT, draws=10)
+    assert len(solve_calls) <= 80
+    solve_calls.clear()
+    equivalence_matrix(SPOT)
+    assert len(solve_calls) <= 6
