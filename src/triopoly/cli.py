@@ -33,8 +33,8 @@ from .verify import (
     DegenerateSlice,
     GridSpec,
     MinimaxSlice,
+    _equal_pairs,
     closed_form_discrepancies,
-    equal_pattern_pairs,
     equivalence_matrix,
     minimax_check,
     property_suite,
@@ -240,7 +240,7 @@ def _cmd_verify(args) -> int:
     params = _params_from_args(args)
     try:
         matrix = equivalence_matrix(params)
-        pairs = equal_pattern_pairs(params)
+        pairs = _equal_pairs(matrix)
         ledger = closed_form_discrepancies(params)
         suite = property_suite(params, draws=args.draws, seed=args.seed)
     except ValueError as exc:

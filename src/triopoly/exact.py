@@ -65,7 +65,10 @@ def decimal_string(value) -> str:
 
 def rational_vector(values: Sequence[RationalLike], dim: int | None = None) -> tuple[Fraction, ...]:
     """Coerce a sequence to a tuple of Fractions, optionally enforcing its length."""
-    vec = tuple(as_rational(v) for v in values)
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        vec = values  # already coerced: the hot dataclasses pass such tuples through
+    else:
+        vec = tuple(as_rational(v) for v in values)
     if dim is not None and len(vec) != dim:
         raise ValueError(f"expected a vector of length {dim}, got {len(vec)}")
     return vec

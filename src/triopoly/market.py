@@ -17,12 +17,17 @@ Each firm independently commits to either its quantity or its price as the
 strategic variable. A :class:`StrategyAssignment` records that choice per
 firm; :func:`resolve_market` turns the three committed values into the full
 market state by solving the demand system exactly.
+
+The state -> payoff path (:func:`inverse_demand`, :func:`direct_demand`,
+:func:`profit`, :func:`payoff_vector`) works on exact integer numerators over
+a shared denominator and builds ``Fraction``s only for the values it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from .exact import (
@@ -281,12 +286,29 @@ class PayoffVector:
         }
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators, and that lcm."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
 def inverse_demand(params: ModelParams,
                    x: Sequence[RationalLike]) -> tuple[Fraction, Fraction, Fraction]:
-    """Prices cleared by the given outputs: p_i = a - x_i - b (x_j + x_k)."""
-    q = rational_vector(x, 3)
-    total = q[0] + q[1] + q[2]
-    return tuple(params.a - q[i] - params.b * (total - q[i]) for i in range(3))
+    """Prices cleared by the given outputs: p_i = a - x_i - b (x_j + x_k).
+
+    With outputs n_i / xd and b = bn / bd, prices are computed over
+    den = lcm(xd bd, den(a)) on integers; only the results become Fractions.
+    """
+    n, xd = _over_lcm(rational_vector(x, 3))
+    (an, ad), (bn, bd) = params.a.as_integer_ratio(), params.b.as_integer_ratio()
+    den = lcm(xd * bd, ad)
+    a_num = an * (den // ad)
+    x_scale = den // xd
+    b_scale = bn * (den // (xd * bd))
+    total = n[0] + n[1] + n[2]
+    return tuple(Fraction(a_num - x_scale * n[i] - b_scale * (total - n[i]), den)
+                 for i in range(3))
 
 
 def direct_demand(params: ModelParams,
@@ -296,13 +318,16 @@ def direct_demand(params: ModelParams,
     Derived by inverting the inverse-demand system:
 
         x_i = [ a (1 - b) - (1 + b) p_i + b (p_j + p_k) ] / [ (1 - b)(1 + 2b) ].
+
+    With b = bn / bd and a, p over one denominator den, numerator and
+    denominator are scaled by bd^2 so that only integers enter.
     """
-    prices = rational_vector(p, 3)
-    den = (1 - params.b) * (1 + 2 * params.b)
-    total = prices[0] + prices[1] + prices[2]
+    (a_num, *n), den = _over_lcm((params.a, *rational_vector(p, 3)))
+    bn, bd = params.b.as_integer_ratio()
+    total = n[0] + n[1] + n[2]
+    x_den = den * (bd - bn) * (bd + 2 * bn)
     return tuple(
-        (params.a * (1 - params.b) - (1 + params.b) * prices[i] + params.b * (total - prices[i]))
-        / den
+        Fraction(bd * (a_num * (bd - bn) - (bd + bn) * n[i] + bn * (total - n[i])), x_den)
         for i in range(3)
     )
 
@@ -332,17 +357,36 @@ def resolve_market(params: ModelParams, assignment: AssignmentLike,
     return MarketState.from_outputs(params, x)
 
 
+def _profit_numerators(params: ModelParams,
+                       state: MarketState) -> tuple[tuple[int, int, int], int]:
+    """Integers n_i and one denominator d with (p_i - c_i) x_i = n_i / d for every firm.
+
+    Prices and costs share one denominator md and outputs another, xd; d = md xd.
+    """
+    pc, md = _over_lcm(state.p + params.costs)
+    xn, xd = _over_lcm(state.x)
+    return tuple((pc[i] - pc[i + 3]) * xn[i] for i in range(3)), md * xd
+
+
 def profit(params: ModelParams, firm: str, state: MarketState) -> Fraction:
     """Absolute profit (p_i - c_i) x_i of one firm at the given state."""
     i = firm_index(firm)
-    return (state.p[i] - params.costs[i]) * state.x[i]
+    nums, den = _profit_numerators(params, state)
+    return Fraction(nums[i], den)
 
 
 def payoff_vector(params: ModelParams, state: MarketState) -> PayoffVector:
-    """All profits and relative payoffs at a state; the psi entries sum to zero."""
-    pi = tuple(profit(params, firm, state) for firm in FIRMS)
-    half = Fraction(1, 2)
-    psi = tuple(pi[i] - half * (pi[(i + 1) % 3] + pi[(i + 2) % 3]) for i in range(3))
-    if sum(psi, start=Fraction(0)) != 0:
-        raise ArithmeticError(f"relative payoffs {psi} do not sum to zero")
-    return PayoffVector(pi, psi)
+    """All profits and relative payoffs at a state; the psi entries sum to zero.
+
+    With pi_i = n_i / d, psi_i = pi_i - (pi_j + pi_k) / 2 = (3 n_i - sum n) / (2 d),
+    so the zero-sum check runs on integer numerators.
+    """
+    nums, den = _profit_numerators(params, state)
+    total = nums[0] + nums[1] + nums[2]
+    psi = tuple(3 * n - total for n in nums)
+    if psi[0] + psi[1] + psi[2] != 0:
+        raise ArithmeticError(
+            f"relative payoffs with numerators {psi} over {2 * den} do not sum to zero"
+        )
+    return PayoffVector(tuple(Fraction(n, den) for n in nums),
+                        tuple(Fraction(n, 2 * den) for n in psi))

@@ -134,14 +134,19 @@ def equivalence_matrix(params: ModelParams) -> list[list[EquivalenceReport]]:
     ]
 
 
-def equal_pattern_pairs(params: ModelParams) -> list[tuple[int, int]]:
-    """Unordered pattern pairs (i < j) whose equilibria coincide exactly."""
+def _equal_pairs(matrix: list[list[EquivalenceReport]]) -> list[tuple[int, int]]:
+    """Pattern pairs (i < j) marked equal in an :func:`equivalence_matrix`."""
     return [
         (i, j)
-        for i, row in zip(PATTERN_NUMBERS, equivalence_matrix(params))
+        for i, row in zip(PATTERN_NUMBERS, matrix)
         for j, report in zip(PATTERN_NUMBERS, row)
         if i < j and report.equal
     ]
+
+
+def equal_pattern_pairs(params: ModelParams) -> list[tuple[int, int]]:
+    """Unordered pattern pairs (i < j) whose equilibria coincide exactly."""
+    return _equal_pairs(equivalence_matrix(params))
 
 
 def closed_form_discrepancies(params: ModelParams) -> list[dict]:

@@ -14,6 +14,7 @@ from triopoly.market import (
     PATTERNS,
     MarketState,
     ModelParams,
+    PayoffVector,
     as_assignment,
     direct_demand,
     ensure_float_safe,
@@ -212,12 +213,13 @@ def test_zero_sum_identity(vec):
     assert sum(payoffs.psi, start=Fraction(0)) == 0
 
 
-# Float profits (1e16, 1, 1) round so that the relative payoffs sum to 2.
+# Float profit numerators (1e16, 1, 1) over denominator 1 round so that the
+# relative payoff numerators 3 pi_i - sum pi sum to 8.
 _BROKEN_ZERO_SUM = """
 import triopoly.market as market
 from triopoly.market import MarketState, ModelParams, payoff_vector
 
-market.profit = lambda params, firm, state: {"A": 1e16, "B": 1.0, "C": 1.0}[firm]
+market._profit_numerators = lambda params, state: ((1e16, 1.0, 1.0), 1)
 params = ModelParams(10, "1/2", 2, 2, 3)
 try:
     payoff_vector(params, MarketState.from_outputs(params, (2, 2, 2)))
@@ -233,6 +235,106 @@ def test_zero_sum_check_survives_optimize_flag(src_env):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stdout + run.stderr
     assert "do not sum to zero" in run.stdout
+
+
+# --- exactness against the textbook formulas ---------------------------------------
+
+# b with a large prime denominator, costs and a with mixed denominators, and
+# outputs and prices that may be negative or zero.
+_PRIME = 1_000_003
+_b_values = st.integers(1, _PRIME - 1).map(lambda k: Fraction(k, _PRIME))
+_costs = st.fractions(min_value=0, max_value=40, max_denominator=10**4)
+_margins = st.fractions(min_value=0, max_value=40, max_denominator=997).filter(lambda m: m > 0)
+_values = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+_vectors = st.tuples(_values, _values, _values)
+
+
+@st.composite
+def _market_params(draw):
+    costs = draw(st.tuples(_costs, _costs, _costs))
+    return ModelParams(max(costs) + draw(_margins), draw(_b_values), *costs)
+
+
+def _reference_prices(params, x):
+    return tuple(params.a - x[i] - params.b * (x[(i + 1) % 3] + x[(i + 2) % 3])
+                 for i in range(3))
+
+
+def _reference_outputs(params, p):
+    a, b = params.a, params.b
+    return tuple(
+        (a * (1 - b) - (1 + b) * p[i] + b * (p[(i + 1) % 3] + p[(i + 2) % 3]))
+        / ((1 - b) * (1 + 2 * b))
+        for i in range(3)
+    )
+
+
+def _assert_fractions_equal(got, expected):
+    assert got == expected
+    assert all(type(v) is Fraction for v in got)
+
+
+@given(_market_params(), _vectors, _vectors)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_textbook_formulas(params, x, p):
+    _assert_fractions_equal(inverse_demand(params, x), _reference_prices(params, x))
+    _assert_fractions_equal(direct_demand(params, p), _reference_outputs(params, p))
+    on_demand = MarketState.from_outputs(params, x)
+    _assert_fractions_equal(on_demand.p, _reference_prices(params, x))
+    # payoff_vector takes any state, so also one whose prices are off the demand system.
+    for state in (on_demand, MarketState(x, p)):
+        pi = tuple((state.p[i] - params.costs[i]) * state.x[i] for i in range(3))
+        psi = tuple(pi[i] - (pi[(i + 1) % 3] + pi[(i + 2) % 3]) / 2 for i in range(3))
+        payoffs = payoff_vector(params, state)
+        _assert_fractions_equal(payoffs.pi, pi)
+        _assert_fractions_equal(payoffs.psi, psi)
+        _assert_fractions_equal(tuple(profit(params, f, state) for f in FIRMS), pi)
+
+
+def test_vectors_coerce_ints_strings_and_lists():
+    state = MarketState([1, "1/2", Fraction(3, 4)], ("2", 3, " 0.5 "))
+    _assert_fractions_equal(state.x, (Fraction(1), Fraction(1, 2), Fraction(3, 4)))
+    _assert_fractions_equal(state.p, (Fraction(2), Fraction(3), Fraction(1, 2)))
+    payoffs = PayoffVector(["-3", 0, "7/9"], (1, Fraction(-1, 2), "-1/2"))
+    _assert_fractions_equal(payoffs.pi, (Fraction(-3), Fraction(0), Fraction(7, 9)))
+    _assert_fractions_equal(payoffs.psi, (Fraction(1), Fraction(-1, 2), Fraction(-1, 2)))
+    assert type(state.x) is tuple and type(payoffs.pi) is tuple
+
+
+@pytest.mark.parametrize("cls", [MarketState, PayoffVector])
+def test_vectors_reject_floats_bad_strings_and_wrong_lengths(cls):
+    good = (Fraction(1), Fraction(2), Fraction(3))
+    with pytest.raises(TypeError):
+        cls((Fraction(1), Fraction(2), 0.5), good)
+    with pytest.raises(TypeError):
+        cls(good, [1.0, 2, 3])
+    with pytest.raises(ValueError, match="invalid rational literal"):
+        cls(good, ("1/0x", 2, 3))
+    with pytest.raises(ValueError, match="length 3"):
+        cls(good[:2], good)
+    with pytest.raises(ValueError, match="length 3"):
+        cls(good, good + (Fraction(4),))
+
+
+def test_state_to_payoff_path_does_no_fraction_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        real = getattr(Fraction, name)
+
+        def counted(self, other, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    params = ModelParams("37/3", Fraction(5, _PRIME), "7/2", "11/5", 3)
+    x = (Fraction(7, 3), Fraction(-5, 16), Fraction(0))
+    assert Fraction(1, 2) * Fraction(1, 3) == Fraction(1, 6)
+    assert calls == ["__mul__"]  # the counters see Fraction arithmetic
+    calls.clear()
+    payoffs = payoff_vector(params, MarketState.from_outputs(params, x))
+    assert calls == []
+    assert payoffs.psi[2] == -payoffs.psi[0] - payoffs.psi[1]
 
 
 def test_state_serialization():

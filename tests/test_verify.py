@@ -307,3 +307,13 @@ def test_suite_solves_each_draw_once(solve_calls):
     solve_calls.clear()
     equivalence_matrix(SPOT)
     assert len(solve_calls) <= 6
+
+
+def test_verify_command_builds_the_matrix_once(solve_calls, capsys):
+    from triopoly.cli import run_cli
+
+    # Six solves for the matrix and eight for the single suite draw.
+    assert run_cli(["verify", "--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2",
+                    "--cC", "3", "--draws", "1"]) == 0
+    assert "equal pairs: (1,2) (4,6)" in capsys.readouterr().out
+    assert len(solve_calls) <= 14
