@@ -298,22 +298,24 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_fixes(args, slice_spec: MinimaxSlice) -> Fraction | None:
+    if not args.fix:
+        return None
+    if len(args.fix) > 1:
+        raise _CliError(f"--fix may be given once, got {len(args.fix)}: {' '.join(args.fix)}")
     _, _, fixed_firm = slice_spec.resolve_firms()
     expected = slice_spec.base_assignment.variable_name(fixed_firm)
-    value = None
-    for item in args.fix:
-        var, sep, text = item.partition("=")
-        if not sep:
-            raise _CliError(f"--fix expects {expected}=VALUE, got {item!r}")
-        if var.strip() != expected:
-            raise _CliError(
-                f"--fix may only pin the bystander variable {expected}, got {var.strip()!r}"
-            )
-        try:
-            value = as_rational(text.strip())
-        except ValueError as exc:
-            raise _CliError(f"--fix {item!r}: {exc}") from None
-    return value
+    (item,) = args.fix
+    var, sep, text = item.partition("=")
+    if not sep:
+        raise _CliError(f"--fix expects {expected}=VALUE, got {item!r}")
+    if var.strip() != expected:
+        raise _CliError(
+            f"--fix may only pin the bystander variable {expected}, got {var.strip()!r}"
+        )
+    try:
+        return as_rational(text.strip())
+    except ValueError as exc:
+        raise _CliError(f"--fix {item!r}: {exc}") from None
 
 
 def _cmd_minimax(args) -> int:

@@ -20,8 +20,11 @@ does not depend on theta in one operator, cached on (b, assignment):
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
 ``corrected`` the variant that agrees with the solver. They differ in a
-single entry, the sign of the all-quantity pattern's third output. The
-solver is ground truth; the tables are cross-checks and documentation.
+single entry, the sign of the all-quantity pattern's third output. Like the
+solver, the tables are linear maps cached per b: each output is a row of
+coefficients on (a, c_AB, c_C), the transcribed numerator's terms over its
+denominator. The solver is ground truth; the tables are cross-checks and
+documentation.
 """
 
 from __future__ import annotations
@@ -346,7 +349,8 @@ class ClosedFormOutputs:
     ``printed`` is the table exactly as transcribed; ``corrected`` agrees
     with the solver everywhere. The two differ only for pattern 1, whose
     transcribed third output has the wrong sign. Both variants assume firms
-    A and B share a marginal cost.
+    A and B share a marginal cost c_AB: each output is a row of transcribed
+    coefficients on (a, c_AB, c_C) at the given b, dotted with those values.
     """
 
     pattern: int
@@ -379,57 +383,45 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
             "closed-form output tables assume c_A = c_B, "
             f"got cA={params.c_a} cB={params.c_b}"
         )
-    printed = _printed_output_table(params.a, params.b, params.c_a, params.c_c)[pattern]
+    theta = (params.a, params.c_a, params.c_c)
+    printed = tuple(_dot(row, theta) for row in _printed_output_table(params.b)[pattern])
     corrected = printed if pattern != 1 else (printed[0], printed[1], -printed[2])
     return ClosedFormOutputs(pattern, printed, corrected)
 
 
-@lru_cache(maxsize=2048)
-def _printed_output_table(a: Fraction, b: Fraction, ca: Fraction,
-                          cc: Fraction) -> dict:
-    """All six transcribed output triples, computed once per parameter set."""
+def _row(den, a, c_ab, c_c) -> tuple:
+    """One transcribed entry: its numerator's (a, c_AB, c_C) coefficients over den."""
+    return (a / den, c_ab / den, c_c / den)
+
+
+@lru_cache(maxsize=64)
+def _printed_output_table(b: Fraction) -> dict:
+    """All six transcribed output triples at one b, as rows on (a, c_AB, c_C).
+
+    Each output is its row dotted with (a, c_AB, c_C). Keyed by b alone: one
+    verify run meets at most 64 distinct b, the given one and the sampler's.
+    """
     d12 = (4 - b) * (b + 2)
-    x12_ab = (b * cc - 4 * ca - a * b + 4 * a) / d12
+    x12_ab = _row(d12, 4 - b, -4, b)
     # Transcribed with denominator (b - 4)(b + 2); equals the negative of the
     # solver's value for pattern 1 and the true value for pattern 2.
-    x1_c_printed = (b * cc + 4 * cc - 2 * b * ca + a * b - 4 * a) / d12
-    x2_c = (b * cc + 4 * cc - 2 * b * ca + a * b - 4 * a) / ((b - 4) * (b + 2))
+    x1_c_printed = _row(d12, b - 4, -2 * b, b + 4)
+    x2_c = _row((b - 4) * (b + 2), b - 4, -2 * b, b + 4)
 
     d3 = (4 - b) * (1 - b) * (b + 2) * (3 * b + 4)
-    x3_a = (
-        5 * b**2 * cc + 4 * b * cc
-        - 3 * b**3 * ca + 6 * b**2 * ca + 4 * b * ca - 16 * ca
-        + 3 * a * b**3 - 11 * a * b**2 - 8 * a * b + 16 * a
-    ) / d3
-    x3_c = (
-        7 * b**2 * cc - 16 * cc
-        - 3 * b**3 * ca + 4 * b**2 * ca + 8 * b * ca
-        + 3 * a * b**3 - 11 * a * b**2 - 8 * a * b + 16 * a
-    ) / d3
+    a3 = 3 * b**3 - 11 * b**2 - 8 * b + 16
+    x3_a = _row(d3, a3, -3 * b**3 + 6 * b**2 + 4 * b - 16, 5 * b**2 + 4 * b)
+    x3_c = _row(d3, a3, -3 * b**3 + 4 * b**2 + 8 * b, 7 * b**2 - 16)
 
     d46 = (1 - b) * (b + 2) * (5 * b + 4)
-    x46_ab = (
-        2 * b**2 * cc + b * cc
-        + 3 * b**2 * ca - 2 * b * ca - 4 * ca
-        - 5 * a * b**2 + a * b + 4 * a
-    ) / d46
-    x46_c = (
-        b**2 * cc - 3 * b * cc - 4 * cc
-        + 4 * b**2 * ca + 2 * b * ca
-        - 5 * a * b**2 + a * b + 4 * a
-    ) / d46
+    a46 = -5 * b**2 + b + 4
+    x46_ab = _row(d46, a46, 3 * b**2 - 2 * b - 4, 2 * b**2 + b)
+    x46_c = _row(d46, a46, 4 * b**2 + 2 * b, b**2 - 3 * b - 4)
 
     d5 = (1 - b) * (b + 2) * (b + 4) * (5 * b + 4)
-    x5_a = (
-        -(b**3) * cc + 3 * b**2 * cc + 4 * b * cc
-        + 6 * b**3 * ca + 16 * b**2 * ca - 12 * b * ca - 16 * ca
-        - 5 * a * b**3 - 19 * a * b**2 + 8 * a * b + 16 * a
-    ) / d5
-    x5_c = (
-        4 * b**3 * cc + 7 * b**2 * cc - 16 * b * cc - 16 * cc
-        + b**3 * ca + 12 * b**2 * ca + 8 * b * ca
-        - 5 * a * b**3 - 19 * a * b**2 + 8 * a * b + 16 * a
-    ) / d5
+    a5 = -5 * b**3 - 19 * b**2 + 8 * b + 16
+    x5_a = _row(d5, a5, 6 * b**3 + 16 * b**2 - 12 * b - 16, -(b**3) + 3 * b**2 + 4 * b)
+    x5_c = _row(d5, a5, b**3 + 12 * b**2 + 8 * b, 4 * b**3 + 7 * b**2 - 16 * b - 16)
 
     return {
         1: (x12_ab, x12_ab, x1_c_printed),

@@ -85,21 +85,17 @@ class SingularSystem(Exception):
         super().__init__(message)
 
 
-def _eliminate(matrix: Sequence[Sequence[RationalLike]],
-               columns: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
+def _eliminate(matrix: Sequence[Sequence], columns: Sequence[Sequence]) -> list[list]:
     """Solve A X = B exactly for several right-hand columns at once.
 
     ``columns`` holds the columns of B; the result is row-major, so
-    ``result[i][j]`` is component i of the solution for column j. Raises
-    SingularSystem when some elimination step has only zero pivots below it.
+    ``result[i][j]`` is component i of the solution for column j. Entries are
+    used as given, so any exact field type works; ``solve_linear`` coerces
+    and validates its input. Raises SingularSystem when some elimination step
+    has only zero pivots below it.
     """
-    n = len(matrix)
-    rows = [list(rational_vector(row, n)) for row in matrix]
-    if len(rows) != n:
-        raise ValueError("matrix must be square")
-    cols = [rational_vector(col, n) for col in columns]
-    m = len(cols)
-    aug = [rows[i] + [col[i] for col in cols] for i in range(n)]
+    n, m = len(matrix), len(columns)
+    aug = [[*matrix[i], *(col[i] for col in columns)] for i in range(n)]
     for step in range(n):
         pivot_row = next((r for r in range(step, n) if aug[r][step] != 0), None)
         if pivot_row is None:
@@ -114,7 +110,7 @@ def _eliminate(matrix: Sequence[Sequence[RationalLike]],
                 top = aug[step]
                 for c in range(step, n + m):
                     row[c] -= factor * top[c]
-    solution = [[Fraction(0)] * m for _ in range(n)]
+    solution = [[None] * m for _ in range(n)]
     for i in reversed(range(n)):
         for j in range(m):
             acc = aug[i][n + j]

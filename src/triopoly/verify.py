@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import QuadraticForm, as_rational, format_rational
 from .market import (
@@ -539,11 +540,12 @@ def _check_foc_residual(case: _SuiteCase, oracle: str):
     # The payoff quadratics are an independent route to the first-order conditions.
     for pattern in PATTERN_NUMBERS:
         chosen = case.solved[pattern].chosen
-        forms = [build_payoff_quadratic(case.params, pattern, firm).form for firm in FIRMS]
-        for i in range(3):
-            grad = forms[i].gradient(chosen)[i]
+        for i, firm in enumerate(FIRMS):
+            # Only the own component of firm i's payoff gradient: lin_i + 2 Q_i . v.
+            form = build_payoff_quadratic(case.params, pattern, firm).form
+            grad = form.lin[i] + 2 * sum(map(mul, form.quad[i], chosen))
             if grad != 0:
-                return "fail", {"pattern": pattern, "firm": FIRMS[i],
+                return "fail", {"pattern": pattern, "firm": firm,
                                 "residual": format_rational(grad)}
     return "ok", None
 

@@ -288,6 +288,14 @@ def test_minimax_rejects_malformed_fix(cli):
     assert "--fix" in err or "xB" in err
 
 
+def test_minimax_rejects_repeated_fix(cli):
+    code, out, err = cli(["minimax", *SPOT_ARGS, "--fix", "xB=1", "--fix", "xB=2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --fix may be given once")
+    assert err.count("\n") == 1
+
+
 def test_minimax_grid_validation(cli):
     code, _, err = cli(["minimax", *SPOT_ARGS, "--grid-points", "2"])
     assert code == 1

@@ -12,6 +12,7 @@ from triopoly.equilibrium import (
     ConcavityViolation,
     QuadraticPayoff,
     _operator,
+    _printed_output_table,
     best_response,
     best_response_iteration,
     build_payoff_quadratic,
@@ -176,6 +177,75 @@ def test_operator_cache_is_bounded_and_holds_the_sampler():
     assert maxsize >= 63 * len(ALL_ASSIGNMENTS)
 
 
+class _Exact:
+    """A minimal exact field element that wraps a Fraction without being one."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = Fraction(value)
+
+    def __add__(self, other):
+        return _Exact(self.value + _raw(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Exact(self.value - _raw(other))
+
+    def __rsub__(self, other):
+        return _Exact(_raw(other) - self.value)
+
+    def __mul__(self, other):
+        return _Exact(self.value * _raw(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _Exact(self.value / _raw(other))
+
+    def __rtruediv__(self, other):
+        return _Exact(_raw(other) / self.value)
+
+    def __pow__(self, n):
+        return _Exact(self.value**n)
+
+    def __neg__(self):
+        return _Exact(-self.value)
+
+    def __eq__(self, other):
+        return self.value == _raw(other)
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __bool__(self):
+        return bool(self.value)
+
+
+def _raw(x):
+    return x.value if isinstance(x, _Exact) else x
+
+
+def _unwrap(entries):
+    """Fractions of a nested tuple/dict of _Exact values; fails on anything else."""
+    if isinstance(entries, dict):
+        return {k: _unwrap(v) for k, v in entries.items()}
+    if isinstance(entries, tuple):
+        return tuple(map(_unwrap, entries))
+    assert isinstance(entries, _Exact), f"left the field: {entries!r}"
+    return entries.value
+
+
+@pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(57, 64), Fraction(123457, 1000003)])
+def test_gain_and_tables_run_on_any_exact_field(b):
+    # Only field operations on b: the route a symbolic b would take.
+    for asg in ALL_ASSIGNMENTS:
+        gain = _operator.__wrapped__(_Exact(b), asg).gain
+        assert _unwrap(gain) == _operator(b, asg).gain
+    assert _unwrap(_printed_output_table.__wrapped__(_Exact(b))) == _printed_output_table(b)
+
+
 def test_solve_accepts_string_and_int():
     assert solve_equilibrium(SPOT, "QQQ") == solve_equilibrium(SPOT, 1)
     assert solve_equilibrium(SPOT, "2") == solve_equilibrium(SPOT, 2)
@@ -225,6 +295,18 @@ def test_closed_forms_random_draws_match_solver():
         for pattern in sorted(PATTERNS):
             table = closed_form_outputs(params, pattern)
             assert table.corrected == solve_equilibrium(params, pattern).state.x
+
+
+def test_table_cache_is_keyed_on_b():
+    # One verify run meets at most 64 distinct b: the given one and the sampler's 63.
+    assert _printed_output_table.cache_info().maxsize >= 64
+    _printed_output_table.cache_clear()
+    rng = random.Random(41)
+    draws = [sample_model_params(rng) for _ in range(200)]
+    for params in draws:
+        for pattern in sorted(PATTERNS):
+            closed_form_outputs(params, pattern)
+    assert _printed_output_table.cache_info().currsize == len({p.b for p in draws})
 
 
 def test_closed_forms_validation():
