@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -34,10 +35,11 @@ from .verify import (
     GridSpec,
     MinimaxSlice,
     _equal_pairs,
+    _matrix,
+    _property_suite,
+    _solve_draw,
     closed_form_discrepancies,
-    equivalence_matrix,
     minimax_check,
-    property_suite,
 )
 
 __all__ = ["run_cli", "main"]
@@ -48,6 +50,11 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read -1/2 and -1e3 as values, as argparse already reads -0.5.
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d_./eE+-]*$")
+
     # Route argparse's sys.exit through _CliError so run_cli controls the exit code.
     def error(self, message):
         raise _CliError(message)
@@ -239,10 +246,12 @@ def _solve_float_rows(params, selection):
 def _cmd_verify(args) -> int:
     params = _params_from_args(args)
     try:
-        matrix = equivalence_matrix(params)
+        # The suite's draw 0 is the given set: its solves also build the matrix.
+        solved = _solve_draw(params)
+        matrix = _matrix(solved)
         pairs = _equal_pairs(matrix)
         ledger = closed_form_discrepancies(params)
-        suite = property_suite(params, draws=args.draws, seed=args.seed)
+        suite = _property_suite(params, args.draws, args.seed, "corrected", solved)
     except ValueError as exc:
         raise _CliError(str(exc)) from None
 

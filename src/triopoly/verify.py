@@ -14,6 +14,7 @@ Three layers, in increasing breadth:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,13 +127,16 @@ def check_equivalence(params: ModelParams, left: AssignmentLike,
                     solve_equilibrium(params, right))
 
 
-def equivalence_matrix(params: ModelParams) -> list[list[EquivalenceReport]]:
-    """All pairwise comparisons of the six numbered patterns (6x6, diagonal trivial)."""
-    solved = {k: solve_equilibrium(params, k) for k in PATTERN_NUMBERS}
+def _matrix(solved: dict) -> list[list[EquivalenceReport]]:
     return [
         [_compare(i, j, solved[i], solved[j]) for j in PATTERN_NUMBERS]
         for i in PATTERN_NUMBERS
     ]
+
+
+def equivalence_matrix(params: ModelParams) -> list[list[EquivalenceReport]]:
+    """All pairwise comparisons of the six numbered patterns (6x6, diagonal trivial)."""
+    return _matrix({k: solve_equilibrium(params, k) for k in PATTERN_NUMBERS})
 
 
 def _equal_pairs(matrix: list[list[EquivalenceReport]]) -> list[tuple[int, int]]:
@@ -240,22 +244,142 @@ def _check_not_degenerate(form: QuadraticForm) -> None:
             raise DegenerateSlice(f"payoff is constant in the {role} variable")
 
 
+def _last_true(pred, lo: int, hi: int) -> int:
+    """Largest j in [lo, hi) with pred(j), given pred(lo) and not pred(hi) on a monotone pred."""
+    step = 1
+    while lo + step < hi and pred(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = min(hi, lo + step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo
+
+
+def _float_error_bound(coefs, lo: float, hi: float) -> float:
+    """Bound on |float chain value at grid index i - exact chain value at t_i|.
+
+    ``coefs`` are the float (alpha, q_io, q_oo, l_i, l_o, k) of the chain.
+    Sums, with a factor 2 to spare: the rounding of the float evaluation (at
+    most five roundings deep over terms no larger than ``size``); the
+    conversion of the coefficients and of [lo, hi] to floats; the offset
+    |float t_i - t_i| <= 16 u W times the outer slope; and the loss from a
+    vertex that rounding moves or drops, at most |alpha| dv^2 for a vertex
+    off by dv, since an endpoint then lies within dv of it (and dv <= 2 W,
+    as only a vertex in [lo, hi] counts). A tail of 2^-1000 (1 + W)^2
+    (1 + slopes) covers underflow. Beyond 2^900 the float evaluation may
+    overflow, and the bound is infinite.
+    """
+    u = 2.0 ** -53
+    w = max(abs(lo), abs(hi)) * (1 + 2.0 ** -40) + 2.0 ** -1000
+    a, c, o, l_i, l_o, k = map(abs, coefs)
+    size = ((a + 2 * c + o) * w + l_i + l_o) * w + k
+    if not size <= 2.0 ** 900:
+        return math.inf
+    slopes = 2 * (a + c) * w + l_i, 2 * (o + c) * w + l_o
+    dv = min(4 * u * (2 * c * w + l_i) / (2 * a) + 2 * u * w, 2 * w) if a else 0
+    return 2 * (10 * u * size + 2 * u * w * slopes[0] + 16 * u * w * slopes[1] + a * dv * dv
+                + 2.0 ** -1000 * (1 + w) ** 2 * (1 + sum(slopes)))
+
+
 def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
                  inner_maximize: bool, outer_pick_max: bool, mode: str):
+    """Outer extreme over the grid of the inner extreme over [lo, hi].
+
+    Equals the scan of every grid index ``i`` (outer value t_i = lo + i h)
+    without scanning. The inner extreme at t is taken over lo, hi and the
+    vertex when it lies inside, so as a function of the index it is the
+    extreme of three quadratics A (w = lo), B (w = hi) and V (the vertex,
+    only where it lies in [lo, hi]). V meets A only where the vertex
+    crosses lo, V meets B only where it crosses hi, and A - B is linear, so
+    the winning piece changes at no more than three breakpoints. Taking
+    floor and floor + 1 of each breakpoint and of each piece's vertex,
+    plus both grid ends, as candidates, the chain value between two
+    consecutive candidates is one quadratic without its vertex inside: it
+    is monotone there, so its grid extreme is among the candidates. They
+    are evaluated exactly, on integer numerators over one scale per chain.
+
+    Float mode returns what the full float scan returns. Each float value
+    lies within ``eps`` (:func:`_float_error_bound`) of the exact value at
+    the same index, so the float pick, and every index that ties with it,
+    has an exact value within 2 eps of the exact optimum. Between
+    consecutive candidates such indices form a prefix or a suffix, since
+    the chain is monotone there; a gallop from the candidate finds it. The
+    scan's own float expression and comparison then run on these indices
+    alone, in index order. A flat piece, whose indices all tie, widens the
+    window to that piece only: the float evaluations never outnumber the
+    full scan's, and the exact set-up is a constant number of evaluations
+    plus searches of logarithmic length.
+    """
     inner = 1 - outer
-    num = float if mode == "float" else as_rational
-    q_ii, q_io, q_oo = (num(form.quad[r][c])
-                        for r, c in ((inner, inner), (inner, outer), (outer, outer)))
-    l_i, l_o, k = num(form.lin[inner]), num(form.lin[outer]), num(form.const)
-    lo, hi = num(grid.lo), num(grid.hi)
-    points = grid.float_values() if mode == "float" else grid.values()
+    coefs = (form.quad[inner][inner], form.quad[inner][outer], form.quad[outer][outer],
+             form.lin[inner], form.lin[outer], form.const)
+    d = math.lcm(*(c.denominator for c in coefs))
+    q_ii, q_io, q_oo, l_i, l_o, k = (c.numerator * (d // c.denominator) for c in coefs)
+    # t_i = (t0 + i dt) / s and w = W / s, with integers t0, dt, s and W.
+    n = grid.points - 1
+    s = math.lcm(grid.lo.denominator, grid.hi.denominator) * n
+    w_lo, w_hi = (x.numerator * (s // x.denominator) for x in (grid.lo, grid.hi))
+    t0, dt = w_lo, (w_hi - w_lo) // n
+    # d s^2 f(t_i, W / s) = q_ii W^2 + beta_i W + gamma_i with beta_i = b0 + b1 i
+    # and gamma_i = (g2 i + g1) i + g0; m puts the vertex value on integers.
+    b1, b0 = 2 * q_io * dt, 2 * q_io * t0 + l_i * s
+    g2, g1 = q_oo * dt * dt, (2 * q_oo * t0 + l_o * s) * dt
+    g0 = (q_oo * t0 + l_o * s) * t0 + k * s * s
+    m, sign = (4 * abs(q_ii), 1 if q_ii > 0 else -1) if q_ii else (1, 0)
+    v_min, v_max = sorted((-2 * q_ii * w_lo, -2 * q_ii * w_hi))
+    inner_pick = max if inner_maximize else min
+
+    def exact(i: int) -> int:
+        beta, gamma = b0 + b1 * i, m * ((g2 * i + g1) * i + g0)
+        ends = (m * (q_ii * w_lo + beta) * w_lo + gamma, m * (q_ii * w_hi + beta) * w_hi + gamma)
+        if q_ii and v_min <= beta <= v_max:
+            return inner_pick(*ends, gamma - sign * beta * beta)
+        return inner_pick(ends)
+
+    # As index fractions: the breakpoints (beta at -q_ii (lo + hi), -2 q_ii lo
+    # and -2 q_ii hi) and the vertices of A, B and V.
+    points = [(-q_ii * (w_lo + w_hi) - b0, b1), (-2 * q_ii * w_lo - b0, b1),
+              (-2 * q_ii * w_hi - b0, b1), (-(b1 * w_lo + g1), 2 * g2),
+              (-(b1 * w_hi + g1), 2 * g2),
+              (2 * sign * b1 * b0 - m * g1, 2 * (m * g2 - sign * b1 * b1))]
+    cands = sorted({0, n}.union(*((num // den, num // den + 1) for num, den in points if den)))
+    cands = [i for i in cands if 0 <= i <= n]
+    values = {i: exact(i) for i in cands}
+    best = (max if outer_pick_max else min)(values.values())
+    if mode == "exact":
+        return Fraction(best, m * d * s * s)
+
+    floats = tuple(map(float, coefs))
+    lo, hi, step = float(grid.lo), float(grid.hi), float(grid.step)
+    reach = 2 * _float_error_bound(floats, lo, hi)
+    window = [(0, n)]
+    if not math.isinf(reach):
+        num, den = reach.as_integer_ratio()
+        reach = -(-num * m * d * s * s // den)  # in units of the exact numerators
+
+        def near(i: int) -> bool:
+            return abs((values[i] if i in values else exact(i)) - best) <= reach
+
+        window = []
+        for left, right in zip(cands, cands[1:]):
+            if near(left):
+                window.append((left, right if near(right) else _last_true(near, left, right)))
+            elif near(right):
+                window.append((-_last_true(lambda j: near(-j), -right, -left), right))
+
+    f_ii, f_io, f_oo, f_li, f_lo, f_k = floats
     best = None
-    for t in points:
-        beta = 2 * q_io * t + l_i
-        gamma = (q_oo * t + l_o) * t + k
-        val = _segment_extreme(q_ii, beta, gamma, lo, hi, inner_maximize)
-        if best is None or (val > best if outer_pick_max else val < best):
-            best = val
+    start = 0
+    for first, last in window:
+        for i in range(max(first, start), last + 1):
+            t = lo + i * step
+            beta = 2 * f_io * t + f_li
+            gamma = (f_oo * t + f_lo) * t + f_k
+            val = _segment_extreme(f_ii, beta, gamma, lo, hi, inner_maximize)
+            if best is None or (val > best if outer_pick_max else val < best):
+                best = val
+        start = last + 1
     return best
 
 
@@ -263,9 +387,14 @@ def grid_minimax_pair(form: QuadraticForm, grid: GridSpec, *, mode: str = "float
     """min-max and max-min of a two-variable quadratic over the grid box.
 
     Coordinate 0 is the maximizer's variable, coordinate 1 the minimizer's.
-    The inner optimization is solved exactly on each slice (quadratic vertex
-    against the interval endpoints); only the outer variable is restricted to
-    the grid. Returns (min_max, max_min) in the arithmetic of ``mode``.
+    The outer variable ranges over the grid points and the inner one over
+    the whole interval [lo, hi], where the inner extreme is taken over the
+    endpoints and the vertex. The result equals a scan of every grid point:
+    exact mode evaluates a few candidate indices exactly, and float mode
+    runs the float scan expression only on the indices whose exact value is
+    within the certified float error of the optimum (see
+    :func:`_chain_value`). Returns (min_max, max_min) in the arithmetic of
+    ``mode``.
     """
     if form.dim != 2:
         raise ValueError(f"expected a two-variable form, got dimension {form.dim}")
@@ -467,6 +596,10 @@ def _sample_vector(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
 _SUITE_ASSIGNMENTS = (*PATTERN_NUMBERS, "QPP", "PQQ")
 
 
+def _solve_draw(params: ModelParams) -> dict:
+    return {key: solve_equilibrium(params, key) for key in _SUITE_ASSIGNMENTS}
+
+
 @dataclass(frozen=True)
 class _SuiteCase:
     params: ModelParams
@@ -662,6 +795,13 @@ def property_suite(params: ModelParams, draws: int = 100, seed: int = 0, *,
     compares against; "printed" exists to demonstrate that the suite catches
     the transcription error.
     """
+    return _property_suite(params, draws, seed, oracle)
+
+
+def _property_suite(params: ModelParams, draws: int, seed: int, oracle: str,
+                    first: dict | None = None) -> SuiteReport:
+    # ``first``, when given, is _solve_draw(params): draw 0's solves, shared
+    # with a caller that already holds them.
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     if oracle not in ("corrected", "printed"):
@@ -673,7 +813,7 @@ def property_suite(params: ModelParams, draws: int = 100, seed: int = 0, *,
         p = params if index == 0 else sample_model_params(rng)
         outputs = tuple(_sample_vector(rng) for _ in range(3))
         prices = tuple(_sample_vector(rng) for _ in range(2))
-        solved = {key: solve_equilibrium(p, key) for key in _SUITE_ASSIGNMENTS}
+        solved = first if index == 0 and first is not None else _solve_draw(p)
         case = _SuiteCase(p, outputs, prices, solved)
         for name, check in _SUITE_CHECKS:
             if name in failures:

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
+from triopoly.exact import format_rational
 from triopoly.verify import PropertyResult, SuiteReport
 
 SPOT_ARGS = ["--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2", "--cC", "3"]
@@ -160,6 +163,16 @@ def test_invalid_rational_names_flag(cli):
     assert "x/y" in err
 
 
+@pytest.mark.parametrize("value", ["-1/2", "-1e3"])
+def test_negative_rational_reaches_the_parameter_check(cli, value):
+    # A separate negative value parses like the attached form, as -0.5 does.
+    argv = ["solve", "--a", "10", "--b", "1/2", "--cA", value, "--cB", "2", "--cC", "3"]
+    code, out, err = cli(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: marginal cost of firm A must be nonnegative, got {Fraction(value)}\n"
+    assert cli(argv[:5] + [f"--cA={value}"] + argv[7:]) == (code, out, err)
+
+
 def test_unknown_flag_is_exit_1(cli):
     code, _, err = cli(["solve", *SPOT_ARGS, "--frobnicate", "1"])
     assert code == 1
@@ -231,8 +244,8 @@ def test_verify_failure_exits_2(cli, monkeypatch):
         draws=1, seed=0, oracle="corrected",
         properties=(PropertyResult("zero_sum", "fail", 1, {"draw": 0}),),
     )
-    monkeypatch.setattr(cli_module, "property_suite",
-                        lambda params, draws, seed: failing)
+    monkeypatch.setattr(cli_module, "_property_suite",
+                        lambda params, draws, seed, oracle, first: failing)
     code, out, _ = cli(["verify", *SPOT_ARGS])
     assert code == 2
     assert "verification: FAIL" in out
@@ -300,6 +313,24 @@ def test_minimax_grid_validation(cli):
     code, _, err = cli(["minimax", *SPOT_ARGS, "--grid-points", "2"])
     assert code == 1
     assert "at least 3" in err
+
+
+@pytest.mark.parametrize("value", ["-1/2", "-1e3", "-0.5"])
+def test_minimax_negative_grid_lo(cli, value):
+    code, out, err = cli(["minimax", *SPOT_ARGS, "--grid-lo", value, "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[0]["grid_lo"] == format_rational(Fraction(value))
+    attached = cli(["minimax", *SPOT_ARGS, f"--grid-lo={value}", "--format", "csv"])
+    assert attached == (code, out, err)
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_minimax_billion_point_grid_is_fast(cli, mode):
+    start = time.perf_counter()
+    code, out, _ = cli(["minimax", *SPOT_ARGS, "--grid-points", "1000000001", "--mode", mode])
+    assert code == 0
+    assert "with 1000000001 points" in out and "result: PASS" in out
+    assert time.perf_counter() - start < 5
 
 
 def test_minimax_exact_mode(cli):

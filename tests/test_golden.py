@@ -20,6 +20,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SPOT = ["--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2", "--cC", "3"]
 ASYM = ["--a", "50", "--b", "57/64", "--cA", "181/8", "--cB", "201/8", "--cC", "237/8"]
+PRIME_B = ["--a", "10", "--b", "123457/1000003", "--cA", "2", "--cB", "2", "--cC", "3"]
 
 CASES = {
     "solve_table": ["solve", *SPOT],
@@ -33,6 +34,11 @@ CASES = {
     "minimax_float_table": ["minimax", *SPOT],
     "minimax_exact_json": ["minimax", *SPOT, "--mode", "exact", "--grid-points", "101",
                            "--format", "json"],
+    "minimax_firm_c": ["minimax", *SPOT, "--firm", "C"],
+    "minimax_firm_b_exact": ["minimax", *SPOT, "--firm", "B", "--mode", "exact"],
+    "minimax_negative_lo_csv": ["minimax", *SPOT, "--grid-lo=-5", "--grid-hi", "3",
+                                "--grid-points", "7", "--format", "csv"],
+    "minimax_prime_b": ["minimax", *PRIME_B],
 }
 
 

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import triopoly.verify
-from triopoly.equilibrium import solve_equilibrium
-from triopoly.exact import QuadraticForm
+from triopoly.equilibrium import build_payoff_quadratic, solve_equilibrium
+from triopoly.exact import QuadraticForm, as_rational
 from triopoly.market import ModelParams
 from triopoly.verify import (
     DegenerateSlice,
@@ -139,6 +141,160 @@ def test_grid_minimax_pair_validation():
         grid_minimax_pair(QuadraticForm.zero(3), GridSpec(0, 1, 5))
     with pytest.raises(ValueError, match="mode"):
         grid_minimax_pair(bilinear_saddle(), GridSpec(0, 1, 5), mode="fast")
+
+
+def _full_scan_chain(form, grid, outer, *, inner_maximize, outer_pick_max, mode):
+    """Oracle: the inner extreme at every grid point, then the outer extreme."""
+    inner = 1 - outer
+    num = float if mode == "float" else as_rational
+    q_ii, q_io, q_oo = (num(form.quad[r][c])
+                        for r, c in ((inner, inner), (inner, outer), (outer, outer)))
+    l_i, l_o, k = num(form.lin[inner]), num(form.lin[outer]), num(form.const)
+    lo, hi = num(grid.lo), num(grid.hi)
+    points = grid.float_values() if mode == "float" else grid.values()
+    best = None
+    for t in points:
+        beta = 2 * q_io * t + l_i
+        gamma = (q_oo * t + l_o) * t + k
+        val = triopoly.verify._segment_extreme(q_ii, beta, gamma, lo, hi, inner_maximize)
+        if best is None or (val > best if outer_pick_max else val < best):
+            best = val
+    return best
+
+
+_DENOMINATORS = (1, 2, 3, 7, 64, 999983, 1000003)
+
+
+@st.composite
+def _chains(draw, points):
+    """A two-variable form, a grid and a chain shape; the kinds are named by the inner variable."""
+    rng = random.Random(draw(st.integers(0, 2**64)))
+
+    def rational(bound=5):
+        den = rng.choice(_DENOMINATORS)
+        return Fraction(rng.randint(-bound * den, bound * den), den)
+
+    alpha, q_io, q_oo, l_i, l_o, k = (rational() for _ in range(6))
+    kind = draw(st.sampled_from(
+        ("general", "alpha_zero", "q_io_zero", "flat_vertex", "flat_constant_vertex",
+         "nearly_flat_vertex", "nearly_constant", "bilinear_saddle", "small_integers",
+         "narrow_saddle_box")))
+
+    def tiny():
+        return Fraction(rng.choice((1, -1)), 10 ** rng.randint(12, 18))
+
+    if kind == "alpha_zero":
+        alpha = Fraction(0)
+    elif kind == "q_io_zero":
+        q_io = Fraction(0)
+    elif kind in ("flat_vertex", "flat_constant_vertex", "nearly_flat_vertex"):
+        # q_oo alpha = q_io^2: the vertex piece is linear, or constant in t.
+        # Nearly flat, its values differ by less than the float rounding.
+        alpha = alpha or Fraction(1)
+        q_oo = q_io * q_io / alpha
+        if kind != "flat_vertex":
+            l_o = q_io * l_i / alpha
+        if kind == "nearly_flat_vertex":
+            q_oo += tiny()
+            l_o += tiny()
+    elif kind == "nearly_constant":
+        # Endpoint pieces that vary with t only below the float rounding.
+        alpha, q_io, q_oo, l_o = Fraction(0), Fraction(0), tiny(), tiny()
+    elif kind == "bilinear_saddle":
+        alpha = q_oo = l_i = l_o = k = Fraction(0)
+        q_io = Fraction(rng.choice((1, -1)), 2)
+    elif kind == "small_integers":
+        alpha, q_io, q_oo, l_i, l_o, k = (Fraction(rng.randint(-2, 2)) for _ in range(6))
+    outer = draw(st.integers(0, 1))
+    quad = [[q_oo, q_io], [q_io, q_oo]]
+    quad[1 - outer][1 - outer] = alpha
+    lin = [l_o, l_o]
+    lin[1 - outer] = l_i
+    lo = rational()
+    den = rng.choice(_DENOMINATORS)
+    width = Fraction(rng.randint(1, 20 * den), den)
+    if kind == "narrow_saddle_box":
+        # Saddle at (lo, lo) in a box 10^-9 to 10^-2 wide around it: near the
+        # optimum, float rounding outweighs the change from one index to the
+        # next, and the float pick can land off the exact one.
+        l_o, l_i = -2 * (q_oo + q_io) * lo, -2 * (q_io + alpha) * lo
+        width /= 10 ** rng.randint(3, 9)
+        lo -= width * Fraction(rng.randint(1, 999), 1000)
+    grid = GridSpec(lo, lo + width, draw(st.sampled_from(points)))
+    shape = {"outer": outer, "inner_maximize": draw(st.booleans()),
+             "outer_pick_max": draw(st.booleans())}
+    return QuadraticForm(tuple(map(tuple, quad)), tuple(lin), k), grid, shape
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_chains((3, 11, 1001)))
+def test_chain_value_float_equals_full_scan_bit_for_bit(chain):
+    form, grid, shape = chain
+    got = triopoly.verify._chain_value(form, grid, mode="float", **shape)
+    want = _full_scan_chain(form, grid, mode="float", **shape)
+    assert (type(got), repr(got)) == (type(want), repr(want))
+
+
+@pytest.mark.parametrize("coefficients, lo, hi, inner_maximize, outer_pick_max", [
+    # The float pick lies after the exact optimum, inside a prefix window.
+    (("-3", "8/3", "-3304738/1000003", "-4/3", "-7656760/3000009", "20/7"),
+     "-200000143/100000000", "-199999043/100000000", True, True),
+    # ... and before it, inside a suffix window.
+    (("-2988318/1000003", "4", "3", "4143206625304/1000006000009", "28667212/1000003", "-4"),
+     "-2047662979014937/1000003000000000", "-2047649978975937/1000003000000000", False, True),
+    (("4860430/1000003", "-3", "-14/3", "14883368/1000003", "-184/3", "-1"),
+     "-2000001963/500000000", "-1999995463/500000000", False, False),
+])
+def test_chain_value_float_pick_off_the_exact_optimum(coefficients, lo, hi, inner_maximize,
+                                                      outer_pick_max):
+    q_oo, q_io, alpha, l_o, l_i, k = coefficients
+    form = QuadraticForm(((q_oo, q_io), (q_io, alpha)), (l_o, l_i), k)
+    grid = GridSpec(lo, hi, 1001)
+    shape = {"outer": 0, "inner_maximize": inner_maximize, "outer_pick_max": outer_pick_max}
+    got = triopoly.verify._chain_value(form, grid, mode="float", **shape)
+    assert repr(got) == repr(_full_scan_chain(form, grid, mode="float", **shape))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chains((3, 11, 101)))
+def test_chain_value_exact_equals_full_scan(chain):
+    form, grid, shape = chain
+    got = triopoly.verify._chain_value(form, grid, mode="exact", **shape)
+    want = _full_scan_chain(form, grid, mode="exact", **shape)
+    assert type(got) is Fraction and got == want
+
+
+def test_chain_value_exact_equals_full_scan_on_default_grid():
+    # The psi_A slice that minimax_check scans on SPOT: max over xA, min over xC, xB pinned.
+    form = build_payoff_quadratic(SPOT, 1, "A").form
+    sliced = form.slice((0, 2), {1: Fraction(114, 35)})
+    grid = GridSpec(0, SPOT.a, 1001)
+    for outer, inner_maximize in ((1, True), (0, False)):
+        shape = {"outer": outer, "inner_maximize": inner_maximize,
+                 "outer_pick_max": not inner_maximize}
+        got = triopoly.verify._chain_value(sliced, grid, mode="exact", **shape)
+        assert got == _full_scan_chain(sliced, grid, mode="exact", **shape)
+
+
+def test_chain_evaluates_few_float_indices_on_the_default_grid(monkeypatch):
+    counts = []
+    real_extreme = triopoly.verify._segment_extreme
+    real_chain = triopoly.verify._chain_value
+
+    def counted_extreme(*args):
+        counts[-1] += 1
+        return real_extreme(*args)
+
+    def counted_chain(*args, **kwargs):
+        counts.append(0)
+        return real_chain(*args, **kwargs)
+
+    monkeypatch.setattr(triopoly.verify, "_segment_extreme", counted_extreme)
+    monkeypatch.setattr(triopoly.verify, "_chain_value", counted_chain)
+    for firm in ("A", "B", "C"):
+        assert minimax_check(SPOT, MinimaxSlice(firm)).passed
+    assert len(counts) == 12
+    assert max(counts) <= 16
 
 
 def test_minimax_check_spot_psi_a():
@@ -307,6 +463,16 @@ def test_suite_solves_each_draw_once(solve_calls):
     solve_calls.clear()
     equivalence_matrix(SPOT)
     assert len(solve_calls) <= 6
+
+
+def test_verify_command_solves_each_key_once(solve_calls, capsys):
+    from triopoly.cli import run_cli
+
+    # 100 draws of eight assignments; the matrix reuses draw 0's solves.
+    assert run_cli(["verify", "--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2",
+                    "--cC", "3", "--draws", "100"]) == 0
+    assert "verification: PASS" in capsys.readouterr().out
+    assert len(solve_calls) == 800
 
 
 def test_verify_command_builds_the_matrix_once(solve_calls, capsys):
