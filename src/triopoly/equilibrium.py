@@ -13,9 +13,12 @@ does not depend on theta in one operator, cached on (b, assignment):
    are linear in theta. Stacking the own-variable first-order conditions
    gives M(b) v + L(b) theta = 0. Second-order conditions reduce to the own
    curvature of each quadratic being negative, which is checked, not assumed.
-3. The gain K(b) = -M^-1 L is solved once, when a solve first asks for it,
-   and checked exactly. Every solve is then v = K theta, outputs from the
-   pinning map, prices from inverse demand, and payoffs.
+3. The gain K(b) = -M^-1 L = N / D comes from a cofactor solve with no
+   pivoting, N = -adj(M) L and D = det M, built once on [M | L] over one
+   denominator as ints, checked (M N + D L = 0) and reduced by their gcd.
+   A solve is then integer dot products with theta over its lcm: the
+   committed values, their first-order conditions and the pinning rows
+   [X | x0]. Fractions are built only for the committed values and outputs.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
@@ -40,7 +43,6 @@ from .exact import (
     QuadraticForm,
     RationalLike,
     SingularSystem,
-    _eliminate,
     decimal_string,
     format_rational,
     rational_vector,
@@ -54,6 +56,7 @@ from .market import (
     ModelParams,
     PayoffVector,
     StrategyAssignment,
+    _over_lcm,
     as_assignment,
     ensure_float_safe,
     firm_index,
@@ -84,7 +87,7 @@ _WEIGHTS = tuple(
 )
 
 
-def _dot(u, v) -> Fraction:
+def _dot(u, v):
     # Start from the first product: an int start would cost one more Fraction add.
     products = map(mul, u, v)
     return sum(products, next(products))
@@ -92,6 +95,33 @@ def _dot(u, v) -> Fraction:
 
 def _theta(params: ModelParams) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return (params.a, params.c_a, params.c_b, params.c_c)
+
+
+def _over_lcm_rows(rows) -> tuple[list[list[int]], int]:
+    """Integer rows of a rational matrix over the lcm of its denominators, and that lcm."""
+    flat, den = _over_lcm([v for row in rows for v in row])
+    return [flat[k:k + len(rows[0])] for k in range(0, len(flat), len(rows[0]))], den
+
+
+def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
+    """N = -adj(M) R and D = det M for a 3x3 M on any exact ring, checked M N + D R = 0.
+
+    D = 0 raises SingularSystem at the elimination step that finds no pivot:
+    0 if column 0 vanishes, 1 if columns 0 and 1 are dependent (the
+    cofactors of column 2 vanish), else 2.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if det == 0:
+        raise SingularSystem(0 if not (a or d or g) else 1 if not any(adj[2]) else 2)
+    gain = tuple(tuple(-_dot(row, col) for col in zip(*rhs)) for row in adj)
+    for row, r in zip(m, rhs):
+        if any(_dot(row, col) + det * r_t != 0 for col, r_t in zip(zip(*gain), r)):
+            raise ArithmeticError(f"gain of {assignment} fails its first-order conditions")
+    return gain, det
 
 
 @dataclass(frozen=True)
@@ -115,23 +145,27 @@ class _Operator:
 
     @cached_property
     def gain(self) -> tuple[tuple[Fraction, ...], ...]:
-        """K = -M^-1 L, so the equilibrium is v = K theta; checked M K + L = 0."""
-        columns = [[-row[t] for row in self.foc_rhs] for t in range(4)]
-        gain = tuple(tuple(row) for row in _eliminate(self.foc, columns))
-        for i in range(3):
-            for t in range(4):
-                if _dot(self.foc[i], (row[t] for row in gain)) + self.foc_rhs[i][t] != 0:
-                    raise ArithmeticError(
-                        f"gain of {self.assignment} fails its first-order conditions"
-                    )
-        return gain
+        """K = -M^-1 L = N / D, so the equilibrium is v = K theta, on the field of b."""
+        gain, det = _cofactor_solve(self.foc, self.foc_rhs, self.assignment)
+        return tuple(tuple(n / det for n in row) for row in gain)
 
-    def outputs(self, chosen: Sequence[Fraction], a: Fraction) -> tuple[Fraction, ...]:
-        """x = X v + x0 a; a quantity chooser's row is the identity."""
-        return tuple(
-            _dot(self.x_map[i], chosen) + self.x_const[i] * a if choice == PRICE else chosen[i]
-            for i, choice in enumerate(self.assignment.choices)
-        )
+    @cached_property
+    def integer_solve(self) -> tuple:
+        """(N, D, [M | D L], [X | D x0], q D): the solve on ints, gcd(N, D) = 1 and D > 0.
+
+        [M | L] and [X | x0] are each over one denominator, q for the latter.
+        For theta = theta_n / t, v = N theta_n / (D t), the first-order
+        conditions read [M | D L] . (N theta_n, theta_n) = 0, and the outputs
+        are x = [X | D x0] . (N theta_n, a_n) / (q D t).
+        """
+        m_l, _ = _over_lcm_rows([(*m, *l) for m, l in zip(self.foc, self.foc_rhs)])
+        foc, foc_rhs = [row[:3] for row in m_l], [row[3:] for row in m_l]
+        gain, det = _cofactor_solve(foc, foc_rhs, self.assignment)
+        g = math.gcd(det, *(n for row in gain for n in row)) * (1 if det > 0 else -1)
+        gain, det = tuple(tuple(n // g for n in row) for row in gain), det // g
+        pin, q = _over_lcm_rows([(*x, c) for x, c in zip(self.x_map, self.x_const)])
+        return (gain, det, tuple((*m, *(det * n for n in l)) for m, l in zip(foc, foc_rhs)),
+                tuple((*row[:3], det * row[3]) for row in pin), q * det)
 
     def payoff_form(self, i: int, theta: Sequence[Fraction]) -> QuadraticForm:
         """Firm i's relative payoff as a quadratic in v at the given theta.
@@ -186,9 +220,8 @@ def _operator(b: Fraction, assignment: StrategyAssignment) -> _Operator:
             free_const.append(x_const[i])
         else:
             j, k = (i + 1) % 3, (i + 2) % 3
-            free_map.append(tuple(
-                -x_map[i][s] - b * (x_map[j][s] + x_map[k][s]) for s in range(3)
-            ))
+            free_map.append(tuple(-x_map[i][s] - b * (x_map[j][s] + x_map[k][s])
+                                  for s in range(3)))
             free_const.append(1 - b * (x_const[j] + x_const[k]))
 
     # pi_k = v_k (free_map[k] . v) + ..., so psi_i = 3/2 pi_i - 1/2 sum(pi) has
@@ -204,10 +237,8 @@ def _operator(b: Fraction, assignment: StrategyAssignment) -> _Operator:
             )
         psi_quad.append(tuple(map(tuple, quad)))
     foc = tuple(tuple(2 * psi_quad[i][i][j] for j in range(3)) for i in range(3))
-    foc_rhs = tuple(
-        (free_const[i], *(-_WEIGHTS[i][k] * x_map[k][i] for k in range(3)))
-        for i in range(3)
-    )
+    foc_rhs = tuple((free_const[i], *(-_WEIGHTS[i][k] * x_map[k][i] for k in range(3)))
+                    for i in range(3))
     return _Operator(assignment, tuple(x_map), tuple(x_const), tuple(free_const),
                      tuple(psi_quad), foc, foc_rhs)
 
@@ -284,50 +315,42 @@ class Equilibrium:
     soc_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "assignment": str(self.assignment),
-            "pattern": self.assignment.pattern,
-            "params": self.params.to_dict(),
-            "chosen": [format_rational(v) for v in self.chosen],
-            "chosen_dec": [decimal_string(v) for v in self.chosen],
-            "x": [format_rational(v) for v in self.state.x],
-            "x_dec": [decimal_string(v) for v in self.state.x],
-            "p": [format_rational(v) for v in self.state.p],
-            "p_dec": [decimal_string(v) for v in self.state.p],
-            "pi": [format_rational(v) for v in self.payoffs.pi],
-            "pi_dec": [decimal_string(v) for v in self.payoffs.pi],
-            "psi": [format_rational(v) for v in self.payoffs.psi],
-            "psi_dec": [decimal_string(v) for v in self.payoffs.psi],
-            "flags": {"interior": self.interior, "soc_ok": self.soc_ok},
-        }
+        doc = {"assignment": str(self.assignment), "pattern": self.assignment.pattern,
+               "params": self.params.to_dict()}
+        for key, values in (("chosen", self.chosen), ("x", self.state.x), ("p", self.state.p),
+                            ("pi", self.payoffs.pi), ("psi", self.payoffs.psi)):
+            doc[key] = [format_rational(v) for v in values]
+            doc[f"{key}_dec"] = [decimal_string(v) for v in values]
+        doc["flags"] = {"interior": self.interior, "soc_ok": self.soc_ok}
+        return doc
 
 
 def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equilibrium:
     """Solve the stacked first-order conditions of one assignment exactly.
 
-    The committed values are v = K theta from the (b, assignment) operator.
-    Before the state is expanded, every firm's own first-order condition is
-    checked to vanish at v, and the state is checked to reproduce each
-    committed value.
+    The committed values are v = K theta from the (b, assignment) operator,
+    on integer numerators. Before the state is expanded, every firm's own
+    first-order condition is checked to vanish at v, and the state is
+    checked to reproduce each committed value.
     """
     asg = as_assignment(assignment)
     op = _operator(params.b, asg)
-    theta = _theta(params)
     try:
-        gain = op.gain
+        gain, det, foc_check, pin, pin_den = op.integer_solve
     except SingularSystem as exc:
-        raise SingularSystem(
-            exc.pivot_step,
-            f"stacked first-order conditions for {asg} at {params.describe()}",
-        ) from None
-    chosen = tuple(_dot(row, theta) for row in gain)
+        detail = f"stacked first-order conditions for {asg} at {params.describe()}"
+        raise SingularSystem(exc.pivot_step, detail) from None
+    theta, t = _over_lcm(_theta(params))
+    nums = [_dot(row, theta) for row in gain]
     for i in range(3):
-        if _dot(op.foc[i], chosen) + _dot(op.foc_rhs[i], theta) != 0:
+        if _dot(foc_check[i], (*nums, *theta)) != 0:
             raise ArithmeticError(
                 f"first-order condition of firm {FIRMS[i]} does not vanish "
                 f"for {asg} at {params.describe()}"
             )
-    state = MarketState.from_outputs(params, op.outputs(chosen, params.a))
+    chosen = tuple(Fraction(n, det * t) for n in nums)
+    x = tuple(Fraction(_dot(row, (*nums, theta[0])), pin_den * t) for row in pin)
+    state = MarketState.from_outputs(params, x)
     committed = tuple(
         state.p[i] if choice == PRICE else state.x[i] for i, choice in enumerate(asg.choices)
     )
@@ -474,9 +497,7 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
 
     op = _operator(params.b, asg)
     theta = _theta(params)
-    curvature = []
-    slope = []
-    intercept = []
+    curvature, slope, intercept = [], [], []
     for i in range(3):
         own = float(op.foc[i][i])
         if own >= 0:

@@ -75,7 +75,7 @@ def rational_vector(values: Sequence[RationalLike], dim: int | None = None) -> t
 
 
 class SingularSystem(Exception):
-    """Gaussian elimination found no nonzero pivot; the system has no unique solution."""
+    """A linear system has no unique solution: elimination step ``pivot_step`` finds no pivot."""
 
     def __init__(self, pivot_step: int, detail: str = ""):
         self.pivot_step = pivot_step
@@ -85,61 +85,38 @@ class SingularSystem(Exception):
         super().__init__(message)
 
 
-def _eliminate(matrix: Sequence[Sequence], columns: Sequence[Sequence]) -> list[list]:
-    """Solve A X = B exactly for several right-hand columns at once.
-
-    ``columns`` holds the columns of B; the result is row-major, so
-    ``result[i][j]`` is component i of the solution for column j. Entries are
-    used as given, so any exact field type works; ``solve_linear`` coerces
-    and validates its input. Raises SingularSystem when some elimination step
-    has only zero pivots below it.
-    """
-    n, m = len(matrix), len(columns)
-    aug = [[*matrix[i], *(col[i] for col in columns)] for i in range(n)]
-    for step in range(n):
-        pivot_row = next((r for r in range(step, n) if aug[r][step] != 0), None)
-        if pivot_row is None:
-            raise SingularSystem(step)
-        if pivot_row != step:
-            aug[step], aug[pivot_row] = aug[pivot_row], aug[step]
-        pivot = aug[step][step]
-        for r in range(step + 1, n):
-            factor = aug[r][step] / pivot
-            if factor:
-                row = aug[r]
-                top = aug[step]
-                for c in range(step, n + m):
-                    row[c] -= factor * top[c]
-    solution = [[None] * m for _ in range(n)]
-    for i in reversed(range(n)):
-        for j in range(m):
-            acc = aug[i][n + j]
-            for c in range(i + 1, n):
-                acc -= aug[i][c] * solution[c][j]
-            solution[i][j] = acc / aug[i][i]
-    return solution
-
-
 def solve_linear(matrix: Sequence[Sequence[RationalLike]],
                  rhs: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     """Solve the square system A x = b exactly.
 
     Partial pivoting only needs a nonzero pivot over Fractions (there is no
-    rounding to fight), and the result is checked by substituting back into
-    the original system before it is returned.
+    rounding to fight); SingularSystem is raised when a step has none. The
+    result is checked by substituting back into the original system.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("matrix must have at least one row")
     rows = [rational_vector(row, n) for row in matrix]
     vec = rational_vector(rhs, n)
-    solution = _eliminate(rows, [vec])
-    x = tuple(solution[i][0] for i in range(n))
-    for i in range(n):
-        residual = sum(rows[i][j] * x[j] for j in range(n)) - vec[i]
-        if residual != 0:
+    aug = [[*row, v] for row, v in zip(rows, vec)]
+    for step in range(n):
+        pivot_row = next((r for r in range(step, n) if aug[r][step] != 0), None)
+        if pivot_row is None:
+            raise SingularSystem(step)
+        aug[step], aug[pivot_row] = aug[pivot_row], aug[step]
+        top = aug[step]
+        for row in aug[step + 1:]:
+            factor = row[step] / top[step]
+            if factor:
+                for c in range(step, n + 1):
+                    row[c] -= factor * top[c]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (aug[i][n] - sum(aug[i][c] * x[c] for c in range(i + 1, n))) / aug[i][i]
+    for i, row in enumerate(rows):
+        if sum(a * v for a, v in zip(row, x)) != vec[i]:
             raise ArithmeticError(f"back-substitution check failed in row {i}")
-    return x
+    return tuple(x)
 
 
 @dataclass(frozen=True)

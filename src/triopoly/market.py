@@ -99,7 +99,8 @@ class ModelParams:
                 raise ValueError(f"marginal cost of firm {firm} must be nonnegative, got {cost}")
         if self.a <= max(self.costs):
             raise ValueError(
-                f"a must exceed every marginal cost, got a={self.a} with costs {self.costs}"
+                f"a must exceed every marginal cost, got a={self.a} "
+                f"with costs ({', '.join(map(str, self.costs))})"
             )
 
     @property

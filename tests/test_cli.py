@@ -112,6 +112,17 @@ def test_invalid_b_is_exit_1(cli):
     assert "b must satisfy 0 < b < 1" in err
 
 
+def test_a_not_above_costs_is_one_rational_line(cli):
+    code, out, err = cli(["solve", "--a", "3", "--b", "1/2", "--cA", "7/2", "--cB", "0",
+                          "--cC", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a must exceed every marginal cost, got a=3 with costs (7/2, 0, 0)"
+    ]
+    assert "Fraction(" not in err
+
+
 # Valid parameters on which the damped float iteration diverges for three patterns.
 DIVERGENT_ARGS = ["--a", "50", "--b", "57/64", "--cA", "181/8", "--cB", "201/8",
                   "--cC", "237/8"]

@@ -1,5 +1,6 @@
 """Equilibrium solver tests: payoff quadratics, best responses, FOC solve, oracles."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from triopoly.equilibrium import (
     ConcavityViolation,
     QuadraticPayoff,
+    _cofactor_solve,
     _operator,
     _printed_output_table,
     best_response,
@@ -19,7 +21,7 @@ from triopoly.equilibrium import (
     closed_form_outputs,
     solve_equilibrium,
 )
-from triopoly.exact import QuadraticForm, solve_linear
+from triopoly.exact import QuadraticForm, SingularSystem, solve_linear
 from triopoly.market import (
     ALL_ASSIGNMENTS,
     FIRMS,
@@ -168,6 +170,80 @@ def test_operator_solve_matches_independent_routes(asg):
         rhs = [-forms[i].lin[i] for i in range(3)]
         assert eq.chosen == solve_linear(rows, rhs)
         assert resolve_market(params, asg, eq.chosen) == eq.state
+
+
+# b over 64 and over two large primes; a and costs with mixed denominators, c_A != c_B.
+_b_values = st.sampled_from([64, 1_000_003, 2**61 - 1]).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda k: Fraction(k, den)))
+_costs = st.fractions(min_value=0, max_value=40, max_denominator=10**4)
+_margins = st.fractions(min_value=0, max_value=40, max_denominator=997).filter(lambda m: m > 0)
+
+
+@st.composite
+def _mixed_params(draw):
+    costs = draw(st.tuples(_costs, _costs, _costs).filter(lambda c: c[0] != c[1]))
+    return ModelParams(max(costs) + draw(_margins), draw(_b_values), *costs)
+
+
+@given(_mixed_params(), st.sampled_from(ALL_ASSIGNMENTS))
+@settings(max_examples=150, deadline=None)
+def test_integer_solve_matches_fraction_reference(params, asg):
+    eq = solve_equilibrium(params, asg)
+    op = _operator(params.b, asg)
+    theta = (params.a, params.c_a, params.c_b, params.c_c)
+    rhs = [-sum(coef * value for coef, value in zip(row, theta)) for row in op.foc_rhs]
+    assert eq.chosen == solve_linear(op.foc, rhs)
+    assert eq.state == resolve_market(params, asg, eq.chosen)
+    values = (*eq.chosen, *eq.state.x, *eq.state.p, *eq.payoffs.pi, *eq.payoffs.psi)
+    assert all(type(v) is Fraction for v in values)
+
+
+def test_warm_solve_does_no_fraction_arithmetic(monkeypatch):
+    b = Fraction(5, 1_000_003)
+    cold = ModelParams("37/3", b, "7/2", "11/5", 3)
+    warm = ModelParams(50, b, "1/3", "2/7", "5/11")
+    for asg in ALL_ASSIGNMENTS:
+        solve_equilibrium(cold, asg)
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        real = getattr(Fraction, name)
+
+        def counted(self, other, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) * Fraction(1, 3) == Fraction(1, 6)
+    assert calls == ["__mul__"]  # the counters see Fraction arithmetic
+    calls.clear()
+    for params in (cold, warm):
+        for asg in ALL_ASSIGNMENTS:
+            solve_equilibrium(params, asg)
+    assert calls == []
+
+
+def test_singular_gain_names_the_solve(monkeypatch):
+    params = ModelParams(10, "1/3", 2, 2, 3)
+    op = _operator(params.b, PATTERNS[1])
+    singular = dataclasses.replace(op, foc=(op.foc[0], op.foc[0], op.foc[2]))
+    monkeypatch.setattr("triopoly.equilibrium._operator", lambda b, asg: singular)
+    with pytest.raises(SingularSystem, match=r"step 2 \(stacked first-order conditions "
+                                             r"for QQQ at a=10/1 b=1/3 "):
+        solve_equilibrium(params, 1)
+
+
+@pytest.mark.parametrize("step, matrix", [
+    (0, ((0, 1, 2), (0, 3, 4), (0, 5, 7))),  # column 0 vanishes
+    (1, ((1, 2, 3), (2, 4, 5), (3, 6, 1))),  # column 1 is twice column 0
+    (2, ((1, 2, 3), (4, 5, 6), (7, 8, 9))),  # rank 2
+])
+def test_cofactor_solve_reports_the_elimination_pivot_step(step, matrix):
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    with pytest.raises(SingularSystem) as eliminated:
+        solve_linear(rows, (1, 1, 1))
+    with pytest.raises(SingularSystem) as cofactor:
+        _cofactor_solve(rows, [(Fraction(1),)] * 3, PATTERNS[1])
+    assert cofactor.value.pivot_step == eliminated.value.pivot_step == step
 
 
 def test_operator_cache_is_bounded_and_holds_the_sampler():

@@ -21,16 +21,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SPOT = ["--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2", "--cC", "3"]
 ASYM = ["--a", "50", "--b", "57/64", "--cA", "181/8", "--cB", "201/8", "--cC", "237/8"]
 PRIME_B = ["--a", "10", "--b", "123457/1000003", "--cA", "2", "--cB", "2", "--cC", "3"]
+MIXED = ["--a", "50", "--b", "123457/1000003", "--cA", "1/3", "--cB", "2/7", "--cC", "5/11"]
+NEAR_ONE = ["--a", "50", "--b", "63/64", "--cA", "181/8", "--cB", "201/8", "--cC", "237/8"]
 
 CASES = {
     "solve_table": ["solve", *SPOT],
     "solve_csv": ["solve", *SPOT, "--format", "csv"],
     "solve_json": ["solve", *SPOT, "--format", "json"],
     "solve_float_csv": ["solve", *SPOT, "--mode", "float", "--format", "csv"],
+    "solve_mixed_table": ["solve", *MIXED],
+    "solve_mixed_json": ["solve", *MIXED, "--format", "json"],
+    "solve_mixed_float_csv": ["solve", *MIXED, "--mode", "float", "--format", "csv"],
     "verify_spot_table": ["verify", *SPOT, "--draws", "20"],
     "verify_spot_json": ["verify", *SPOT, "--draws", "20", "--format", "json"],
     "verify_asym_table": ["verify", *ASYM, "--draws", "20"],
     "verify_asym_json": ["verify", *ASYM, "--draws", "20", "--format", "json"],
+    "verify_near_one_json": ["verify", *NEAR_ONE, "--draws", "20", "--format", "json"],
     "minimax_float_table": ["minimax", *SPOT],
     "minimax_exact_json": ["minimax", *SPOT, "--mode", "exact", "--grid-points", "101",
                            "--format", "json"],
