@@ -8,17 +8,16 @@ does not depend on theta in one operator, cached on (b, assignment):
    v = (v_A, v_B, v_C) to the outputs, in closed form: a quantity chooser's
    output is its committed value, and the price choosers' outputs solve a
    demand block (1 - b) I + b J whose inverse is explicit.
-2. Each firm's relative payoff psi_i is then an exact quadratic in v whose
-   quadratic matrix depends on b only and whose linear and constant terms
-   are linear in theta. Stacking the own-variable first-order conditions
-   gives M(b) v + L(b) theta = 0. Second-order conditions reduce to the own
-   curvature of each quadratic being negative, which is checked, not assumed.
+2. Each firm's free variable (its price, or its output) is affine in v, so
+   its profit and its relative payoff psi_i = sum_k W_ik pi_k are exact
+   quadratics in v. Differentiating psi_i in the own variable gives the
+   stacked first-order conditions M(b) v + L(b) theta = 0; second-order
+   conditions reduce to M_ii < 0, which is checked, not assumed.
 3. The gain K(b) = -M^-1 L = N / D comes from a cofactor solve with no
-   pivoting, N = -adj(M) L and D = det M, built once on [M | L] over one
-   denominator as ints, checked (M N + D L = 0) and reduced by their gcd.
-   A solve is then integer dot products with theta over its lcm: the
-   committed values, their first-order conditions and the pinning rows
-   [X | x0]. Fractions are built only for the committed values and outputs.
+   pivoting, N = -adj(M) L and D = det M, on [M | L] over one denominator
+   as ints, checked (M N + D L = 0) and reduced by their gcd. A solve is
+   then integer dot products with theta over its lcm; Fractions are built
+   only for the committed values and outputs.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
@@ -43,6 +42,7 @@ from .exact import (
     QuadraticForm,
     RationalLike,
     SingularSystem,
+    _over_lcm,
     decimal_string,
     format_rational,
     rational_vector,
@@ -56,7 +56,6 @@ from .market import (
     ModelParams,
     PayoffVector,
     StrategyAssignment,
-    _over_lcm,
     as_assignment,
     ensure_float_safe,
     firm_index,
@@ -128,26 +127,19 @@ def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
 class _Operator:
     """Everything about one (b, assignment) game that does not depend on theta.
 
-    ``x_map``/``x_const`` are the pinning map x = X v + x0 a. ``free_const[i]``
-    is the coefficient of a in firm i's free variable: its price when it
-    commits a quantity, its output when it commits a price. ``psi_quad``
-    holds the three relative payoffs' quadratic matrices, and the stacked
+    ``x_map``/``x_const`` are the pinning map x = X v + x0 a. Firm i's free
+    variable, its price when it commits a quantity and its output when it
+    commits a price, is ``free_map[i] . v + free_const[i] a``. The stacked
     own-variable first-order conditions read ``foc . v + foc_rhs . theta = 0``.
     """
 
     assignment: StrategyAssignment
     x_map: tuple[tuple[Fraction, ...], ...]
     x_const: tuple[Fraction, ...]
+    free_map: tuple[tuple[Fraction, ...], ...]
     free_const: tuple[Fraction, ...]
-    psi_quad: tuple[tuple[tuple[Fraction, ...], ...], ...]
     foc: tuple[tuple[Fraction, ...], ...]
     foc_rhs: tuple[tuple[Fraction, ...], ...]
-
-    @cached_property
-    def gain(self) -> tuple[tuple[Fraction, ...], ...]:
-        """K = -M^-1 L = N / D, so the equilibrium is v = K theta, on the field of b."""
-        gain, det = _cofactor_solve(self.foc, self.foc_rhs, self.assignment)
-        return tuple(tuple(n / det for n in row) for row in gain)
 
     @cached_property
     def integer_solve(self) -> tuple:
@@ -166,6 +158,23 @@ class _Operator:
         pin, q = _over_lcm_rows([(*x, c) for x, c in zip(self.x_map, self.x_const)])
         return (gain, det, tuple((*m, *(det * n for n in l)) for m, l in zip(foc, foc_rhs)),
                 tuple((*row[:3], det * row[3]) for row in pin), q * det)
+
+    @cached_property
+    def psi_quad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The relative payoffs' quadratic matrices in v, derived apart from ``foc``.
+
+        pi_k = v_k (free_map[k] . v) + ..., so psi_i = 3/2 pi_i - 1/2 sum(pi)
+        has the matrix 3/2 sym(e_i free_map[i]') + shared, where shared is
+        -1/2 sum_k sym(e_k free_map[k]'): row and column i are ``own[i]``, the
+        rest is ``shared``. Only ``payoff_form`` reads it.
+        """
+        f, three_quarters = self.free_map, Fraction(3, 4)
+        upper = {(r, s): (f[r][s] + f[s][r]) / -4 for r in range(3) for s in range(r, 3)}
+        shared = [[upper[min(r, s), max(r, s)] for s in range(3)] for r in range(3)]
+        own = [[f[i][i] if s == i else shared[i][s] + three_quarters * f[i][s] for s in range(3)]
+               for i in range(3)]
+        return tuple(tuple(tuple(own[i][s] if r == i else own[i][r] if s == i else shared[r][s]
+                                 for s in range(3)) for r in range(3)) for i in range(3))
 
     def payoff_form(self, i: int, theta: Sequence[Fraction]) -> QuadraticForm:
         """Firm i's relative payoff as a quadratic in v at the given theta.
@@ -203,16 +212,14 @@ def _operator(b: Fraction, assignment: StrategyAssignment) -> _Operator:
     x_map, x_const = [], []
     for i in range(3):
         if price[i]:
-            x_map.append(tuple(
-                own if j == i else cross_price if price[j] else cross_quantity for j in range(3)
-            ))
+            x_map.append(tuple(own if j == i else cross_price if price[j] else cross_quantity
+                               for j in range(3)))
             x_const.append(1 / d)
         else:
             x_map.append(tuple(one if j == i else zero for j in range(3)))
             x_const.append(zero)
 
-    # Each firm's free variable is free_map[i] . v + free_const[i] a; a quantity
-    # chooser's is its price p_i = a - x_i - b (x_j + x_k).
+    # A quantity chooser's free variable is its price p_i = a - x_i - b (x_j + x_k).
     free_map, free_const = [], []
     for i in range(3):
         if price[i]:
@@ -224,23 +231,14 @@ def _operator(b: Fraction, assignment: StrategyAssignment) -> _Operator:
                                   for s in range(3)))
             free_const.append(1 - b * (x_const[j] + x_const[k]))
 
-    # pi_k = v_k (free_map[k] . v) + ..., so psi_i = 3/2 pi_i - 1/2 sum(pi) has
-    # the quadratic matrix 3/2 sym(e_i free_map[i]') + shared, where shared is
-    # -1/2 sum_k sym(e_k free_map[k]').
-    shared = [[-(free_map[r][s] + free_map[s][r]) / 4 for s in range(3)] for r in range(3)]
-    psi_quad = []
-    for i in range(3):
-        quad = [row[:] for row in shared]
-        for s in range(3):
-            quad[i][s] = quad[s][i] = (
-                free_map[i][i] if s == i else shared[i][s] + 3 * free_map[i][s] / 4
-            )
-        psi_quad.append(tuple(map(tuple, quad)))
-    foc = tuple(tuple(2 * psi_quad[i][i][j] for j in range(3)) for i in range(3))
+    # psi_i = sum_k W_ik pi_k, pi_k = v_k (free_map[k] . v + free_const[k] a) - c_k x_k:
+    # in d psi_i / d v_i, v_j has the coefficient free_map[i][j] + W_ij free_map[j][i].
+    foc = tuple(tuple(free_map[i][j] + _WEIGHTS[i][j] * free_map[j][i] for j in range(3))
+                for i in range(3))
     foc_rhs = tuple((free_const[i], *(-_WEIGHTS[i][k] * x_map[k][i] for k in range(3)))
                     for i in range(3))
-    return _Operator(assignment, tuple(x_map), tuple(x_const), tuple(free_const),
-                     tuple(psi_quad), foc, foc_rhs)
+    return _Operator(assignment, tuple(x_map), tuple(x_const), tuple(free_map),
+                     tuple(free_const), foc, foc_rhs)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """Exact rational arithmetic: scalars, small linear solves, quadratic forms.
 
-Everything the solver computes runs over ``fractions.Fraction``, so equality
-checks are decisive and no tolerance ever enters the algebra. Floats appear
-only at the output boundary (decimal rendering) and in the explicitly
-float-mode numeric routines elsewhere in the package.
+Every value the package computes is exact, so equality checks are decisive:
+``Fraction`` at the interfaces, integer numerators over one shared
+denominator (:func:`_over_lcm`) on the hot paths. Floats appear only at the
+output boundary (decimal rendering) and in the float-mode numeric routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 Rational = Fraction
@@ -72,6 +73,13 @@ def rational_vector(values: Sequence[RationalLike], dim: int | None = None) -> t
     if dim is not None and len(vec) != dim:
         raise ValueError(f"expected a vector of length {dim}, got {len(vec)}")
     return vec
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators, and that lcm."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 class SingularSystem(Exception):

@@ -32,6 +32,7 @@ from typing import Sequence, Union
 
 from .exact import (
     RationalLike,
+    _over_lcm,
     as_rational,
     decimal_string,
     format_rational,
@@ -285,13 +286,6 @@ class PayoffVector:
             "pi_dec": [decimal_string(v) for v in self.pi],
             "psi_dec": [decimal_string(v) for v in self.psi],
         }
-
-
-def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over the lcm of their denominators, and that lcm."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
 
 
 def inverse_demand(params: ModelParams,

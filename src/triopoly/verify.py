@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exact import QuadraticForm, as_rational, format_rational
+from .exact import QuadraticForm, _over_lcm, as_rational, format_rational
 from .market import (
     ALL_ASSIGNMENTS,
     FIRMS,
@@ -282,6 +282,11 @@ def _float_error_bound(coefs, lo: float, hi: float) -> float:
                 + 2.0 ** -1000 * (1 + w) ** 2 * (1 + sum(slopes)))
 
 
+# Float mode refuses a chain whose window holds more grid indices than this
+# (each is one float evaluation); exact mode never evaluates more than 14.
+_MAX_FLOAT_EVALUATIONS = 10**7
+
+
 def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
                  inner_maximize: bool, outer_pick_max: bool, mode: str):
     """Outer extreme over the grid of the inner extreme over [lo, hi].
@@ -309,13 +314,14 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     alone, in index order. A flat piece, whose indices all tie, widens the
     window to that piece only: the float evaluations never outnumber the
     full scan's, and the exact set-up is a constant number of evaluations
-    plus searches of logarithmic length.
+    plus searches of logarithmic length. A window of more than
+    ``_MAX_FLOAT_EVALUATIONS`` indices raises ValueError before any float
+    evaluation.
     """
     inner = 1 - outer
     coefs = (form.quad[inner][inner], form.quad[inner][outer], form.quad[outer][outer],
              form.lin[inner], form.lin[outer], form.const)
-    d = math.lcm(*(c.denominator for c in coefs))
-    q_ii, q_io, q_oo, l_i, l_o, k = (c.numerator * (d // c.denominator) for c in coefs)
+    (q_ii, q_io, q_oo, l_i, l_o, k), d = _over_lcm(coefs)
     # t_i = (t0 + i dt) / s and w = W / s, with integers t0, dt, s and W.
     n = grid.points - 1
     s = math.lcm(grid.lo.denominator, grid.hi.denominator) * n
@@ -368,18 +374,25 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
             elif near(right):
                 window.append((-_last_true(lambda j: near(-j), -right, -left), right))
 
+    spans, start = [], 0  # the window's indices, each once, in index order
+    for first, last in window:
+        spans.append(range(max(first, start), last + 1))
+        start = last + 1
+    count = sum(span.stop - span.start for span in spans)
+    if count > _MAX_FLOAT_EVALUATIONS:
+        raise ValueError(f"float mode would evaluate {count} grid points in one minimax chain "
+                         f"(at most {_MAX_FLOAT_EVALUATIONS}); use --mode exact")
+
     f_ii, f_io, f_oo, f_li, f_lo, f_k = floats
     best = None
-    start = 0
-    for first, last in window:
-        for i in range(max(first, start), last + 1):
+    for span in spans:
+        for i in span:
             t = lo + i * step
             beta = 2 * f_io * t + f_li
             gamma = (f_oo * t + f_lo) * t + f_k
             val = _segment_extreme(f_ii, beta, gamma, lo, hi, inner_maximize)
             if best is None or (val > best if outer_pick_max else val < best):
                 best = val
-        start = last + 1
     return best
 
 
@@ -393,8 +406,9 @@ def grid_minimax_pair(form: QuadraticForm, grid: GridSpec, *, mode: str = "float
     exact mode evaluates a few candidate indices exactly, and float mode
     runs the float scan expression only on the indices whose exact value is
     within the certified float error of the optimum (see
-    :func:`_chain_value`). Returns (min_max, max_min) in the arithmetic of
-    ``mode``.
+    :func:`_chain_value`), and raises ValueError when those indices number
+    more than ``_MAX_FLOAT_EVALUATIONS`` in a chain. Returns (min_max,
+    max_min) in the arithmetic of ``mode``.
     """
     if form.dim != 2:
         raise ValueError(f"expected a two-variable form, got dimension {form.dim}")

@@ -344,6 +344,19 @@ def test_minimax_billion_point_grid_is_fast(cli, mode):
     assert time.perf_counter() - start < 5
 
 
+def test_minimax_float_refuses_a_grid_it_cannot_finish(cli):
+    # About 4.4e13 indices per chain tie within rounding at 10^20 + 1 points.
+    argv = ["minimax", *SPOT_ARGS, "--grid-points", str(10**20 + 1)]
+    start = time.perf_counter()
+    code, out, err = cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: float mode would evaluate ") and err.count("\n") == 1
+    assert "use --mode exact" in err
+    assert time.perf_counter() - start < 5
+    code, out, _ = cli([*argv, "--mode", "exact"])
+    assert code == 0 and "result: PASS" in out
+
+
 def test_minimax_exact_mode(cli):
     code, out, _ = cli(["minimax", *SPOT_ARGS, "--mode", "exact",
                         "--grid-points", "101"])

@@ -317,8 +317,12 @@ def _unwrap(entries):
 def test_gain_and_tables_run_on_any_exact_field(b):
     # Only field operations on b: the route a symbolic b would take.
     for asg in ALL_ASSIGNMENTS:
-        gain = _operator.__wrapped__(_Exact(b), asg).gain
-        assert _unwrap(gain) == _operator(b, asg).gain
+        op = _operator.__wrapped__(_Exact(b), asg)
+        gain, det = _unwrap(_cofactor_solve(op.foc, op.foc_rhs, asg))
+        int_gain, int_det = _operator(b, asg).integer_solve[:2]
+        assert [[n / det for n in row] for row in gain] == \
+            [[Fraction(n, int_det) for n in row] for row in int_gain]
+        assert _unwrap(op.psi_quad) == _operator(b, asg).psi_quad
     assert _unwrap(_printed_output_table.__wrapped__(_Exact(b))) == _printed_output_table(b)
 
 

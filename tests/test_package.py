@@ -23,6 +23,23 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_cache_inventory():
+    # Every cache holds memory for the life of the process; a new one must be deliberate.
+    def cached(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) in {
+            "lru_cache", "cache", "cached_property"}
+
+    found = sorted(
+        node.name
+        for path in sorted((SRC / "triopoly").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(map(cached, node.decorator_list))
+    )
+    assert found == ["_operator", "_printed_output_table", "integer_solve", "psi_quad"]
+
+
 def test_import_does_not_load_cli(src_env):
     code = (
         "import sys, triopoly\n"
