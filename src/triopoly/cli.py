@@ -170,26 +170,13 @@ def _exact_values(eq: Equilibrium):
 def _cmd_solve(args) -> int:
     params = _params_from_args(args)
     selection = _parse_selection(args.pattern)
-    if args.mode == "exact":
-        rows = []
-        docs = []
-        for asg in selection:
-            eq = solve_equilibrium(params, asg)
-            values = _exact_values(eq)
-            rows.append(
-                [_pattern_label(asg), str(asg)]
-                + [format_rational(v) for v in values]
-                + [decimal_string(v) for v in values]
-                + [_flag(eq.interior), _flag(eq.soc_ok)]
-            )
-            docs.append(eq.to_dict())
-        doc = {"params": params.to_dict(), "mode": "exact", "equilibria": docs}
-    else:
-        try:
-            rows, docs = _solve_float_rows(params, selection)
-        except (ValueError, ConcavityViolation, FloatingPointError) as exc:
-            raise _CliError(str(exc)) from None
-        doc = {"params": params.to_dict(), "mode": "float", "equilibria": docs}
+    solve_rows = _solve_exact_rows if args.mode == "exact" else _solve_float_rows
+    # ValueError also covers a rational with more digits than Python prints as an int.
+    try:
+        rows, docs = solve_rows(params, selection)
+        doc = {"params": params.to_dict(), "mode": args.mode, "equilibria": docs}
+    except (ValueError, ConcavityViolation, FloatingPointError) as exc:
+        raise _CliError(str(exc)) from None
 
     if args.format == "json":
         print(json.dumps(doc, indent=2))
@@ -200,6 +187,22 @@ def _cmd_solve(args) -> int:
         table_rows = [r[:11] + r[20:] for r in rows]
         print(_render_table(headers, table_rows))
     return 0
+
+
+def _solve_exact_rows(params, selection):
+    rows = []
+    docs = []
+    for asg in selection:
+        eq = solve_equilibrium(params, asg)
+        values = _exact_values(eq)
+        rows.append(
+            [_pattern_label(asg), str(asg)]
+            + [format_rational(v) for v in values]
+            + [decimal_string(v) for v in values]
+            + [_flag(eq.interior), _flag(eq.soc_ok)]
+        )
+        docs.append(eq.to_dict())
+    return rows, docs
 
 
 def _solve_float_rows(params, selection):

@@ -17,7 +17,8 @@ does not depend on theta in one operator, cached on (b, assignment):
    pivoting, N = -adj(M) L and D = det M, on [M | L] over one denominator
    as ints, checked (M N + D L = 0) and reduced by their gcd. A solve is
    then integer dot products with theta over its lcm; Fractions are built
-   only for the committed values and outputs.
+   only for the committed values and outputs. A payoff form's linear and
+   constant terms are integer dot products the same way.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
@@ -25,7 +26,9 @@ are kept here in two variants: ``printed`` is the table as transcribed, and
 single entry, the sign of the all-quantity pattern's third output. Like the
 solver, the tables are linear maps cached per b: each output is a row of
 coefficients on (a, c_AB, c_C), the transcribed numerator's terms over its
-denominator. The solver is ground truth; the tables are cross-checks and
+denominator. The transcription runs on any exact field; the cache holds each
+pattern's rows as ints over one denominator, dotted with (a, c_AB, c_C) over
+their lcm. The solver is ground truth; the tables are cross-checks and
 documentation.
 """
 
@@ -80,10 +83,10 @@ class ConcavityViolation(Exception):
     """A payoff is not strictly concave in the firm's own variable."""
 
 
-# psi_i = pi_i - (pi_j + pi_k) / 2: the weight of firm k's profit in psi_i.
-_WEIGHTS = tuple(
-    tuple(Fraction(1) if k == i else Fraction(-1, 2) for k in range(3)) for i in range(3)
-)
+# psi_i = pi_i - (pi_j + pi_k) / 2: twice the weight of firm k's profit in psi_i,
+# and the weight.
+_TWICE_WEIGHTS = tuple(tuple(2 if k == i else -1 for k in range(3)) for i in range(3))
+_WEIGHTS = tuple(tuple(Fraction(w, 2) for w in row) for row in _TWICE_WEIGHTS)
 
 
 def _dot(u, v):
@@ -96,10 +99,11 @@ def _theta(params: ModelParams) -> tuple[Fraction, Fraction, Fraction, Fraction]
     return (params.a, params.c_a, params.c_b, params.c_c)
 
 
-def _over_lcm_rows(rows) -> tuple[list[list[int]], int]:
+def _over_lcm_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows of a rational matrix over the lcm of its denominators, and that lcm."""
     flat, den = _over_lcm([v for row in rows for v in row])
-    return [flat[k:k + len(rows[0])] for k in range(0, len(flat), len(rows[0]))], den
+    n = len(rows[0])
+    return tuple(tuple(flat[k:k + n]) for k in range(0, len(flat), n)), den
 
 
 def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
@@ -160,6 +164,17 @@ class _Operator:
                 tuple((*row[:3], det * row[3]) for row in pin), q * det)
 
     @cached_property
+    def integer_payoff(self) -> tuple:
+        """(row_0, row_1, row_2, q): the payoff forms' theta-linear part on ints.
+
+        row_j = q (free_const[j], X[0][j], X[1][j], X[2][j], x0[j]), with one
+        denominator q for the three rows.
+        """
+        rows, q = _over_lcm_rows([(f, *col, c) for f, col, c
+                                  in zip(self.free_const, zip(*self.x_map), self.x_const)])
+        return (*rows, q)
+
+    @cached_property
     def psi_quad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """The relative payoffs' quadratic matrices in v, derived apart from ``foc``.
 
@@ -181,17 +196,17 @@ class _Operator:
 
         Profit pi_k = (p_k - c_k) x_k has the linear term a free_const[k] e_k
         - c_k X_k and the constant -a c_k x0_k; psi_i weights them by
-        _WEIGHTS[i].
+        _WEIGHTS[i]. Both are dot products on ints: ``integer_payoff`` over
+        q, theta over its lcm t and the weights doubled, so ``lin`` is over
+        2 q t and ``const`` over 2 q t^2. ``psi_quad`` is taken as it is.
         """
-        a = theta[0]
-        weights = _WEIGHTS[i]
-        scaled_costs = tuple(map(mul, weights, theta[1:]))
-        lin = tuple(
-            a * weights[j] * self.free_const[j]
-            - _dot(scaled_costs, (row[j] for row in self.x_map))
-            for j in range(3)
-        )
-        const = -a * _dot(scaled_costs, self.x_const)
+        *rows, q = self.integer_payoff
+        (a, *costs), t = _over_lcm(theta)
+        weights = _TWICE_WEIGHTS[i]
+        scaled_costs = tuple(map(mul, weights, costs))
+        lin = tuple(Fraction(a * weights[j] * row[0] - _dot(scaled_costs, row[1:4]), 2 * q * t)
+                    for j, row in enumerate(rows))
+        const = Fraction(-a * _dot(scaled_costs, (row[4] for row in rows)), 2 * q * t * t)
         return QuadraticForm(self.psi_quad[i], lin, const)
 
 
@@ -404,8 +419,9 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
             "closed-form output tables assume c_A = c_B, "
             f"got cA={params.c_a} cB={params.c_b}"
         )
-    theta = (params.a, params.c_a, params.c_c)
-    printed = tuple(_dot(row, theta) for row in _printed_output_table(params.b)[pattern])
+    rows, den = _printed_output_table(params.b)[pattern]
+    theta, t = _over_lcm((params.a, params.c_a, params.c_c))
+    printed = tuple(Fraction(_dot(row, theta), den * t) for row in rows)
     corrected = printed if pattern != 1 else (printed[0], printed[1], -printed[2])
     return ClosedFormOutputs(pattern, printed, corrected)
 
@@ -417,11 +433,17 @@ def _row(den, a, c_ab, c_c) -> tuple:
 
 @lru_cache(maxsize=64)
 def _printed_output_table(b: Fraction) -> dict:
-    """All six transcribed output triples at one b, as rows on (a, c_AB, c_C).
+    """Each pattern's three transcribed rows at one b as ints over one denominator.
 
-    Each output is its row dotted with (a, c_AB, c_C). Keyed by b alone: one
-    verify run meets at most 64 distinct b, the given one and the sampler's.
+    An output is its row dotted with (a, c_AB, c_C), over that denominator.
+    Keyed by b alone: one verify run meets at most 64 distinct b, the given
+    one and the sampler's.
     """
+    return {k: _over_lcm_rows(rows) for k, rows in _transcribed_output_table(b).items()}
+
+
+def _transcribed_output_table(b) -> dict:
+    """All six transcribed output triples at b, as rows on (a, c_AB, c_C), on any exact field."""
     d12 = (4 - b) * (b + 2)
     x12_ab = _row(d12, 4 - b, -4, b)
     # Transcribed with denominator (b - 4)(b + 2); equals the negative of the

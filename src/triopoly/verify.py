@@ -686,14 +686,16 @@ def _check_demand_round_trip(case: _SuiteCase, oracle: str):
 def _check_foc_residual(case: _SuiteCase, oracle: str):
     # The payoff quadratics are an independent route to the first-order conditions.
     for pattern in PATTERN_NUMBERS:
-        chosen = case.solved[pattern].chosen
+        chosen, den = _over_lcm(case.solved[pattern].chosen)
         for i, firm in enumerate(FIRMS):
-            # Only the own component of firm i's payoff gradient: lin_i + 2 Q_i . v.
+            # Only the own component of firm i's payoff gradient, lin_i + 2 Q_i . v,
+            # on ints: times den and the lcm of lin_i's and Q_i's denominators.
             form = build_payoff_quadratic(case.params, pattern, firm).form
-            grad = form.lin[i] + 2 * sum(map(mul, form.quad[i], chosen))
+            (lin, *quad), form_den = _over_lcm((form.lin[i], *form.quad[i]))
+            grad = lin * den + 2 * sum(map(mul, quad, chosen))
             if grad != 0:
                 return "fail", {"pattern": pattern, "firm": firm,
-                                "residual": format_rational(grad)}
+                                "residual": format_rational(Fraction(grad, form_den * den))}
     return "ok", None
 
 

@@ -159,6 +159,23 @@ def test_value_beyond_float_range_is_one_line_exit_1(cli, argv):
     assert "float range" in err
 
 
+# Values whose numerators or denominators exceed the digits Python converts to a string.
+HUGE_DIGITS = {
+    "exact-a": ["--a", "1e5000", *SPOT_ARGS[2:]],
+    "float-b": ["--a", "10", "--b", "1e-5000", *SPOT_ARGS[4:], "--mode", "float"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("case", sorted(HUGE_DIGITS))
+def test_value_beyond_int_string_limit_is_one_line_exit_1(cli, case, fmt):
+    code, out, err = cli(["solve", *HUGE_DIGITS[case], "--format", fmt])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "digits" in err
+
+
 def test_verify_renders_no_floats_for_huge_values(cli):
     code, out, err = cli(["verify", *HUGE_A, "--draws", "2"])
     assert code == 0

@@ -15,6 +15,7 @@ from triopoly.equilibrium import (
     _cofactor_solve,
     _operator,
     _printed_output_table,
+    _transcribed_output_table,
     best_response,
     best_response_iteration,
     build_payoff_quadratic,
@@ -198,12 +199,18 @@ def test_integer_solve_matches_fraction_reference(params, asg):
     assert all(type(v) is Fraction for v in values)
 
 
-def test_warm_solve_does_no_fraction_arithmetic(monkeypatch):
-    b = Fraction(5, 1_000_003)
-    cold = ModelParams("37/3", b, "7/2", "11/5", 3)
-    warm = ModelParams(50, b, "1/3", "2/7", "5/11")
+@given(_mixed_params(), st.tuples(small, small, small))
+@settings(max_examples=60, deadline=None)
+def test_payoff_form_matches_resolved_market_at_fractional_theta(params, chosen):
+    # Fractional a and costs put theta over a denominator above 1, unlike SPOT.
     for asg in ALL_ASSIGNMENTS:
-        solve_equilibrium(cold, asg)
+        psi = payoff_vector(params, resolve_market(params, asg, chosen)).psi
+        for i, firm in enumerate(FIRMS):
+            assert build_payoff_quadratic(params, asg, firm).form.evaluate(chosen) == psi[i]
+
+
+def _count_fraction_arithmetic(monkeypatch) -> list:
+    """Record every Fraction add/sub/mul/truediv from now on."""
     calls = []
     for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
         real = getattr(Fraction, name)
@@ -216,9 +223,38 @@ def test_warm_solve_does_no_fraction_arithmetic(monkeypatch):
     assert Fraction(1, 2) * Fraction(1, 3) == Fraction(1, 6)
     assert calls == ["__mul__"]  # the counters see Fraction arithmetic
     calls.clear()
+    return calls
+
+
+def test_warm_solve_does_no_fraction_arithmetic(monkeypatch):
+    b = Fraction(5, 1_000_003)
+    cold = ModelParams("37/3", b, "7/2", "11/5", 3)
+    warm = ModelParams(50, b, "1/3", "2/7", "5/11")
+    for asg in ALL_ASSIGNMENTS:
+        solve_equilibrium(cold, asg)
+    calls = _count_fraction_arithmetic(monkeypatch)
     for params in (cold, warm):
         for asg in ALL_ASSIGNMENTS:
             solve_equilibrium(params, asg)
+    assert calls == []
+
+
+def test_warm_payoff_forms_and_tables_do_no_fraction_arithmetic(monkeypatch):
+    b = Fraction(5, 1_000_003)
+    cold = ModelParams("37/3", b, "7/2", "7/2", 3)
+    warm = ModelParams(50, b, "1/3", "1/3", "5/11")
+    for asg in ALL_ASSIGNMENTS:
+        for firm in FIRMS:
+            build_payoff_quadratic(cold, asg, firm)
+    for pattern in sorted(PATTERNS):
+        closed_form_outputs(cold, pattern)
+    calls = _count_fraction_arithmetic(monkeypatch)
+    for params in (cold, warm):
+        for asg in ALL_ASSIGNMENTS:
+            for firm in FIRMS:
+                build_payoff_quadratic(params, asg, firm)
+        for pattern in sorted(PATTERNS):
+            closed_form_outputs(params, pattern)
     assert calls == []
 
 
@@ -323,7 +359,15 @@ def test_gain_and_tables_run_on_any_exact_field(b):
         assert [[n / det for n in row] for row in gain] == \
             [[Fraction(n, int_det) for n in row] for row in int_gain]
         assert _unwrap(op.psi_quad) == _operator(b, asg).psi_quad
-    assert _unwrap(_printed_output_table.__wrapped__(_Exact(b))) == _printed_output_table(b)
+        fraction_op = _operator(b, asg)
+        *rows, q = fraction_op.integer_payoff
+        x, x0, free_const = fraction_op.x_map, fraction_op.x_const, fraction_op.free_const
+        assert [tuple(Fraction(n, q) for n in row) for row in rows] == \
+            [(free_const[j], x[0][j], x[1][j], x[2][j], x0[j]) for j in range(3)]
+    table = _unwrap(_transcribed_output_table(_Exact(b)))
+    assert table == _transcribed_output_table(b)
+    for pattern, (rows, den) in _printed_output_table(b).items():
+        assert tuple(tuple(Fraction(n, den) for n in row) for row in rows) == table[pattern]
 
 
 def test_solve_accepts_string_and_int():
