@@ -62,9 +62,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return as_rational(text)
+        value = as_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    try:
+        format_rational(value)
+    except ValueError:
+        # Beyond Python's int-string limit no output could print the value.
+        raise argparse.ArgumentTypeError(
+            f"{text} has too many digits: a numerator or denominator longer than "
+            f"{sys.get_int_max_str_digits()} digits cannot be printed") from None
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -110,10 +118,7 @@ def _build_parser() -> _Parser:
 
 
 def _params_from_args(args) -> ModelParams:
-    try:
-        return ModelParams(args.a, args.b, args.cA, args.cB, args.cC)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    return ModelParams(args.a, args.b, args.cA, args.cB, args.cC)
 
 
 def _render_table(headers, rows) -> str:
@@ -167,26 +172,21 @@ def _exact_values(eq: Equilibrium):
     return eq.state.x + eq.state.p + eq.payoffs.psi
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[str, bool]:
     params = _params_from_args(args)
     selection = _parse_selection(args.pattern)
     solve_rows = _solve_exact_rows if args.mode == "exact" else _solve_float_rows
-    # ValueError also covers a rational with more digits than Python prints as an int.
-    try:
-        rows, docs = solve_rows(params, selection)
-        doc = {"params": params.to_dict(), "mode": args.mode, "equilibria": docs}
-    except (ValueError, ConcavityViolation, FloatingPointError) as exc:
-        raise _CliError(str(exc)) from None
-
+    rows, docs = solve_rows(params, selection)
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        doc = {"params": params.to_dict(), "mode": args.mode, "equilibria": docs}
+        text = json.dumps(doc, indent=2)
     elif args.format == "csv":
-        print(_csv_text(_SOLVE_CSV_HEADER, rows))
+        text = _csv_text(_SOLVE_CSV_HEADER, rows)
     else:
         headers = _SOLVE_CSV_HEADER[:11] + ["interior", "soc_ok"]
         table_rows = [r[:11] + r[20:] for r in rows]
-        print(_render_table(headers, table_rows))
-    return 0
+        text = _render_table(headers, table_rows)
+    return text, True
 
 
 def _solve_exact_rows(params, selection):
@@ -246,18 +246,14 @@ def _solve_float_rows(params, selection):
 # verify
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, bool]:
     params = _params_from_args(args)
-    try:
-        # The suite's draw 0 is the given set: its solves also build the matrix.
-        solved = _solve_draw(params)
-        matrix = _matrix(solved)
-        pairs = _equal_pairs(matrix)
-        ledger = closed_form_discrepancies(params)
-        suite = _property_suite(params, args.draws, args.seed, "corrected", solved)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
-
+    # The suite's draw 0 is the given set: its solves also build the matrix.
+    solved = _solve_draw(params)
+    matrix = _matrix(solved)
+    pairs = _equal_pairs(matrix)
+    ledger = closed_form_discrepancies(params)
+    suite = _property_suite(params, args.draws, args.seed, "corrected", solved)
     if args.format == "json":
         doc = {
             "params": params.to_dict(),
@@ -266,10 +262,10 @@ def _cmd_verify(args) -> int:
             "typo_ledger": ledger,
             "suite": suite.to_dict(),
         }
-        print(json.dumps(doc, indent=2))
+        text = json.dumps(doc, indent=2)
     elif args.format == "csv":
         rows = [[p.name, p.status, str(p.checked)] for p in suite.properties]
-        print(_csv_text(["property", "status", "checked"], rows))
+        text = _csv_text(["property", "status", "checked"], rows)
     else:
         lines = [f"params: {params.describe()}"]
         lines.append("equivalence matrix (patterns 1..6, '=' equal, '.' different):")
@@ -301,8 +297,8 @@ def _cmd_verify(args) -> int:
                     + json.dumps(prop.counterexample, sort_keys=True)
                 )
         lines.append(f"verification: {'PASS' if suite.passed else 'FAIL'}")
-        print("\n".join(lines))
-    return 0 if suite.passed else 2
+        text = "\n".join(lines)
+    return text, suite.passed
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +321,23 @@ def _parse_fixes(args, slice_spec: MinimaxSlice) -> Fraction | None:
             f"--fix may only pin the bystander variable {expected}, got {var.strip()!r}"
         )
     try:
-        return as_rational(text.strip())
-    except ValueError as exc:
+        return _rational(text.strip())
+    except argparse.ArgumentTypeError as exc:
         raise _CliError(f"--fix {item!r}: {exc}") from None
 
 
-def _cmd_minimax(args) -> int:
+def _cmd_minimax(args) -> tuple[str, bool]:
     params = _params_from_args(args)
     slice_spec = MinimaxSlice(payoff_firm=args.firm)
     fixed_value = _parse_fixes(args, slice_spec)
     if fixed_value is not None:
         slice_spec = MinimaxSlice(payoff_firm=args.firm, fixed_value=fixed_value)
     hi = args.grid_hi if args.grid_hi is not None else params.a
-    try:
-        grid = GridSpec(args.grid_lo, hi, args.grid_points)
-        report = minimax_check(params, slice_spec, grid, mode=args.mode)
-    except (ValueError, DegenerateSlice) as exc:
-        raise _CliError(str(exc)) from None
-
+    grid = GridSpec(args.grid_lo, hi, args.grid_points)
+    report = minimax_check(params, slice_spec, grid, mode=args.mode)
     if args.format == "json":
         doc = {"params": params.to_dict(), "minimax": report.to_dict()}
-        print(json.dumps(doc, indent=2))
+        text = json.dumps(doc, indent=2)
     elif args.format == "csv":
         header = [
             "payoff_firm", "max_firm", "min_firm", "fixed_firm", "fixed_value",
@@ -367,7 +359,7 @@ def _cmd_minimax(args) -> int:
                 "min_max_transformed", "max_min_transformed")),
             repr(report.spread), repr(report.tolerance), _flag(report.passed),
         ]
-        print(_csv_text(header, [row]))
+        text = _csv_text(header, [row])
     else:
         fixed_var = as_assignment(report.base_assignment).variable_name(report.fixed_firm)
         lines = [
@@ -385,25 +377,26 @@ def _cmd_minimax(args) -> int:
         lines.append(f"spread    = {report.spread!r}")
         lines.append(f"tolerance = {report.tolerance!r}")
         lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-        print("\n".join(lines))
-    return 0 if report.passed else 2
+        text = "\n".join(lines)
+    return text, report.passed
 
 
 def run_cli(argv=None) -> int:
     parser = _build_parser()
+    commands = {"solve": _cmd_solve, "verify": _cmd_verify, "minimax": _cmd_minimax}
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_minimax(args)
-    except _CliError as exc:
+        # A command returns its whole output, so a failure leaves stdout empty.
+        text, passed = commands[args.command](args)
+    except (_CliError, ValueError, ConcavityViolation, FloatingPointError,
+            DegenerateSlice) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:
         print(f"error: a value lies outside the float range ({exc})", file=sys.stderr)
         return 1
+    print(text)
+    return 0 if passed else 2
 
 
 def main() -> None:

@@ -2,23 +2,26 @@
 
 For a fixed substitutability ``b`` and assignment, the whole equilibrium is a
 linear map of theta = (a, c_A, c_B, c_C). The solver keeps everything that
-does not depend on theta in one operator, cached on (b, assignment):
+does not depend on theta in one operator, cached on (b, assignment) and
+built on the ints n, e of b = n / e, without Fraction arithmetic:
 
 1. The pinning map x = X(b) v + x0(b) a from the committed values
    v = (v_A, v_B, v_C) to the outputs, in closed form: a quantity chooser's
    output is its committed value, and the price choosers' outputs solve a
-   demand block (1 - b) I + b J whose inverse is explicit.
-2. Each firm's free variable (its price, or its output) is affine in v, so
-   its profit and its relative payoff psi_i = sum_k W_ik pi_k are exact
-   quadratics in v. Differentiating psi_i in the own variable gives the
-   stacked first-order conditions M(b) v + L(b) theta = 0; second-order
-   conditions reduce to M_ii < 0, which is checked, not assumed.
+   demand block (1 - b) I + b J whose inverse is explicit. With m price
+   choosers, d = 1 + (m - 1) b = g / e and 1 - b = h / e, and [X | x0] is
+   ints over q = g h.
+2. Each firm's free variable (its price, or its output) is affine in v, ints
+   over q e, so its profit and its relative payoff psi_i = sum_k W_ik pi_k
+   are exact quadratics in v. Differentiating psi_i in the own variable
+   gives the stacked first-order conditions M(b) v + L(b) theta = 0, ints
+   over 2 q e; second-order conditions reduce to M_ii < 0, which is checked.
 3. The gain K(b) = -M^-1 L = N / D comes from a cofactor solve with no
-   pivoting, N = -adj(M) L and D = det M, on [M | L] over one denominator
-   as ints, checked (M N + D L = 0) and reduced by their gcd. A solve is
-   then integer dot products with theta over its lcm; Fractions are built
-   only for the committed values and outputs. A payoff form's linear and
-   constant terms are integer dot products the same way.
+   pivoting, N = -adj(M) L and D = det M, on [M | L] as ints, checked
+   (M N + D L = 0) and reduced by their gcd. A solve is then integer dot
+   products with theta over its lcm; Fractions are built only for the
+   committed values and outputs. A payoff form's linear and constant terms
+   are integer dot products the same way.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
@@ -83,10 +86,8 @@ class ConcavityViolation(Exception):
     """A payoff is not strictly concave in the firm's own variable."""
 
 
-# psi_i = pi_i - (pi_j + pi_k) / 2: twice the weight of firm k's profit in psi_i,
-# and the weight.
+# psi_i = pi_i - (pi_j + pi_k) / 2: twice the weight of firm k's profit in psi_i.
 _TWICE_WEIGHTS = tuple(tuple(2 if k == i else -1 for k in range(3)) for i in range(3))
-_WEIGHTS = tuple(tuple(Fraction(w, 2) for w in row) for row in _TWICE_WEIGHTS)
 
 
 def _dot(u, v):
@@ -129,131 +130,131 @@ def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
 
 @dataclass(frozen=True)
 class _Operator:
-    """Everything about one (b, assignment) game that does not depend on theta.
+    """Everything about one (b, assignment) game that does not depend on theta, on ints.
 
-    ``x_map``/``x_const`` are the pinning map x = X v + x0 a. Firm i's free
-    variable, its price when it commits a quantity and its output when it
-    commits a price, is ``free_map[i] . v + free_const[i] a``. The stacked
-    own-variable first-order conditions read ``foc . v + foc_rhs . theta = 0``.
+    With b = n / e, the rows of ``pin``, [X | x0] over ``q``, are the pinning
+    map x = X v + x0 a. Firm i's free variable, its price when it commits a
+    quantity and its output when it commits a price, is [F | f0]_i . (v, a)
+    over q e, from the rows of ``free``. The stacked own-variable
+    first-order conditions read [M | L] . (v, theta) = 0, from the rows of
+    ``foc`` over ``foc_den`` > 0.
     """
 
     assignment: StrategyAssignment
-    x_map: tuple[tuple[Fraction, ...], ...]
-    x_const: tuple[Fraction, ...]
-    free_map: tuple[tuple[Fraction, ...], ...]
-    free_const: tuple[Fraction, ...]
-    foc: tuple[tuple[Fraction, ...], ...]
-    foc_rhs: tuple[tuple[Fraction, ...], ...]
+    e: int
+    q: int
+    pin: tuple[tuple[int, ...], ...]
+    free: tuple[tuple[int, ...], ...]
+    foc: tuple[tuple[int, ...], ...]
+    foc_den: int
 
     @cached_property
     def integer_solve(self) -> tuple:
         """(N, D, [M | D L], [X | D x0], q D): the solve on ints, gcd(N, D) = 1 and D > 0.
 
-        [M | L] and [X | x0] are each over one denominator, q for the latter.
         For theta = theta_n / t, v = N theta_n / (D t), the first-order
         conditions read [M | D L] . (N theta_n, theta_n) = 0, and the outputs
         are x = [X | D x0] . (N theta_n, a_n) / (q D t).
         """
-        m_l, _ = _over_lcm_rows([(*m, *l) for m, l in zip(self.foc, self.foc_rhs)])
-        foc, foc_rhs = [row[:3] for row in m_l], [row[3:] for row in m_l]
-        gain, det = _cofactor_solve(foc, foc_rhs, self.assignment)
+        foc = self.foc
+        gain, det = _cofactor_solve([row[:3] for row in foc], [row[3:] for row in foc],
+                                    self.assignment)
         g = math.gcd(det, *(n for row in gain for n in row)) * (1 if det > 0 else -1)
         gain, det = tuple(tuple(n // g for n in row) for row in gain), det // g
-        pin, q = _over_lcm_rows([(*x, c) for x, c in zip(self.x_map, self.x_const)])
-        return (gain, det, tuple((*m, *(det * n for n in l)) for m, l in zip(foc, foc_rhs)),
-                tuple((*row[:3], det * row[3]) for row in pin), q * det)
+        return (gain, det, tuple((*row[:3], *(det * n for n in row[3:])) for row in foc),
+                tuple((*row[:3], det * row[3]) for row in self.pin), self.q * det)
 
     @cached_property
     def integer_payoff(self) -> tuple:
-        """(row_0, row_1, row_2, q): the payoff forms' theta-linear part on ints.
+        """(row_0, row_1, row_2, q e): the payoff forms' theta-linear part on ints.
 
-        row_j = q (free_const[j], X[0][j], X[1][j], X[2][j], x0[j]), with one
-        denominator q for the three rows.
+        row_j = (f0_j, e X_0j, e X_1j, e X_2j, e x0_j): firm j's free-variable
+        constant, and column j of the pinning map with its constant, over q e.
         """
-        rows, q = _over_lcm_rows([(f, *col, c) for f, col, c
-                                  in zip(self.free_const, zip(*self.x_map), self.x_const)])
-        return (*rows, q)
+        e, pin = self.e, self.pin
+        return (*((f[3], *(e * x[j] for x in pin), e * pin[j][3])
+                  for j, f in enumerate(self.free)), self.q * e)
 
     @cached_property
     def psi_quad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         """The relative payoffs' quadratic matrices in v, derived apart from ``foc``.
 
-        pi_k = v_k (free_map[k] . v) + ..., so psi_i = 3/2 pi_i - 1/2 sum(pi)
-        has the matrix 3/2 sym(e_i free_map[i]') + shared, where shared is
-        -1/2 sum_k sym(e_k free_map[k]'): row and column i are ``own[i]``, the
-        rest is ``shared``. Only ``payoff_form`` reads it.
+        pi_k = v_k (F_k . v) / (q e) + ..., so psi_i = 3/2 pi_i - 1/2 sum(pi)
+        has the matrix 3/2 sym(e_i F_i') + shared over q e, where shared is
+        -1/2 sum_k sym(e_k F_k'): row and column i are ``own[i]``, the rest
+        is ``shared``. Each entry is an int over 4 q e. Only ``payoff_form``
+        reads it.
         """
-        f, three_quarters = self.free_map, Fraction(3, 4)
-        upper = {(r, s): (f[r][s] + f[s][r]) / -4 for r in range(3) for s in range(r, 3)}
+        f, den = self.free, 4 * self.q * self.e
+        numer = {(r, s): -f[r][s] - f[s][r] for r in range(3) for s in range(r, 3)}
+        upper = {key: Fraction(v, den) for key, v in numer.items()}
         shared = [[upper[min(r, s), max(r, s)] for s in range(3)] for r in range(3)]
-        own = [[f[i][i] if s == i else shared[i][s] + three_quarters * f[i][s] for s in range(3)]
-               for i in range(3)]
+        own = [[Fraction(4 * f[i][i] if s == i else numer[min(i, s), max(i, s)] + 3 * f[i][s], den)
+                for s in range(3)] for i in range(3)]
         return tuple(tuple(tuple(own[i][s] if r == i else own[i][r] if s == i else shared[r][s]
                                  for s in range(3)) for r in range(3)) for i in range(3))
 
     def payoff_form(self, i: int, theta: Sequence[Fraction]) -> QuadraticForm:
         """Firm i's relative payoff as a quadratic in v at the given theta.
 
-        Profit pi_k = (p_k - c_k) x_k has the linear term a free_const[k] e_k
-        - c_k X_k and the constant -a c_k x0_k; psi_i weights them by
-        _WEIGHTS[i]. Both are dot products on ints: ``integer_payoff`` over
-        q, theta over its lcm t and the weights doubled, so ``lin`` is over
-        2 q t and ``const`` over 2 q t^2. ``psi_quad`` is taken as it is.
+        Profit pi_k = (p_k - c_k) x_k has the linear term a f0_k e_k - c_k X_k
+        and the constant -a c_k x0_k; psi_i weights them by half of
+        _TWICE_WEIGHTS[i]. Both are dot products on ints: ``integer_payoff``
+        over its denominator r, theta over its lcm t and the weights doubled,
+        so ``lin`` is over 2 r t and ``const`` over 2 r t^2. ``psi_quad`` is
+        taken as it is.
         """
-        *rows, q = self.integer_payoff
+        *rows, r = self.integer_payoff
         (a, *costs), t = _over_lcm(theta)
         weights = _TWICE_WEIGHTS[i]
         scaled_costs = tuple(map(mul, weights, costs))
-        lin = tuple(Fraction(a * weights[j] * row[0] - _dot(scaled_costs, row[1:4]), 2 * q * t)
+        lin = tuple(Fraction(a * weights[j] * row[0] - _dot(scaled_costs, row[1:4]), 2 * r * t)
                     for j, row in enumerate(rows))
-        const = Fraction(-a * _dot(scaled_costs, (row[4] for row in rows)), 2 * q * t * t)
+        const = Fraction(-a * _dot(scaled_costs, (row[4] for row in rows)), 2 * r * t * t)
         return QuadraticForm(self.psi_quad[i], lin, const)
 
 
 @lru_cache(maxsize=1024)
 def _operator(b: Fraction, assignment: StrategyAssignment) -> _Operator:
-    """Build the theta-free operator; keyed by (b, assignment) only.
+    """Build the theta-free operator on the ints of b = n / e; keyed by (b, assignment) only.
 
     The m price choosers' outputs solve ((1 - b) I + b J) x_P = a - v_P -
-    b sum(v_Q), and that block's inverse is (I - b J / D) / (1 - b) with
-    D = 1 + (m - 1) b, so no elimination is needed.
+    b sum(v_Q), and that block's inverse is (I - b J / d) / (1 - b) with
+    d = 1 + (m - 1) b, so no elimination is needed. With d = g / e and
+    1 - b = h / e, every entry of [X | x0] is an int over q = g h.
     """
+    n, e = b.as_integer_ratio()
     price = tuple(choice == PRICE for choice in assignment.choices)
-    d = 1 + (sum(price) - 1) * b
-    own = (b - d) / (d * (1 - b))
-    cross_price = b / (d * (1 - b))
-    cross_quantity = -b / d
-    zero, one = Fraction(0), Fraction(1)
-    x_map, x_const = [], []
+    g, h = e + (sum(price) - 1) * n, e - n
+    q = g * h
+    own, cross_price, cross_quantity = (n - g) * e, n * e, -n * h
+    pin = []
     for i in range(3):
         if price[i]:
-            x_map.append(tuple(own if j == i else cross_price if price[j] else cross_quantity
-                               for j in range(3)))
-            x_const.append(1 / d)
+            pin.append((*(own if j == i else cross_price if price[j] else cross_quantity
+                          for j in range(3)), e * h))
         else:
-            x_map.append(tuple(one if j == i else zero for j in range(3)))
-            x_const.append(zero)
+            pin.append((*(q if j == i else 0 for j in range(3)), 0))
 
-    # A quantity chooser's free variable is its price p_i = a - x_i - b (x_j + x_k).
-    free_map, free_const = [], []
-    for i in range(3):
+    # Over q e: a price chooser's free variable is its output, and a quantity
+    # chooser's is its price p_i = a - x_i - b (x_j + x_k).
+    free = []
+    for i, row in enumerate(pin):
         if price[i]:
-            free_map.append(x_map[i])
-            free_const.append(x_const[i])
+            free.append(tuple(e * v for v in row))
         else:
             j, k = (i + 1) % 3, (i + 2) % 3
-            free_map.append(tuple(-x_map[i][s] - b * (x_map[j][s] + x_map[k][s])
-                                  for s in range(3)))
-            free_const.append(1 - b * (x_const[j] + x_const[k]))
+            *f, f0 = (-e * x - n * (y + z) for x, y, z in zip(row, pin[j], pin[k]))
+            free.append((*f, q * e + f0))
 
-    # psi_i = sum_k W_ik pi_k, pi_k = v_k (free_map[k] . v + free_const[k] a) - c_k x_k:
-    # in d psi_i / d v_i, v_j has the coefficient free_map[i][j] + W_ij free_map[j][i].
-    foc = tuple(tuple(free_map[i][j] + _WEIGHTS[i][j] * free_map[j][i] for j in range(3))
-                for i in range(3))
-    foc_rhs = tuple((free_const[i], *(-_WEIGHTS[i][k] * x_map[k][i] for k in range(3)))
-                    for i in range(3))
-    return _Operator(assignment, tuple(x_map), tuple(x_const), tuple(free_map),
-                     tuple(free_const), foc, foc_rhs)
+    # psi_i = sum_k W_ik pi_k, pi_k = v_k (F_k . v + f0_k a) - c_k x_k: in d psi_i / d v_i,
+    # v_j has the coefficient F_ij + W_ij F_ji. With W = T / 2, [M | L] is over 2 q e.
+    t = _TWICE_WEIGHTS
+    foc = [(*(2 * free[i][j] + t[i][j] * free[j][i] for j in range(3)), 2 * free[i][3],
+            *(-t[i][k] * e * pin[k][i] for k in range(3))) for i in range(3)]
+    c = math.gcd(2 * q * e, *(v for row in foc for v in row))
+    return _Operator(assignment, e, q, tuple(pin), tuple(free),
+                     tuple(tuple(v // c for v in row) for row in foc), 2 * q * e // c)
 
 
 @dataclass(frozen=True)
@@ -516,17 +517,19 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
             raise ValueError(f"init must be finite, got {current}")
 
     op = _operator(params.b, asg)
-    theta = _theta(params)
+    theta, t = _over_lcm(_theta(params))
+    den = op.foc_den
     curvature, slope, intercept = [], [], []
-    for i in range(3):
-        own = float(op.foc[i][i])
+    # int / int rounds correctly, so each float is the exact rational's float.
+    for i, row in enumerate(op.foc):
+        own = row[i] / den
         if own >= 0:
             raise ConcavityViolation(
                 f"payoff of firm {FIRMS[i]} under {asg} is not concave in its own variable"
             )
         curvature.append(own)
-        slope.append([float(m) for m in op.foc[i]])
-        intercept.append(float(_dot(op.foc_rhs[i], theta)))
+        slope.append([m / den for m in row[:3]])
+        intercept.append(_dot(row[3:], theta) / (den * t))
 
     converged = False
     iterations = 0

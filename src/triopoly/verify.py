@@ -700,13 +700,13 @@ def _check_foc_residual(case: _SuiteCase, oracle: str):
 
 
 def _check_own_concavity(case: _SuiteCase, oracle: str):
-    # Own curvature depends on b alone: the operator's own FOC coefficient.
+    # Own curvature depends on b alone: the sign of the operator's own FOC coefficient.
     for asg in ALL_ASSIGNMENTS:
-        foc = _operator(case.params.b, asg).foc
+        op = _operator(case.params.b, asg)
         for i, firm in enumerate(FIRMS):
-            if foc[i][i] >= 0:
+            if op.foc[i][i] >= 0:
                 return "fail", {"assignment": str(asg), "firm": firm,
-                                "curvature": format_rational(foc[i][i])}
+                                "curvature": format_rational(Fraction(op.foc[i][i], op.foc_den))}
     return "ok", None
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -161,19 +162,25 @@ def test_value_beyond_float_range_is_one_line_exit_1(cli, argv):
 
 # Values whose numerators or denominators exceed the digits Python converts to a string.
 HUGE_DIGITS = {
-    "exact-a": ["--a", "1e5000", *SPOT_ARGS[2:]],
-    "float-b": ["--a", "10", "--b", "1e-5000", *SPOT_ARGS[4:], "--mode", "float"],
+    "exact-a": ["solve", "--a", "1e5000", *SPOT_ARGS[2:]],
+    "float-b": ["solve", "--a", "10", "--b", "1e-5000", *SPOT_ARGS[4:], "--mode", "float"],
+    "verify-a": ["verify", "--a", "1e5000", *SPOT_ARGS[2:], "--draws", "2"],
+    "minimax-float-b": ["minimax", "--a", "10", "--b", "1e-5000", *SPOT_ARGS[4:]],
+    "minimax-exact-b": ["minimax", "--a", "10", "--b", "1e-5000", *SPOT_ARGS[4:],
+                        "--mode", "exact"],
 }
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 @pytest.mark.parametrize("case", sorted(HUGE_DIGITS))
 def test_value_beyond_int_string_limit_is_one_line_exit_1(cli, case, fmt):
-    code, out, err = cli(["solve", *HUGE_DIGITS[case], "--format", fmt])
+    code, out, err = cli([*HUGE_DIGITS[case], "--format", fmt])
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "digits" in err
+    flag, value = ("--a", "1e5000") if "1e5000" in HUGE_DIGITS[case] else ("--b", "1e-5000")
+    assert err == (f"error: argument {flag}: {value} has too many digits: a numerator or "
+                   f"denominator longer than {sys.get_int_max_str_digits()} digits "
+                   "cannot be printed\n")
 
 
 def test_verify_renders_no_floats_for_huge_values(cli):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from triopoly.market import (
     ALL_ASSIGNMENTS,
     FIRMS,
     PATTERNS,
+    PRICE,
     ModelParams,
     payoff_vector,
     resolve_market,
@@ -173,8 +175,8 @@ def test_operator_solve_matches_independent_routes(asg):
         assert resolve_market(params, asg, eq.chosen) == eq.state
 
 
-# b over 64 and over two large primes; a and costs with mixed denominators, c_A != c_B.
-_b_values = st.sampled_from([64, 1_000_003, 2**61 - 1]).flatmap(
+# b over 64 and over three large primes; a and costs with mixed denominators, c_A != c_B.
+_b_values = st.sampled_from([64, 1_000_003, 10**9 + 7, 2**61 - 1]).flatmap(
     lambda den: st.integers(1, den - 1).map(lambda k: Fraction(k, den)))
 _costs = st.fractions(min_value=0, max_value=40, max_denominator=10**4)
 _margins = st.fractions(min_value=0, max_value=40, max_denominator=997).filter(lambda m: m > 0)
@@ -186,17 +188,71 @@ def _mixed_params(draw):
     return ModelParams(max(costs) + draw(_margins), draw(_b_values), *costs)
 
 
-@given(_mixed_params(), st.sampled_from(ALL_ASSIGNMENTS))
+_HALF_WEIGHTS = tuple(tuple(Fraction(2 if k == i else -1, 2) for k in range(3)) for i in range(3))
+
+
+def _reference_operator(b, asg) -> SimpleNamespace:
+    """The (b, assignment) operator on any exact field: the reference for the integer build.
+
+    ``x_map``/``x_const`` are the pinning map x = X v + x0 a, ``free_map``/
+    ``free_const`` each firm's free variable F v + f0 a, ``foc``/``foc_rhs`` the
+    stacked first-order conditions M v + L theta = 0, and ``psi_quad`` the
+    relative payoffs' quadratic matrices, derived apart from ``foc``.
+    """
+    price = tuple(choice == PRICE for choice in asg.choices)
+    d = 1 + (sum(price) - 1) * b
+    own = (b - d) / (d * (1 - b))
+    cross_price = b / (d * (1 - b))
+    cross_quantity = -b / d
+    zero, one = Fraction(0), Fraction(1)
+    x_map, x_const = [], []
+    for i in range(3):
+        if price[i]:
+            x_map.append(tuple(own if j == i else cross_price if price[j] else cross_quantity
+                               for j in range(3)))
+            x_const.append(1 / d)
+        else:
+            x_map.append(tuple(one if j == i else zero for j in range(3)))
+            x_const.append(zero)
+    free_map, free_const = [], []
+    for i in range(3):
+        if price[i]:
+            free_map.append(x_map[i])
+            free_const.append(x_const[i])
+        else:
+            j, k = (i + 1) % 3, (i + 2) % 3
+            free_map.append(tuple(-x_map[i][s] - b * (x_map[j][s] + x_map[k][s])
+                                  for s in range(3)))
+            free_const.append(1 - b * (x_const[j] + x_const[k]))
+    foc = tuple(tuple(free_map[i][j] + _HALF_WEIGHTS[i][j] * free_map[j][i] for j in range(3))
+                for i in range(3))
+    foc_rhs = tuple((free_const[i], *(-_HALF_WEIGHTS[i][k] * x_map[k][i] for k in range(3)))
+                    for i in range(3))
+    f, three_quarters = free_map, Fraction(3, 4)
+    upper = {(r, s): (f[r][s] + f[s][r]) / -4 for r in range(3) for s in range(r, 3)}
+    shared = [[upper[min(r, s), max(r, s)] for s in range(3)] for r in range(3)]
+    psi_own = [[f[i][i] if s == i else shared[i][s] + three_quarters * f[i][s] for s in range(3)]
+               for i in range(3)]
+    psi_quad = tuple(tuple(tuple(psi_own[i][s] if r == i else psi_own[i][r] if s == i
+                                 else shared[r][s] for s in range(3)) for r in range(3))
+                     for i in range(3))
+    return SimpleNamespace(x_map=x_map, x_const=x_const, free_map=free_map,
+                           free_const=free_const, foc=foc, foc_rhs=foc_rhs, psi_quad=psi_quad)
+
+
+@given(_mixed_params())
 @settings(max_examples=150, deadline=None)
-def test_integer_solve_matches_fraction_reference(params, asg):
-    eq = solve_equilibrium(params, asg)
-    op = _operator(params.b, asg)
+def test_integer_solve_matches_fraction_reference(params):
     theta = (params.a, params.c_a, params.c_b, params.c_c)
-    rhs = [-sum(coef * value for coef, value in zip(row, theta)) for row in op.foc_rhs]
-    assert eq.chosen == solve_linear(op.foc, rhs)
-    assert eq.state == resolve_market(params, asg, eq.chosen)
-    values = (*eq.chosen, *eq.state.x, *eq.state.p, *eq.payoffs.pi, *eq.payoffs.psi)
-    assert all(type(v) is Fraction for v in values)
+    for asg in ALL_ASSIGNMENTS:
+        eq = solve_equilibrium(params, asg)
+        ref = _reference_operator(params.b, asg)
+        rhs = [-sum(coef * value for coef, value in zip(row, theta)) for row in ref.foc_rhs]
+        assert eq.chosen == solve_linear(ref.foc, rhs)
+        assert eq.soc_ok == all(ref.foc[i][i] < 0 for i in range(3))
+        assert eq.state == resolve_market(params, asg, eq.chosen)
+        values = (*eq.chosen, *eq.state.x, *eq.state.p, *eq.payoffs.pi, *eq.payoffs.psi)
+        assert all(type(v) is Fraction for v in values)
 
 
 @given(_mixed_params(), st.tuples(small, small, small))
@@ -256,6 +312,23 @@ def test_warm_payoff_forms_and_tables_do_no_fraction_arithmetic(monkeypatch):
         for pattern in sorted(PATTERNS):
             closed_form_outputs(params, pattern)
     assert calls == []
+
+
+def test_cold_operator_does_no_fraction_arithmetic(monkeypatch):
+    b = Fraction(5, 1_000_003)
+    params = ModelParams("37/3", b, "7/2", "11/5", 3)
+    _operator.cache_clear()
+    calls = _count_fraction_arithmetic(monkeypatch)
+    for asg in ALL_ASSIGNMENTS:
+        op = _operator(b, asg)
+        op.integer_solve, op.integer_payoff
+    assert calls == []
+    # The solves and the payoff forms read the operators built above.
+    for asg in ALL_ASSIGNMENTS:
+        solve_equilibrium(params, asg)
+        for firm in FIRMS:
+            build_payoff_quadratic(params, asg, firm)
+    assert _operator.cache_info().misses == len(ALL_ASSIGNMENTS)
 
 
 def test_singular_gain_names_the_solve(monkeypatch):
@@ -349,21 +422,30 @@ def _unwrap(entries):
     return entries.value
 
 
+def _over(rows, den) -> list:
+    return [tuple(Fraction(v, den) for v in row) for row in rows]
+
+
 @pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(57, 64), Fraction(123457, 1000003)])
 def test_gain_and_tables_run_on_any_exact_field(b):
-    # Only field operations on b: the route a symbolic b would take.
+    # Only field operations on b: the route a symbolic b would take. The integer
+    # operator must hold the same maps as the reference built on that field.
     for asg in ALL_ASSIGNMENTS:
-        op = _operator.__wrapped__(_Exact(b), asg)
-        gain, det = _unwrap(_cofactor_solve(op.foc, op.foc_rhs, asg))
-        int_gain, int_det = _operator(b, asg).integer_solve[:2]
+        ref = _reference_operator(_Exact(b), asg)
+        op = _operator(b, asg)
+        gain, det = _unwrap(_cofactor_solve(ref.foc, ref.foc_rhs, asg))
+        int_gain, int_det = op.integer_solve[:2]
         assert [[n / det for n in row] for row in gain] == \
             [[Fraction(n, int_det) for n in row] for row in int_gain]
-        assert _unwrap(op.psi_quad) == _operator(b, asg).psi_quad
-        fraction_op = _operator(b, asg)
-        *rows, q = fraction_op.integer_payoff
-        x, x0, free_const = fraction_op.x_map, fraction_op.x_const, fraction_op.free_const
-        assert [tuple(Fraction(n, q) for n in row) for row in rows] == \
-            [(free_const[j], x[0][j], x[1][j], x[2][j], x0[j]) for j in range(3)]
+        assert [(*x, c) for x, c in zip(ref.x_map, ref.x_const)] == _over(op.pin, op.q)
+        assert [(*f, c) for f, c in zip(ref.free_map, ref.free_const)] == \
+            _over(op.free, op.q * op.e)
+        assert [(*m, *l) for m, l in zip(ref.foc, ref.foc_rhs)] == _over(op.foc, op.foc_den)
+        assert _unwrap(ref.psi_quad) == op.psi_quad
+        *rows, q = op.integer_payoff
+        x, x0 = ref.x_map, ref.x_const
+        assert [(ref.free_const[j], x[0][j], x[1][j], x[2][j], x0[j]) for j in range(3)] == \
+            _over(rows, q)
     table = _unwrap(_transcribed_output_table(_Exact(b)))
     assert table == _transcribed_output_table(b)
     for pattern, (rows, den) in _printed_output_table(b).items():
