@@ -15,7 +15,6 @@ from .exact import (
     as_rational,
     decimal_string,
     format_rational,
-    solve_linear,
 )
 from .market import (
     ALL_ASSIGNMENTS,
@@ -34,7 +33,6 @@ from .market import (
     inverse_demand,
     payoff_vector,
     profit,
-    resolve_market,
 )
 from .equilibrium import (
     ClosedFormOutputs,
@@ -46,6 +44,7 @@ from .equilibrium import (
     best_response_iteration,
     build_payoff_quadratic,
     closed_form_outputs,
+    resolve_market,
     solve_equilibrium,
 )
 from .verify import (
@@ -75,7 +74,6 @@ __all__ = [
     "as_rational",
     "decimal_string",
     "format_rational",
-    "solve_linear",
     "ALL_ASSIGNMENTS",
     "FIRMS",
     "PATTERNS",

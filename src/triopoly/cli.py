@@ -22,12 +22,12 @@ from .market import (
     StrategyAssignment,
     as_assignment,
     payoff_vector,
-    resolve_market,
 )
 from .equilibrium import (
     ConcavityViolation,
     Equilibrium,
     best_response_iteration,
+    resolve_market,
     solve_equilibrium,
 )
 from .verify import (

@@ -2,15 +2,17 @@
 
 For a fixed substitutability ``b`` and assignment, the whole equilibrium is a
 linear map of theta = (a, c_A, c_B, c_C). The solver keeps everything that
-does not depend on theta in one operator, cached on (b, assignment) and
-built on the ints n, e of b = n / e, without Fraction arithmetic:
+does not depend on theta in one operator, cached on the ints n, e of
+b = n / e and the assignment, and built without Fraction arithmetic:
 
 1. The pinning map x = X(b) v + x0(b) a from the committed values
    v = (v_A, v_B, v_C) to the outputs, in closed form: a quantity chooser's
    output is its committed value, and the price choosers' outputs solve a
    demand block (1 - b) I + b J whose inverse is explicit. With m price
    choosers, d = 1 + (m - 1) b = g / e and 1 - b = h / e, and [X | x0] is
-   ints over q = g h.
+   ints over q = g h. It is the package's one route from committed values
+   to a market state: ``solve_equilibrium`` and ``resolve_market`` both
+   apply it and check that the state reproduces every committed value.
 2. Each firm's free variable (its price, or its output) is affine in v, ints
    over q e, so its profit and its relative payoff psi_i = sum_k W_ik pi_k
    are exact quadratics in v. Differentiating psi_i in the own variable
@@ -19,20 +21,21 @@ built on the ints n, e of b = n / e, without Fraction arithmetic:
 3. The gain K(b) = -M^-1 L = N / D comes from a cofactor solve with no
    pivoting, N = -adj(M) L and D = det M, on [M | L] as ints, checked
    (M N + D L = 0) and reduced by their gcd. A solve is then integer dot
-   products with theta over its lcm; Fractions are built only for the
-   committed values and outputs. A payoff form's linear and constant terms
-   are integer dot products the same way.
+   products with theta over its lcm, its first-order conditions checked on
+   the same ints; Fractions are built only for the committed values and
+   outputs. A payoff form's linear and constant terms are integer dot
+   products the same way.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
 ``corrected`` the variant that agrees with the solver. They differ in a
 single entry, the sign of the all-quantity pattern's third output. Like the
-solver, the tables are linear maps cached per b: each output is a row of
-coefficients on (a, c_AB, c_C), the transcribed numerator's terms over its
-denominator. The transcription runs on any exact field; the cache holds each
-pattern's rows as ints over one denominator, dotted with (a, c_AB, c_C) over
-their lcm. The solver is ground truth; the tables are cross-checks and
-documentation.
+solver, the tables are linear maps cached per b, on its ints n, e: each
+output is a row of coefficients on (a, c_AB, c_C), the transcribed
+numerator's terms over its denominator. The transcription runs on any exact
+field; the cache holds each pattern's rows as ints over one denominator,
+dotted with (a, c_AB, c_C) over their lcm. The solver is ground truth; the
+tables are cross-checks and documentation.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ __all__ = [
     "best_response",
     "Equilibrium",
     "solve_equilibrium",
+    "resolve_market",
     "ClosedFormOutputs",
     "closed_form_outputs",
     "IterationResult",
@@ -150,19 +154,35 @@ class _Operator:
 
     @cached_property
     def integer_solve(self) -> tuple:
-        """(N, D, [M | D L], [X | D x0], q D): the solve on ints, gcd(N, D) = 1 and D > 0.
+        """(N, D): the gain K = N / D on ints, gcd(N, D) = 1 and D > 0.
 
-        For theta = theta_n / t, v = N theta_n / (D t), the first-order
-        conditions read [M | D L] . (N theta_n, theta_n) = 0, and the outputs
-        are x = [X | D x0] . (N theta_n, a_n) / (q D t).
+        For theta = theta_n / t, the committed values are v = N theta_n / (D t).
         """
         foc = self.foc
         gain, det = _cofactor_solve([row[:3] for row in foc], [row[3:] for row in foc],
                                     self.assignment)
         g = math.gcd(det, *(n for row in gain for n in row)) * (1 if det > 0 else -1)
-        gain, det = tuple(tuple(n // g for n in row) for row in gain), det // g
-        return (gain, det, tuple((*row[:3], *(det * n for n in row[3:])) for row in foc),
-                tuple((*row[:3], det * row[3]) for row in self.pin), self.q * det)
+        return tuple(tuple(n // g for n in row) for row in gain), det // g
+
+    def resolve(self, params: ModelParams, nums: Sequence[int], a_num: int,
+                den: int) -> tuple[tuple[Fraction, Fraction, Fraction], MarketState]:
+        """(v, state) for committed values v = nums / den at a = a_num / den, checked.
+
+        The outputs are x = [X | x0] . (nums, a_num) / (q den), and the state
+        must reproduce each committed value: a price chooser's p_i and a
+        quantity chooser's x_i.
+        """
+        x = tuple(Fraction(_dot(row, (*nums, a_num)), self.q * den) for row in self.pin)
+        state = MarketState.from_outputs(params, x)
+        chosen = tuple(Fraction(n, den) for n in nums)
+        committed = tuple(state.p[i] if choice == PRICE else state.x[i]
+                          for i, choice in enumerate(self.assignment.choices))
+        if committed != chosen:
+            raise ArithmeticError(
+                f"market state does not reproduce the committed values "
+                f"for {self.assignment} at {params.describe()}"
+            )
+        return chosen, state
 
     @cached_property
     def integer_payoff(self) -> tuple:
@@ -215,15 +235,18 @@ class _Operator:
 
 
 @lru_cache(maxsize=1024)
-def _operator(b: Fraction, assignment: StrategyAssignment) -> _Operator:
-    """Build the theta-free operator on the ints of b = n / e; keyed by (b, assignment) only.
+def _operator(n: int, e: int, assignment: StrategyAssignment) -> _Operator:
+    """Build the theta-free operator of b = n / e on ints; keyed by (n, e, assignment) only.
+
+    The key holds ints, not b: every Fraction over 2^61 - 1, the modulus of
+    Python's numeric hash, hashes alike, so a b-keyed cache would compare
+    such keys one by one.
 
     The m price choosers' outputs solve ((1 - b) I + b J) x_P = a - v_P -
     b sum(v_Q), and that block's inverse is (I - b J / d) / (1 - b) with
     d = 1 + (m - 1) b, so no elimination is needed. With d = g / e and
     1 - b = h / e, every entry of [X | x0] is an int over q = g h.
     """
-    n, e = b.as_integer_ratio()
     price = tuple(choice == PRICE for choice in assignment.choices)
     g, h = e + (sum(price) - 1) * n, e - n
     q = g * h
@@ -301,8 +324,8 @@ def build_payoff_quadratic(params: ModelParams, assignment: AssignmentLike,
                            firm: str) -> QuadraticPayoff:
     """Exact quadratic representation of one firm's relative payoff."""
     asg = as_assignment(assignment)
-    form = _operator(params.b, asg).payoff_form(firm_index(firm), _theta(params))
-    return QuadraticPayoff(firm, asg, form)
+    op = _operator(*params.b.as_integer_ratio(), asg)
+    return QuadraticPayoff(firm, asg, op.payoff_form(firm_index(firm), _theta(params)))
 
 
 def best_response(params: ModelParams, assignment: AssignmentLike, firm: str,
@@ -343,40 +366,45 @@ def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equili
     """Solve the stacked first-order conditions of one assignment exactly.
 
     The committed values are v = K theta from the (b, assignment) operator,
-    on integer numerators. Before the state is expanded, every firm's own
-    first-order condition is checked to vanish at v, and the state is
-    checked to reproduce each committed value.
+    on integer numerators: with theta = theta_n / t, v = N theta_n / (D t).
+    Every firm's own first-order condition is checked to vanish at v,
+    M N theta_n + D L theta_n = 0 on ints, before the operator's pinning map
+    resolves v into the checked state.
     """
     asg = as_assignment(assignment)
-    op = _operator(params.b, asg)
+    op = _operator(*params.b.as_integer_ratio(), asg)
     try:
-        gain, det, foc_check, pin, pin_den = op.integer_solve
+        gain, det = op.integer_solve
     except SingularSystem as exc:
         detail = f"stacked first-order conditions for {asg} at {params.describe()}"
         raise SingularSystem(exc.pivot_step, detail) from None
     theta, t = _over_lcm(_theta(params))
     nums = [_dot(row, theta) for row in gain]
-    for i in range(3):
-        if _dot(foc_check[i], (*nums, *theta)) != 0:
+    for i, row in enumerate(op.foc):
+        if _dot(row[:3], nums) + det * _dot(row[3:], theta) != 0:
             raise ArithmeticError(
                 f"first-order condition of firm {FIRMS[i]} does not vanish "
                 f"for {asg} at {params.describe()}"
             )
-    chosen = tuple(Fraction(n, det * t) for n in nums)
-    x = tuple(Fraction(_dot(row, (*nums, theta[0])), pin_den * t) for row in pin)
-    state = MarketState.from_outputs(params, x)
-    committed = tuple(
-        state.p[i] if choice == PRICE else state.x[i] for i, choice in enumerate(asg.choices)
-    )
-    if committed != chosen:
-        raise ArithmeticError(
-            f"market state does not reproduce the committed values "
-            f"for {asg} at {params.describe()}"
-        )
+    chosen, state = op.resolve(params, nums, det * theta[0], det * t)
     payoffs = payoff_vector(params, state)
     soc_ok = all(op.foc[i][i] < 0 for i in range(3))
     interior = all(v >= 0 for v in state.x) and all(v >= 0 for v in state.p)
     return Equilibrium(params, asg, chosen, state, payoffs, interior, soc_ok)
+
+
+def resolve_market(params: ModelParams, assignment: AssignmentLike,
+                   chosen: Sequence[RationalLike]) -> MarketState:
+    """Resolve committed strategic values into the full market state.
+
+    A quantity chooser's value pins its output, a price chooser's its
+    inverse-demand equation; the (b, assignment) operator's pinning map
+    solves that system in closed form, on a and the values over their lcm,
+    and the state is checked to reproduce every committed value.
+    """
+    asg = as_assignment(assignment)
+    (a_num, *nums), den = _over_lcm((params.a, *rational_vector(chosen, 3)))
+    return _operator(*params.b.as_integer_ratio(), asg).resolve(params, nums, a_num, den)[1]
 
 
 @dataclass(frozen=True)
@@ -420,7 +448,7 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
             "closed-form output tables assume c_A = c_B, "
             f"got cA={params.c_a} cB={params.c_b}"
         )
-    rows, den = _printed_output_table(params.b)[pattern]
+    rows, den = _printed_output_table(*params.b.as_integer_ratio())[pattern]
     theta, t = _over_lcm((params.a, params.c_a, params.c_c))
     printed = tuple(Fraction(_dot(row, theta), den * t) for row in rows)
     corrected = printed if pattern != 1 else (printed[0], printed[1], -printed[2])
@@ -433,14 +461,15 @@ def _row(den, a, c_ab, c_c) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _printed_output_table(b: Fraction) -> dict:
-    """Each pattern's three transcribed rows at one b as ints over one denominator.
+def _printed_output_table(n: int, e: int) -> dict:
+    """Each pattern's three transcribed rows at b = n / e as ints over one denominator.
 
     An output is its row dotted with (a, c_AB, c_C), over that denominator.
-    Keyed by b alone: one verify run meets at most 64 distinct b, the given
-    one and the sampler's.
+    Keyed by the ints of b alone, as ``_operator`` is: one verify run meets
+    at most 64 distinct b, the given one and the sampler's.
     """
-    return {k: _over_lcm_rows(rows) for k, rows in _transcribed_output_table(b).items()}
+    table = _transcribed_output_table(Fraction(n, e))
+    return {k: _over_lcm_rows(rows) for k, rows in table.items()}
 
 
 def _transcribed_output_table(b) -> dict:
@@ -516,7 +545,7 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
         if not all(map(math.isfinite, current)):
             raise ValueError(f"init must be finite, got {current}")
 
-    op = _operator(params.b, asg)
+    op = _operator(*params.b.as_integer_ratio(), asg)
     theta, t = _over_lcm(_theta(params))
     den = op.foc_den
     curvature, slope, intercept = [], [], []

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: scalars, small linear solves, quadratic forms.
+"""Exact rational arithmetic: scalars, shared-denominator numerators, quadratic forms.
 
 Every value the package computes is exact, so equality checks are decisive:
 ``Fraction`` at the interfaces, integer numerators over one shared
@@ -8,6 +8,7 @@ output boundary (decimal rendering) and in the float-mode numeric routines.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -25,7 +26,6 @@ __all__ = [
     "decimal_string",
     "rational_vector",
     "SingularSystem",
-    "solve_linear",
     "QuadraticForm",
 ]
 
@@ -56,7 +56,13 @@ def as_rational(value: RationalLike) -> Fraction:
 def format_rational(value: RationalLike) -> str:
     """Render as ``"num/den"`` with the denominator always present, e.g. ``"3/1"``."""
     frac = as_rational(value)
-    return f"{frac.numerator}/{frac.denominator}"
+    try:
+        return f"{frac.numerator}/{frac.denominator}"
+    except ValueError:
+        # Python converts no int beyond its int-string limit to text.
+        raise ValueError(
+            f"a computed value has more than {sys.get_int_max_str_digits()} digits "
+            "and cannot be printed") from None
 
 
 def decimal_string(value) -> str:
@@ -91,40 +97,6 @@ class SingularSystem(Exception):
         if detail:
             message = f"{message} ({detail})"
         super().__init__(message)
-
-
-def solve_linear(matrix: Sequence[Sequence[RationalLike]],
-                 rhs: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Solve the square system A x = b exactly.
-
-    Partial pivoting only needs a nonzero pivot over Fractions (there is no
-    rounding to fight); SingularSystem is raised when a step has none. The
-    result is checked by substituting back into the original system.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("matrix must have at least one row")
-    rows = [rational_vector(row, n) for row in matrix]
-    vec = rational_vector(rhs, n)
-    aug = [[*row, v] for row, v in zip(rows, vec)]
-    for step in range(n):
-        pivot_row = next((r for r in range(step, n) if aug[r][step] != 0), None)
-        if pivot_row is None:
-            raise SingularSystem(step)
-        aug[step], aug[pivot_row] = aug[pivot_row], aug[step]
-        top = aug[step]
-        for row in aug[step + 1:]:
-            factor = row[step] / top[step]
-            if factor:
-                for c in range(step, n + 1):
-                    row[c] -= factor * top[c]
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        x[i] = (aug[i][n] - sum(aug[i][c] * x[c] for c in range(i + 1, n))) / aug[i][i]
-    for i, row in enumerate(rows):
-        if sum(a * v for a, v in zip(row, x)) != vec[i]:
-            raise ArithmeticError(f"back-substitution check failed in row {i}")
-    return tuple(x)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ game zero-sum no matter which strategic variables the firms pick.
 
 Each firm independently commits to either its quantity or its price as the
 strategic variable. A :class:`StrategyAssignment` records that choice per
-firm; :func:`resolve_market` turns the three committed values into the full
-market state by solving the demand system exactly.
+firm. Turning three committed values into the full market state is the
+pinning map of :mod:`triopoly.equilibrium` (``resolve_market`` there); this
+module holds the demand system it ends in, :meth:`MarketState.from_outputs`.
 
 The state -> payoff path (:func:`inverse_demand`, :func:`direct_demand`,
 :func:`profit`, :func:`payoff_vector`) works on exact integer numerators over
@@ -37,7 +38,6 @@ from .exact import (
     decimal_string,
     format_rational,
     rational_vector,
-    solve_linear,
 )
 
 FIRMS = ("A", "B", "C")
@@ -61,7 +61,6 @@ __all__ = [
     "PayoffVector",
     "inverse_demand",
     "direct_demand",
-    "resolve_market",
     "profit",
     "payoff_vector",
 ]
@@ -241,9 +240,10 @@ def as_assignment(value: AssignmentLike) -> StrategyAssignment:
 class MarketState:
     """A full market outcome: all three quantities and all three prices.
 
-    Instances are meant to be built through :meth:`from_outputs` or
-    :func:`resolve_market`, which guarantee that prices and quantities lie on
-    the demand system. The constructor itself only coerces and sizes.
+    Instances are meant to be built through :meth:`from_outputs`, directly or
+    by ``triopoly.equilibrium.resolve_market``, which guarantees that prices
+    and quantities lie on the demand system. The constructor itself only
+    coerces and sizes.
     """
 
     x: tuple[Fraction, Fraction, Fraction]
@@ -325,31 +325,6 @@ def direct_demand(params: ModelParams,
         Fraction(bd * (a_num * (bd - bn) - (bd + bn) * n[i] + bn * (total - n[i])), x_den)
         for i in range(3)
     )
-
-
-def resolve_market(params: ModelParams, assignment: AssignmentLike,
-                   chosen: Sequence[RationalLike]) -> MarketState:
-    """Resolve committed strategic values into the full market state.
-
-    For each firm the committed value pins one equation: a quantity chooser
-    pins x_i directly, a price chooser pins its inverse-demand equation
-    x_i + b (x_j + x_k) = a - p_i. The stacked 3x3 system is solved exactly
-    for the quantity vector and prices follow from inverse demand. For
-    0 < b < 1 the system is diagonally dominant, hence never singular.
-    """
-    asg = as_assignment(assignment)
-    values = rational_vector(chosen, 3)
-    rows = []
-    rhs = []
-    for i, choice in enumerate(asg.choices):
-        if choice == QUANTITY:
-            rows.append([Fraction(1 if j == i else 0) for j in range(3)])
-            rhs.append(values[i])
-        else:
-            rows.append([Fraction(1) if j == i else params.b for j in range(3)])
-            rhs.append(params.a - values[i])
-    x = solve_linear(rows, rhs)
-    return MarketState.from_outputs(params, x)
 
 
 def _profit_numerators(params: ModelParams,

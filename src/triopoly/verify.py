@@ -702,7 +702,7 @@ def _check_foc_residual(case: _SuiteCase, oracle: str):
 def _check_own_concavity(case: _SuiteCase, oracle: str):
     # Own curvature depends on b alone: the sign of the operator's own FOC coefficient.
     for asg in ALL_ASSIGNMENTS:
-        op = _operator(case.params.b, asg)
+        op = _operator(*case.params.b.as_integer_ratio(), asg)
         for i, firm in enumerate(FIRMS):
             if op.foc[i][i] >= 0:
                 return "fail", {"assignment": str(asg), "firm": firm,

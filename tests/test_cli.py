@@ -183,6 +183,24 @@ def test_value_beyond_int_string_limit_is_one_line_exit_1(cli, case, fmt):
                    "cannot be printed\n")
 
 
+# Inputs that print, whose derived values do not: b = 1/(10^3000 + 1), cB = 1/(10^2500 + 3).
+HUGE_DERIVED = ["--a", "10", "--b", f"1/{10**3000 + 1}", "--cA", "2",
+                "--cB", f"1/{10**2500 + 3}", "--cC", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *HUGE_DERIVED, "--format", "csv"],
+    ["verify", *HUGE_DERIVED, "--draws", "1", "--format", "json"],
+    ["minimax", *HUGE_DERIVED, "--format", "csv"],
+], ids=["solve", "verify", "minimax"])
+def test_derived_value_beyond_int_string_limit_is_one_line_exit_1(cli, argv):
+    code, out, err = cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: a computed value has more than {sys.get_int_max_str_digits()} "
+                   "digits and cannot be printed\n")
+
+
 def test_verify_renders_no_floats_for_huge_values(cli):
     code, out, err = cli(["verify", *HUGE_A, "--draws", "2"])
     assert code == 0

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -21,9 +22,10 @@ from triopoly.equilibrium import (
     best_response_iteration,
     build_payoff_quadratic,
     closed_form_outputs,
+    resolve_market,
     solve_equilibrium,
 )
-from triopoly.exact import QuadraticForm, SingularSystem, solve_linear
+from triopoly.exact import QuadraticForm, SingularSystem
 from triopoly.market import (
     ALL_ASSIGNMENTS,
     FIRMS,
@@ -31,7 +33,6 @@ from triopoly.market import (
     PRICE,
     ModelParams,
     payoff_vector,
-    resolve_market,
 )
 from triopoly.verify import sample_model_params
 
@@ -164,15 +165,26 @@ def _asymmetric_draws():
 ASYMMETRIC_DRAWS = _asymmetric_draws()
 
 
+def _det(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _residual_vanishes(rows, rhs, chosen) -> bool:
+    """rows . chosen == rhs exactly, with rows nonsingular: chosen is the unique solution."""
+    return _det(rows) != 0 and [sum(map(mul, row, chosen)) for row in rows] == list(rhs)
+
+
 @pytest.mark.parametrize("asg", ALL_ASSIGNMENTS, ids=str)
 def test_operator_solve_matches_independent_routes(asg):
+    # The stacked own-variable FOCs of the payoff forms, derived apart from the gain.
     for params in ASYMMETRIC_DRAWS:
         eq = solve_equilibrium(params, asg)
         forms = [build_payoff_quadratic(params, asg, firm).form for firm in FIRMS]
         rows = [[2 * forms[i].quad[i][j] for j in range(3)] for i in range(3)]
         rhs = [-forms[i].lin[i] for i in range(3)]
-        assert eq.chosen == solve_linear(rows, rhs)
-        assert resolve_market(params, asg, eq.chosen) == eq.state
+        assert _residual_vanishes(rows, rhs, eq.chosen)
 
 
 # b over 64 and over three large primes; a and costs with mixed denominators, c_A != c_B.
@@ -248,9 +260,10 @@ def test_integer_solve_matches_fraction_reference(params):
         eq = solve_equilibrium(params, asg)
         ref = _reference_operator(params.b, asg)
         rhs = [-sum(coef * value for coef, value in zip(row, theta)) for row in ref.foc_rhs]
-        assert eq.chosen == solve_linear(ref.foc, rhs)
+        assert _residual_vanishes(ref.foc, rhs, eq.chosen)
         assert eq.soc_ok == all(ref.foc[i][i] < 0 for i in range(3))
-        assert eq.state == resolve_market(params, asg, eq.chosen)
+        assert eq.state.x == tuple(sum(map(mul, row, eq.chosen)) + c * params.a
+                                   for row, c in zip(ref.x_map, ref.x_const))
         values = (*eq.chosen, *eq.state.x, *eq.state.p, *eq.payoffs.pi, *eq.payoffs.psi)
         assert all(type(v) is Fraction for v in values)
 
@@ -286,12 +299,14 @@ def test_warm_solve_does_no_fraction_arithmetic(monkeypatch):
     b = Fraction(5, 1_000_003)
     cold = ModelParams("37/3", b, "7/2", "11/5", 3)
     warm = ModelParams(50, b, "1/3", "2/7", "5/11")
+    chosen = (Fraction(7, 3), Fraction(-2, 5), 4)
     for asg in ALL_ASSIGNMENTS:
         solve_equilibrium(cold, asg)
     calls = _count_fraction_arithmetic(monkeypatch)
     for params in (cold, warm):
         for asg in ALL_ASSIGNMENTS:
             solve_equilibrium(params, asg)
+            resolve_market(params, asg, chosen)
     assert calls == []
 
 
@@ -320,7 +335,7 @@ def test_cold_operator_does_no_fraction_arithmetic(monkeypatch):
     _operator.cache_clear()
     calls = _count_fraction_arithmetic(monkeypatch)
     for asg in ALL_ASSIGNMENTS:
-        op = _operator(b, asg)
+        op = _operator(*b.as_integer_ratio(), asg)
         op.integer_solve, op.integer_payoff
     assert calls == []
     # The solves and the payoff forms read the operators built above.
@@ -333,9 +348,9 @@ def test_cold_operator_does_no_fraction_arithmetic(monkeypatch):
 
 def test_singular_gain_names_the_solve(monkeypatch):
     params = ModelParams(10, "1/3", 2, 2, 3)
-    op = _operator(params.b, PATTERNS[1])
+    op = _operator(*params.b.as_integer_ratio(), PATTERNS[1])
     singular = dataclasses.replace(op, foc=(op.foc[0], op.foc[0], op.foc[2]))
-    monkeypatch.setattr("triopoly.equilibrium._operator", lambda b, asg: singular)
+    monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: singular)
     with pytest.raises(SingularSystem, match=r"step 2 \(stacked first-order conditions "
                                              r"for QQQ at a=10/1 b=1/3 "):
         solve_equilibrium(params, 1)
@@ -347,12 +362,11 @@ def test_singular_gain_names_the_solve(monkeypatch):
     (2, ((1, 2, 3), (4, 5, 6), (7, 8, 9))),  # rank 2
 ])
 def test_cofactor_solve_reports_the_elimination_pivot_step(step, matrix):
+    # The step Gaussian elimination with partial pivoting would stop at.
     rows = [[Fraction(v) for v in row] for row in matrix]
-    with pytest.raises(SingularSystem) as eliminated:
-        solve_linear(rows, (1, 1, 1))
     with pytest.raises(SingularSystem) as cofactor:
         _cofactor_solve(rows, [(Fraction(1),)] * 3, PATTERNS[1])
-    assert cofactor.value.pivot_step == eliminated.value.pivot_step == step
+    assert cofactor.value.pivot_step == step
 
 
 def test_operator_cache_is_bounded_and_holds_the_sampler():
@@ -432,9 +446,9 @@ def test_gain_and_tables_run_on_any_exact_field(b):
     # operator must hold the same maps as the reference built on that field.
     for asg in ALL_ASSIGNMENTS:
         ref = _reference_operator(_Exact(b), asg)
-        op = _operator(b, asg)
+        op = _operator(*b.as_integer_ratio(), asg)
         gain, det = _unwrap(_cofactor_solve(ref.foc, ref.foc_rhs, asg))
-        int_gain, int_det = op.integer_solve[:2]
+        int_gain, int_det = op.integer_solve
         assert [[n / det for n in row] for row in gain] == \
             [[Fraction(n, int_det) for n in row] for row in int_gain]
         assert [(*x, c) for x, c in zip(ref.x_map, ref.x_const)] == _over(op.pin, op.q)
@@ -448,7 +462,7 @@ def test_gain_and_tables_run_on_any_exact_field(b):
             _over(rows, q)
     table = _unwrap(_transcribed_output_table(_Exact(b)))
     assert table == _transcribed_output_table(b)
-    for pattern, (rows, den) in _printed_output_table(b).items():
+    for pattern, (rows, den) in _printed_output_table(*b.as_integer_ratio()).items():
         assert tuple(tuple(Fraction(n, den) for n in row) for row in rows) == table[pattern]
 
 
@@ -513,6 +527,31 @@ def test_table_cache_is_keyed_on_b():
         for pattern in sorted(PATTERNS):
             closed_form_outputs(params, pattern)
     assert _printed_output_table.cache_info().currsize == len({p.b for p in draws})
+
+
+def test_cold_caches_never_compare_values_of_b(monkeypatch):
+    # Every Fraction over 2^61 - 1, the modulus of Python's numeric hash, hashes
+    # alike, so caches keyed on such b would tell their keys apart by __eq__.
+    den = 2**61 - 1
+    rng = random.Random(61)
+    draws = [ModelParams(10, Fraction(rng.randrange(1, den), den), 2, 2, 3) for _ in range(120)]
+    compared = []
+    real_eq = Fraction.__eq__
+
+    def counted(self, other):
+        if self.denominator == den == getattr(other, "denominator", None):
+            compared.append((self, other))
+        return real_eq(self, other)
+
+    _operator.cache_clear()
+    _printed_output_table.cache_clear()
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    for params in draws:
+        for asg in ALL_ASSIGNMENTS:
+            solve_equilibrium(params, asg)
+        closed_form_outputs(params, 1)
+    assert compared == []
+    assert _operator.cache_info().misses == len(draws) * len(ALL_ASSIGNMENTS)
 
 
 def test_closed_forms_validation():

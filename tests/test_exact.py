@@ -1,4 +1,4 @@
-"""Kernel tests: rational parsing and formatting, exact solves, quadratic forms."""
+"""Kernel tests: rational parsing and formatting, quadratic forms."""
 
 from fractions import Fraction
 
@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from triopoly.exact import (
     QuadraticForm,
-    SingularSystem,
     as_rational,
     decimal_string,
     format_rational,
     rational_vector,
-    solve_linear,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
@@ -68,66 +66,6 @@ def test_decimal_string_12_digits():
 def test_rational_vector_length_check():
     with pytest.raises(ValueError):
         rational_vector((1, 2), dim=3)
-
-
-# --- linear solve ------------------------------------------------------------
-
-
-def test_solve_identity():
-    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert solve_linear(eye, (1, 2, 3)) == (1, 2, 3)
-
-
-def test_solve_diagonal():
-    assert solve_linear([[2, 0], [0, 4]], (2, 4)) == (1, 1)
-
-
-def test_solve_requires_pivoting():
-    # First pivot is zero; a row swap is mandatory.
-    assert solve_linear([[0, 1], [1, 0]], (5, 7)) == (7, 5)
-
-
-def test_singular_system_carries_pivot_step():
-    with pytest.raises(SingularSystem) as info:
-        solve_linear([[1, 1], [1, 1]], (1, 2))
-    assert info.value.pivot_step == 1
-
-
-def test_solve_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        solve_linear([[1, 2, 3], [4, 5, 6]], (1, 2))
-    with pytest.raises(ValueError):
-        solve_linear([], ())
-    with pytest.raises(ValueError):
-        solve_linear([[1, 2], [3, 4]], (1, 2, 3))
-
-
-@st.composite
-def nonsingular_systems(draw, n=3):
-    # L unit-lower times U upper with nonzero diagonal is always nonsingular.
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    upper = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        lower[i][i] = Fraction(1)
-        upper[i][i] = draw(small_rationals.filter(lambda v: v != 0))
-        for j in range(i):
-            lower[i][j] = draw(small_rationals)
-        for j in range(i + 1, n):
-            upper[i][j] = draw(small_rationals)
-    matrix = [
-        [sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    x = tuple(draw(small_rationals) for _ in range(n))
-    return matrix, x
-
-
-@given(nonsingular_systems())
-@settings(max_examples=60, deadline=None)
-def test_solve_recovers_known_solution(system):
-    matrix, x = system
-    rhs = [sum(matrix[i][j] * x[j] for j in range(3)) for i in range(3)]
-    assert solve_linear(matrix, rhs) == x
 
 
 # --- quadratic forms ----------------------------------------------------------

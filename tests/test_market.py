@@ -22,8 +22,8 @@ from triopoly.market import (
     inverse_demand,
     payoff_vector,
     profit,
-    resolve_market,
 )
+from triopoly.equilibrium import resolve_market
 
 SPOT = ModelParams(10, "1/2", 2, 2, 3)
 
@@ -165,14 +165,21 @@ def test_resolve_pattern1_is_identity(vec):
     assert state == MarketState.from_outputs(SPOT, vec)
 
 
-@given(st.sampled_from(ALL_ASSIGNMENTS), outputs)
+# b over 64 and over large primes, so the pinning map's denominators mix.
+_b_values = st.sampled_from([64, 1_000_003, 10**9 + 7, 2**61 - 1]).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda k: Fraction(k, den)))
+
+
+@given(_b_values, st.fractions(min_value=4, max_value=40, max_denominator=997), outputs)
 @settings(max_examples=100, deadline=None)
-def test_resolve_pins_choices_and_satisfies_demand(asg, chosen):
-    state = resolve_market(SPOT, asg, chosen)
-    assert state.p == inverse_demand(SPOT, state.x)
-    for i, choice in enumerate(asg.choices):
-        pinned = state.x[i] if choice == "Q" else state.p[i]
-        assert pinned == chosen[i]
+def test_resolve_pins_choices_and_satisfies_demand(b, a, chosen):
+    params = ModelParams(a, b, "1/3", "2/7", 3)
+    for asg in ALL_ASSIGNMENTS:
+        state = resolve_market(params, asg, chosen)
+        assert state.p == inverse_demand(params, state.x)
+        for i, choice in enumerate(asg.choices):
+            pinned = state.x[i] if choice == "Q" else state.p[i]
+            assert pinned == chosen[i]
 
 
 def test_market_state_swap():
