@@ -27,7 +27,6 @@ from .market import (
     PayoffVector,
     StrategyAssignment,
     as_assignment,
-    direct_demand,
     ensure_float_safe,
     firm_index,
     inverse_demand,
@@ -44,6 +43,7 @@ from .equilibrium import (
     best_response_iteration,
     build_payoff_quadratic,
     closed_form_outputs,
+    direct_demand,
     resolve_market,
     solve_equilibrium,
 )

@@ -38,6 +38,7 @@ from .verify import (
     _matrix,
     _property_suite,
     _solve_draw,
+    _validate_draws,
     closed_form_discrepancies,
     minimax_check,
 )
@@ -248,6 +249,7 @@ def _solve_float_rows(params, selection):
 
 def _cmd_verify(args) -> tuple[str, bool]:
     params = _params_from_args(args)
+    _validate_draws(args.draws)  # before the solves below
     # The suite's draw 0 is the given set: its solves also build the matrix.
     solved = _solve_draw(params)
     matrix = _matrix(solved)

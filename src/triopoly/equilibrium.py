@@ -13,6 +13,8 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    ints over q = g h. It is the package's one route from committed values
    to a market state: ``solve_equilibrium`` and ``resolve_market`` both
    apply it and check that the state reproduces every committed value.
+   ``direct_demand``, the inverse of the demand system, is its all-price
+   case, applied without that check.
 2. Each firm's free variable (its price, or its output) is affine in v, ints
    over q e, so its profit and its relative payoff psi_i = sum_k W_ik pi_k
    are exact quadratics in v. Differentiating psi_i in the own variable
@@ -79,6 +81,7 @@ __all__ = [
     "Equilibrium",
     "solve_equilibrium",
     "resolve_market",
+    "direct_demand",
     "ClosedFormOutputs",
     "closed_form_outputs",
     "IterationResult",
@@ -114,9 +117,7 @@ def _over_lcm_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
 def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
     """N = -adj(M) R and D = det M for a 3x3 M on any exact ring, checked M N + D R = 0.
 
-    D = 0 raises SingularSystem at the elimination step that finds no pivot:
-    0 if column 0 vanishes, 1 if columns 0 and 1 are dependent (the
-    cofactors of column 2 vanish), else 2.
+    D = 0 raises SingularSystem.
     """
     (a, b, c), (d, e, f), (g, h, i) = m
     adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
@@ -124,7 +125,7 @@ def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
            (d * h - e * g, b * g - a * h, a * e - b * d))
     det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
     if det == 0:
-        raise SingularSystem(0 if not (a or d or g) else 1 if not any(adj[2]) else 2)
+        raise SingularSystem()
     gain = tuple(tuple(-_dot(row, col) for col in zip(*rhs)) for row in adj)
     for row, r in zip(m, rhs):
         if any(_dot(row, col) + det * r_t != 0 for col, r_t in zip(zip(*gain), r)):
@@ -142,6 +143,11 @@ class _Operator:
     over q e, from the rows of ``free``. The stacked own-variable
     first-order conditions read [M | L] . (v, theta) = 0, from the rows of
     ``foc`` over ``foc_den`` > 0.
+
+    These rows are the package's only copy of each map: the pinning map and
+    ``direct_demand`` apply ``pin``, ``payoff_form`` reads ``free`` and the
+    columns of ``pin``, and the solve and its second-order flag read ``foc``.
+    Nothing outside this module reads them.
     """
 
     assignment: StrategyAssignment
@@ -164,16 +170,19 @@ class _Operator:
         g = math.gcd(det, *(n for row in gain for n in row)) * (1 if det > 0 else -1)
         return tuple(tuple(n // g for n in row) for row in gain), det // g
 
+    def outputs(self, nums: Sequence[int], a_num: int,
+                den: int) -> tuple[Fraction, Fraction, Fraction]:
+        """Outputs x = [X | x0] . (nums, a_num) / (q den) at v = nums / den, a = a_num / den."""
+        return tuple(Fraction(_dot(row, (*nums, a_num)), self.q * den) for row in self.pin)
+
     def resolve(self, params: ModelParams, nums: Sequence[int], a_num: int,
                 den: int) -> tuple[tuple[Fraction, Fraction, Fraction], MarketState]:
         """(v, state) for committed values v = nums / den at a = a_num / den, checked.
 
-        The outputs are x = [X | x0] . (nums, a_num) / (q den), and the state
-        must reproduce each committed value: a price chooser's p_i and a
-        quantity chooser's x_i.
+        The state holds the outputs of :meth:`outputs`, and it must reproduce
+        each committed value: a price chooser's p_i and a quantity chooser's x_i.
         """
-        x = tuple(Fraction(_dot(row, (*nums, a_num)), self.q * den) for row in self.pin)
-        state = MarketState.from_outputs(params, x)
+        state = MarketState.from_outputs(params, self.outputs(nums, a_num, den))
         chosen = tuple(Fraction(n, den) for n in nums)
         committed = tuple(state.p[i] if choice == PRICE else state.x[i]
                           for i, choice in enumerate(self.assignment.choices))
@@ -183,17 +192,6 @@ class _Operator:
                 f"for {self.assignment} at {params.describe()}"
             )
         return chosen, state
-
-    @cached_property
-    def integer_payoff(self) -> tuple:
-        """(row_0, row_1, row_2, q e): the payoff forms' theta-linear part on ints.
-
-        row_j = (f0_j, e X_0j, e X_1j, e X_2j, e x0_j): firm j's free-variable
-        constant, and column j of the pinning map with its constant, over q e.
-        """
-        e, pin = self.e, self.pin
-        return (*((f[3], *(e * x[j] for x in pin), e * pin[j][3])
-                  for j, f in enumerate(self.free)), self.q * e)
 
     @cached_property
     def psi_quad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -219,18 +217,19 @@ class _Operator:
 
         Profit pi_k = (p_k - c_k) x_k has the linear term a f0_k e_k - c_k X_k
         and the constant -a c_k x0_k; psi_i weights them by half of
-        _TWICE_WEIGHTS[i]. Both are dot products on ints: ``integer_payoff``
-        over its denominator r, theta over its lcm t and the weights doubled,
-        so ``lin`` is over 2 r t and ``const`` over 2 r t^2. ``psi_quad`` is
-        taken as it is.
+        _TWICE_WEIGHTS[i]. Both are dot products on ints over q e: f0_j from
+        ``free[j]``, and column j of ``pin`` times e. With theta over its lcm
+        t and the weights doubled, ``lin`` is over 2 q e t and ``const`` over
+        2 q e t^2. ``psi_quad`` is taken as it is.
         """
-        *rows, r = self.integer_payoff
+        e, pin = self.e, self.pin
         (a, *costs), t = _over_lcm(theta)
         weights = _TWICE_WEIGHTS[i]
         scaled_costs = tuple(map(mul, weights, costs))
-        lin = tuple(Fraction(a * weights[j] * row[0] - _dot(scaled_costs, row[1:4]), 2 * r * t)
-                    for j, row in enumerate(rows))
-        const = Fraction(-a * _dot(scaled_costs, (row[4] for row in rows)), 2 * r * t * t)
+        den = 2 * self.q * e * t
+        lin = tuple(Fraction(a * weights[j] * f[3] - e * _dot(scaled_costs, (x[j] for x in pin)),
+                             den) for j, f in enumerate(self.free))
+        const = Fraction(-a * e * _dot(scaled_costs, (x[3] for x in pin)), den * t)
         return QuadraticForm(self.psi_quad[i], lin, const)
 
 
@@ -375,9 +374,9 @@ def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equili
     op = _operator(*params.b.as_integer_ratio(), asg)
     try:
         gain, det = op.integer_solve
-    except SingularSystem as exc:
-        detail = f"stacked first-order conditions for {asg} at {params.describe()}"
-        raise SingularSystem(exc.pivot_step, detail) from None
+    except SingularSystem:
+        raise SingularSystem(
+            f"stacked first-order conditions for {asg} at {params.describe()}") from None
     theta, t = _over_lcm(_theta(params))
     nums = [_dot(row, theta) for row in gain]
     for i, row in enumerate(op.foc):
@@ -405,6 +404,19 @@ def resolve_market(params: ModelParams, assignment: AssignmentLike,
     asg = as_assignment(assignment)
     (a_num, *nums), den = _over_lcm((params.a, *rational_vector(chosen, 3)))
     return _operator(*params.b.as_integer_ratio(), asg).resolve(params, nums, a_num, den)[1]
+
+
+def direct_demand(params: ModelParams,
+                  p: Sequence[RationalLike]) -> tuple[Fraction, Fraction, Fraction]:
+    """Outputs demanded at the given prices, the exact inverse of ``inverse_demand``.
+
+    This is the all-price pinning map: the PPP operator's rows applied to the
+    prices and a over their lcm. Unlike :func:`resolve_market` it runs no
+    back-substitution check, so a round trip through ``inverse_demand``
+    tests the pinning rows independently.
+    """
+    (a_num, *nums), den = _over_lcm((params.a, *rational_vector(p, 3)))
+    return _operator(*params.b.as_integer_ratio(), PATTERNS[6]).outputs(nums, a_num, den)
 
 
 @dataclass(frozen=True)

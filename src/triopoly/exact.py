@@ -89,14 +89,10 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 class SingularSystem(Exception):
-    """A linear system has no unique solution: elimination step ``pivot_step`` finds no pivot."""
+    """A linear system has no unique solution; ``detail`` names the system."""
 
-    def __init__(self, pivot_step: int, detail: str = ""):
-        self.pivot_step = pivot_step
-        message = f"singular system: no nonzero pivot at elimination step {pivot_step}"
-        if detail:
-            message = f"{message} ({detail})"
-        super().__init__(message)
+    def __init__(self, detail: str = ""):
+        super().__init__(f"singular system ({detail})" if detail else "singular system")
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,17 @@ game zero-sum no matter which strategic variables the firms pick.
 
 Each firm independently commits to either its quantity or its price as the
 strategic variable. A :class:`StrategyAssignment` records that choice per
-firm. Turning three committed values into the full market state is the
-pinning map of :mod:`triopoly.equilibrium` (``resolve_market`` there); this
-module holds the demand system it ends in, :meth:`MarketState.from_outputs`.
+firm.
 
-The state -> payoff path (:func:`inverse_demand`, :func:`direct_demand`,
-:func:`profit`, :func:`payoff_vector`) works on exact integer numerators over
-a shared denominator and builds ``Fraction``s only for the values it returns.
+This module holds the model's primitives: inverse demand, profits and
+payoffs. Every map derived from them lives in :mod:`triopoly.equilibrium`,
+among them the pinning map from three committed values to the full market
+state (``resolve_market``) and its all-price case, the demand inversion
+(``direct_demand``). Both end in :meth:`MarketState.from_outputs` here.
+
+The state -> payoff path (:func:`inverse_demand`, :func:`profit`,
+:func:`payoff_vector`) works on exact integer numerators over a shared
+denominator and builds ``Fraction``s only for the values it returns.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .exact import (
     RationalLike,
     _over_lcm,
     as_rational,
-    decimal_string,
     format_rational,
     rational_vector,
 )
@@ -60,7 +63,6 @@ __all__ = [
     "MarketState",
     "PayoffVector",
     "inverse_demand",
-    "direct_demand",
     "profit",
     "payoff_vector",
 ]
@@ -279,14 +281,6 @@ class PayoffVector:
         object.__setattr__(self, "pi", rational_vector(self.pi, 3))
         object.__setattr__(self, "psi", rational_vector(self.psi, 3))
 
-    def to_dict(self) -> dict:
-        return {
-            "pi": [format_rational(v) for v in self.pi],
-            "psi": [format_rational(v) for v in self.psi],
-            "pi_dec": [decimal_string(v) for v in self.pi],
-            "psi_dec": [decimal_string(v) for v in self.psi],
-        }
-
 
 def inverse_demand(params: ModelParams,
                    x: Sequence[RationalLike]) -> tuple[Fraction, Fraction, Fraction]:
@@ -304,27 +298,6 @@ def inverse_demand(params: ModelParams,
     total = n[0] + n[1] + n[2]
     return tuple(Fraction(a_num - x_scale * n[i] - b_scale * (total - n[i]), den)
                  for i in range(3))
-
-
-def direct_demand(params: ModelParams,
-                  p: Sequence[RationalLike]) -> tuple[Fraction, Fraction, Fraction]:
-    """Outputs demanded at the given prices, the exact inverse of :func:`inverse_demand`.
-
-    Derived by inverting the inverse-demand system:
-
-        x_i = [ a (1 - b) - (1 + b) p_i + b (p_j + p_k) ] / [ (1 - b)(1 + 2b) ].
-
-    With b = bn / bd and a, p over one denominator den, numerator and
-    denominator are scaled by bd^2 so that only integers enter.
-    """
-    (a_num, *n), den = _over_lcm((params.a, *rational_vector(p, 3)))
-    bn, bd = params.b.as_integer_ratio()
-    total = n[0] + n[1] + n[2]
-    x_den = den * (bd - bn) * (bd + 2 * bn)
-    return tuple(
-        Fraction(bd * (a_num * (bd - bn) - (bd + bn) * n[i] + bn * (total - n[i])), x_den)
-        for i in range(3)
-    )
 
 
 def _profit_numerators(params: ModelParams,

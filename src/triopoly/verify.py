@@ -30,7 +30,6 @@ from .market import (
     ModelParams,
     StrategyAssignment,
     as_assignment,
-    direct_demand,
     ensure_float_safe,
     firm_index,
     inverse_demand,
@@ -38,9 +37,9 @@ from .market import (
 )
 from .equilibrium import (
     Equilibrium,
-    _operator,
     build_payoff_quadratic,
     closed_form_outputs,
+    direct_demand,
     solve_equilibrium,
 )
 
@@ -700,13 +699,12 @@ def _check_foc_residual(case: _SuiteCase, oracle: str):
 
 
 def _check_own_concavity(case: _SuiteCase, oracle: str):
-    # Own curvature depends on b alone: the sign of the operator's own FOC coefficient.
+    # Every solve flags whether each firm's own curvature is negative.
     for asg in ALL_ASSIGNMENTS:
-        op = _operator(*case.params.b.as_integer_ratio(), asg)
-        for i, firm in enumerate(FIRMS):
-            if op.foc[i][i] >= 0:
-                return "fail", {"assignment": str(asg), "firm": firm,
-                                "curvature": format_rational(Fraction(op.foc[i][i], op.foc_den))}
+        if not case.solved[asg.pattern or str(asg)].soc_ok:
+            forms = (build_payoff_quadratic(case.params, asg, firm) for firm in FIRMS)
+            curvature = [format_rational(form.own_curvature) for form in forms]
+            return "fail", {"assignment": str(asg), "curvature": curvature}
     return "ok", None
 
 
@@ -814,12 +812,16 @@ def property_suite(params: ModelParams, draws: int = 100, seed: int = 0, *,
     return _property_suite(params, draws, seed, oracle)
 
 
+def _validate_draws(draws: int) -> None:
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+
+
 def _property_suite(params: ModelParams, draws: int, seed: int, oracle: str,
                     first: dict | None = None) -> SuiteReport:
     # ``first``, when given, is _solve_draw(params): draw 0's solves, shared
     # with a caller that already holds them.
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    _validate_draws(draws)
     if oracle not in ("corrected", "printed"):
         raise ValueError(f"oracle must be 'corrected' or 'printed', got {oracle!r}")
     rng = random.Random(seed)

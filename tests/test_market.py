@@ -16,14 +16,13 @@ from triopoly.market import (
     ModelParams,
     PayoffVector,
     as_assignment,
-    direct_demand,
     ensure_float_safe,
     firm_index,
     inverse_demand,
     payoff_vector,
     profit,
 )
-from triopoly.equilibrium import resolve_market
+from triopoly.equilibrium import direct_demand, resolve_market
 
 SPOT = ModelParams(10, "1/2", 2, 2, 3)
 
@@ -246,10 +245,8 @@ def test_zero_sum_check_survives_optimize_flag(src_env):
 
 # --- exactness against the textbook formulas ---------------------------------------
 
-# b with a large prime denominator, costs and a with mixed denominators, and
-# outputs and prices that may be negative or zero.
-_PRIME = 1_000_003
-_b_values = st.integers(1, _PRIME - 1).map(lambda k: Fraction(k, _PRIME))
+# b from _b_values above (direct_demand reads the operator cached per b), costs
+# and a with mixed denominators, and outputs and prices that may be negative or zero.
 _costs = st.fractions(min_value=0, max_value=40, max_denominator=10**4)
 _margins = st.fractions(min_value=0, max_value=40, max_denominator=997).filter(lambda m: m > 0)
 _values = st.one_of(st.just(Fraction(0)),
@@ -334,7 +331,7 @@ def test_state_to_payoff_path_does_no_fraction_arithmetic(monkeypatch):
             return _real(self, other)
 
         monkeypatch.setattr(Fraction, name, counted)
-    params = ModelParams("37/3", Fraction(5, _PRIME), "7/2", "11/5", 3)
+    params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "11/5", 3)
     x = (Fraction(7, 3), Fraction(-5, 16), Fraction(0))
     assert Fraction(1, 2) * Fraction(1, 3) == Fraction(1, 6)
     assert calls == ["__mul__"]  # the counters see Fraction arithmetic

@@ -37,8 +37,22 @@ def test_cache_inventory():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(map(cached, node.decorator_list))
     )
-    assert found == ["_operator", "_printed_output_table", "integer_payoff", "integer_solve",
-                     "psi_quad"]
+    assert found == ["_operator", "_printed_output_table", "integer_solve", "psi_quad"]
+
+
+def test_no_module_imports_private_names_of_equilibrium():
+    # The (b, assignment) operator's row layout is private to triopoly.equilibrium.
+    found = [
+        f"{path.name}:{node.lineno}:{alias.name}"
+        for path in sorted((SRC / "triopoly").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "triopoly.equilibrium"
+             or (node.level == 1 and node.module == "equilibrium"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
 
 
 def test_import_does_not_load_cli(src_env):

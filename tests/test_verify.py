@@ -1,5 +1,6 @@
 """Verification layer tests: equivalence, minimax scans, property suite."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import triopoly.verify
 from triopoly.equilibrium import build_payoff_quadratic, solve_equilibrium
-from triopoly.exact import QuadraticForm, as_rational
+from triopoly.exact import QuadraticForm, as_rational, format_rational
 from triopoly.market import ModelParams
 from triopoly.verify import (
     DegenerateSlice,
@@ -473,6 +474,35 @@ def test_verify_command_solves_each_key_once(solve_calls, capsys):
                     "--cC", "3", "--draws", "100"]) == 0
     assert "verification: PASS" in capsys.readouterr().out
     assert len(solve_calls) == 800
+
+
+def test_verify_command_rejects_draws_before_solving(solve_calls, capsys):
+    from triopoly.cli import run_cli
+
+    assert run_cli(["verify", "--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2",
+                    "--cC", "3", "--draws", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: draws must be at least 1, got 0\n")
+    assert solve_calls == []
+
+
+def test_own_concavity_fails_on_a_solve_without_its_second_order_flag(monkeypatch):
+    real = triopoly.verify.solve_equilibrium
+
+    def flagged(params, assignment):
+        eq = real(params, assignment)
+        return dataclasses.replace(eq, soc_ok=False) if assignment == "QPP" else eq
+
+    monkeypatch.setattr(triopoly.verify, "solve_equilibrium", flagged)
+    outcome = {p.name: p for p in property_suite(SPOT, draws=1).properties}
+    concavity = outcome["own_concavity"]
+    assert (concavity.status, concavity.checked) == ("fail", 1)
+    example = concavity.counterexample
+    assert (example["draw"], example["assignment"]) == (0, "QPP")
+    assert example["curvature"] == [
+        format_rational(build_payoff_quadratic(SPOT, "QPP", firm).own_curvature)
+        for firm in "ABC"]
+    assert all(p.status != "fail" for name, p in outcome.items() if name != "own_concavity")
 
 
 def test_verify_command_builds_the_matrix_once(solve_calls, capsys):
