@@ -194,7 +194,7 @@ class _Operator:
         return chosen, state
 
     @cached_property
-    def psi_quad(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    def psi_quad(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The relative payoffs' quadratic matrices in v, derived apart from ``foc``.
 
         pi_k = v_k (F_k . v) / (q e) + ..., so psi_i = 3/2 pi_i - 1/2 sum(pi)
@@ -203,34 +203,34 @@ class _Operator:
         is ``shared``. Each entry is an int over 4 q e. Only ``payoff_form``
         reads it.
         """
-        f, den = self.free, 4 * self.q * self.e
-        numer = {(r, s): -f[r][s] - f[s][r] for r in range(3) for s in range(r, 3)}
-        upper = {key: Fraction(v, den) for key, v in numer.items()}
-        shared = [[upper[min(r, s), max(r, s)] for s in range(3)] for r in range(3)]
-        own = [[Fraction(4 * f[i][i] if s == i else numer[min(i, s), max(i, s)] + 3 * f[i][s], den)
-                for s in range(3)] for i in range(3)]
+        f = self.free
+        shared = [[-f[r][s] - f[s][r] for s in range(3)] for r in range(3)]
+        own = [[4 * f[i][i] if s == i else shared[i][s] + 3 * f[i][s] for s in range(3)]
+               for i in range(3)]
         return tuple(tuple(tuple(own[i][s] if r == i else own[i][r] if s == i else shared[r][s]
                                  for s in range(3)) for r in range(3)) for i in range(3))
 
     def payoff_form(self, i: int, theta: Sequence[Fraction]) -> QuadraticForm:
-        """Firm i's relative payoff as a quadratic in v at the given theta.
+        """Firm i's relative payoff as a quadratic in v at the given theta, on ints.
 
         Profit pi_k = (p_k - c_k) x_k has the linear term a f0_k e_k - c_k X_k
         and the constant -a c_k x0_k; psi_i weights them by half of
         _TWICE_WEIGHTS[i]. Both are dot products on ints over q e: f0_j from
         ``free[j]``, and column j of ``pin`` times e. With theta over its lcm
-        t and the weights doubled, ``lin`` is over 2 q e t and ``const`` over
-        2 q e t^2. ``psi_quad`` is taken as it is.
+        t and the weights doubled, the linear part is over 2 q e t and the
+        constant over 2 q e t^2; with ``psi_quad`` over 4 q e, the form is
+        over 4 q e t^2.
         """
         e, pin = self.e, self.pin
         (a, *costs), t = _over_lcm(theta)
         weights = _TWICE_WEIGHTS[i]
         scaled_costs = tuple(map(mul, weights, costs))
-        den = 2 * self.q * e * t
-        lin = tuple(Fraction(a * weights[j] * f[3] - e * _dot(scaled_costs, (x[j] for x in pin)),
-                             den) for j, f in enumerate(self.free))
-        const = Fraction(-a * e * _dot(scaled_costs, (x[3] for x in pin)), den * t)
-        return QuadraticForm(self.psi_quad[i], lin, const)
+        lin = [2 * t * (a * weights[j] * f[3] - e * _dot(scaled_costs, (x[j] for x in pin)))
+               for j, f in enumerate(self.free)]
+        const = -2 * a * e * _dot(scaled_costs, (x[3] for x in pin))
+        tt = t * t
+        quad = [[v * tt for v in row] for row in self.psi_quad[i]]
+        return QuadraticForm.from_numerators(quad, lin, const, 4 * self.q * e * tt)
 
 
 @lru_cache(maxsize=1024)
@@ -295,7 +295,7 @@ class QuadraticPayoff:
     def own_curvature(self) -> Fraction:
         """Second derivative in the firm's own variable; negative means concave."""
         i = self.own_index
-        return 2 * self.form.quad[i][i]
+        return Fraction(2 * self.form.quad_num[i][i], self.form.den)
 
     def respond(self, others: Sequence[RationalLike]) -> Fraction:
         """Payoff-maximizing own value against two fixed rival values.
@@ -305,18 +305,17 @@ class QuadraticPayoff:
         interior maximum in the own variable.
         """
         rivals = rational_vector(others, 2)
-        if self.own_curvature >= 0:
+        i, quad = self.own_index, self.form.quad_num
+        if quad[i][i] >= 0:
             raise ConcavityViolation(
                 f"payoff of firm {self.firm} under {self.assignment} is not concave "
                 f"in its own variable (curvature {self.own_curvature})"
             )
-        i = self.own_index
-        full = list(rivals)
-        full.insert(i, Fraction(0))
-        slope = self.form.lin[i] + 2 * sum(
-            self.form.quad[i][j] * full[j] for j in range(3) if j != i
-        )
-        return -slope / self.own_curvature
+        # With the rivals over their lcm s, the own slope is over den s.
+        nums, s = _over_lcm(rivals)
+        nums.insert(i, 0)
+        slope = self.form.lin_num[i] * s + 2 * _dot(quad[i], nums)
+        return Fraction(-slope, 2 * quad[i][i] * s)
 
 
 def build_payoff_quadratic(params: ModelParams, assignment: AssignmentLike,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 Rational = Fraction
@@ -95,57 +96,94 @@ class SingularSystem(Exception):
         super().__init__(f"singular system ({detail})" if detail else "singular system")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class QuadraticForm:
     """An exact quadratic map ``v -> v' Q v + lin . v + const`` with symmetric Q.
 
-    Symmetry is enforced at construction so the gradient is simply
-    ``2 Q v + lin`` with no hidden factor bookkeeping.
+    The form holds integer numerators over one positive denominator ``den``,
+    reduced so that they share no common factor with it. That representation
+    is unique, so equality and hashing are by value, and ``quad``, ``lin``
+    and ``const`` are exact ``Fraction`` views of it. Evaluation, the
+    gradient and slicing run on the integers. Symmetry is enforced at
+    construction so the gradient is simply ``2 Q v + lin`` with no hidden
+    factor bookkeeping.
     """
 
-    quad: tuple[tuple[Fraction, ...], ...]
-    lin: tuple[Fraction, ...]
-    const: Fraction
+    quad_num: tuple[tuple[int, ...], ...]
+    lin_num: tuple[int, ...]
+    const_num: int
+    den: int
 
-    def __post_init__(self):
-        lin = rational_vector(self.lin)
+    def __init__(self, quad: Sequence[Sequence[RationalLike]], lin: Sequence[RationalLike],
+                 const: RationalLike):
+        lin = rational_vector(lin)
         n = len(lin)
-        if len(self.quad) != n:
+        if len(quad) != n:
             raise ValueError(f"quadratic matrix must be {n}x{n} to match the linear part")
-        quad = tuple(rational_vector(row, n) for row in self.quad)
+        rows = [rational_vector(row, n) for row in quad]
+        flat, den = _over_lcm([*(v for row in rows for v in row), *lin, as_rational(const)])
+        self._fill([flat[k:k + n] for k in range(0, n * n, n)], flat[n * n:-1], flat[-1], den)
+
+    @classmethod
+    def from_numerators(cls, quad: Sequence[Sequence[int]], lin: Sequence[int], const: int,
+                        den: int) -> "QuadraticForm":
+        """The form ``(quad, lin, const) / den`` from integer numerators over ``den`` > 0."""
+        form = object.__new__(cls)
+        form._fill(quad, lin, const, den)
+        return form
+
+    def _fill(self, quad, lin, const: int, den: int) -> None:
+        n = len(lin)
+        if len(quad) != n or any(len(row) != n for row in quad):
+            raise ValueError(f"quadratic matrix must be {n}x{n} to match the linear part")
         for i in range(n):
             for j in range(i):
                 if quad[i][j] != quad[j][i]:
                     raise ValueError("quadratic coefficient matrix must be symmetric")
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "const", as_rational(self.const))
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        g = gcd(den, const, *lin, *(v for row in quad for v in row))
+        object.__setattr__(self, "quad_num", tuple(tuple(v // g for v in row) for row in quad))
+        object.__setattr__(self, "lin_num", tuple(v // g for v in lin))
+        object.__setattr__(self, "const_num", const // g)
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def zero(cls, dim: int) -> "QuadraticForm":
-        row = (Fraction(0),) * dim
-        return cls((row,) * dim, row, Fraction(0))
+        row = (0,) * dim
+        return cls.from_numerators((row,) * dim, row, 0, 1)
+
+    @property
+    def quad(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.quad_num)
+
+    @property
+    def lin(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.lin_num)
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.const_num, self.den)
 
     @property
     def dim(self) -> int:
-        return len(self.lin)
+        return len(self.lin_num)
+
+    def __repr__(self) -> str:
+        return f"QuadraticForm(quad={self.quad!r}, lin={self.lin!r}, const={self.const!r})"
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        v = rational_vector(point, self.dim)
-        total = self.const
-        for i in range(self.dim):
-            total += self.lin[i] * v[i]
-            row = self.quad[i]
-            for j in range(self.dim):
-                total += row[j] * v[i] * v[j]
-        return total
+        # At v = nums / s, the value is over den s^2.
+        nums, s = _over_lcm(rational_vector(point, self.dim))
+        total = (self.const_num * s + sum(map(mul, self.lin_num, nums))) * s
+        for row, v in zip(self.quad_num, nums):
+            total += sum(map(mul, row, nums)) * v
+        return Fraction(total, self.den * s * s)
 
     def gradient(self, point: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        v = rational_vector(point, self.dim)
-        return tuple(
-            2 * sum(self.quad[i][j] * v[j] for j in range(self.dim)) + self.lin[i]
-            for i in range(self.dim)
-        )
+        nums, s = _over_lcm(rational_vector(point, self.dim))
+        return tuple(Fraction(2 * sum(map(mul, row, nums)) + lin * s, self.den * s)
+                     for row, lin in zip(self.quad_num, self.lin_num))
 
     def slice(self, keep: Sequence[int], fixed: Mapping[int, RationalLike]) -> "QuadraticForm":
         """Restrict to the ``keep`` coordinates, pinning the rest at ``fixed`` values.
@@ -153,7 +191,8 @@ class QuadraticForm:
         The result is a quadratic form over len(keep) variables whose value at
         y equals this form's value at the full vector assembled from y and the
         fixed entries. ``keep`` and ``fixed`` together must cover every
-        coordinate exactly once.
+        coordinate exactly once. With the fixed values over their lcm s, the
+        result is over den s^2.
         """
         n = self.dim
         keep = tuple(keep)
@@ -161,19 +200,14 @@ class QuadraticForm:
         seen = set(keep) | set(fixed_vals)
         if len(keep) + len(fixed_vals) != n or seen != set(range(n)):
             raise ValueError("keep and fixed must partition the coordinate indices")
-        m = len(keep)
-        quad = tuple(
-            tuple(self.quad[keep[r]][keep[s]] for s in range(m)) for r in range(m)
+        nums, s = _over_lcm(list(fixed_vals.values()))
+        pinned = tuple(zip(fixed_vals, nums))
+        quad, lin = self.quad_num, self.lin_num
+        ss = s * s
+        return QuadraticForm.from_numerators(
+            [[quad[r][c] * ss for c in keep] for r in keep],
+            [(lin[r] * s + 2 * sum(quad[r][f] * v for f, v in pinned)) * s for r in keep],
+            (self.const_num * s + sum(lin[f] * v for f, v in pinned)) * s
+            + sum(quad[f][g] * vf * vg for f, vf in pinned for g, vg in pinned),
+            self.den * ss,
         )
-        lin = tuple(
-            self.lin[keep[r]]
-            + 2 * sum(self.quad[keep[r]][f] * val for f, val in fixed_vals.items())
-            for r in range(m)
-        )
-        const = self.const
-        for f, val in fixed_vals.items():
-            const += self.lin[f] * val
-        for f, vf in fixed_vals.items():
-            for g, vg in fixed_vals.items():
-                const += self.quad[f][g] * vf * vg
-        return QuadraticForm(quad, lin, const)

@@ -134,11 +134,13 @@ class ModelParams:
 
 
 def ensure_float_safe(params: ModelParams) -> None:
-    """Reject parameter sets that float-mode routines cannot treat reliably.
+    """Refuse, in float mode, a b within 1e-6 of 1; exact mode accepts every 0 < b < 1.
 
-    The demand inversion divides by (1 - b)(1 + 2b); when b sits within 1e-6
-    of 1 that division amplifies float noise past any useful tolerance, so
-    float mode refuses such inputs (exact mode accepts them).
+    This is a fixed part of the float-mode contract, not a rounding guard:
+    no float routine inverts the demand system. Whether the float
+    best-response iteration converges depends on b and the assignment (at
+    damping 1/2 some assignments diverge well below b = 1), and the refusal
+    stays as it is until float mode decides convergence up front.
     """
     if Fraction(1) - params.b < Fraction(1, 10**6):
         raise ValueError(

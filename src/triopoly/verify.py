@@ -202,7 +202,8 @@ class GridSpec:
         return (self.hi - self.lo) / (self.points - 1)
 
     def values(self) -> list[Fraction]:
-        return [self.lo + i * self.step for i in range(self.points)]
+        lo, step = self.lo, self.step
+        return [lo + i * step for i in range(self.points)]
 
     def float_values(self) -> list[float]:
         lo, step = float(self.lo), float(self.step)
@@ -236,10 +237,9 @@ def _segment_extreme(alpha, beta, gamma, lo, hi, maximize: bool):
 
 
 def _check_not_degenerate(form: QuadraticForm) -> None:
+    quad, lin = form.quad_num, form.lin_num
     for coord, role in ((0, "maximized"), (1, "minimized")):
-        other = 1 - coord
-        if form.quad[coord][coord] == 0 and form.quad[coord][other] == 0 \
-                and form.lin[coord] == 0:
+        if quad[coord][coord] == 0 and quad[coord][1 - coord] == 0 and lin[coord] == 0:
             raise DegenerateSlice(f"payoff is constant in the {role} variable")
 
 
@@ -318,9 +318,10 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     evaluation.
     """
     inner = 1 - outer
-    coefs = (form.quad[inner][inner], form.quad[inner][outer], form.quad[outer][outer],
-             form.lin[inner], form.lin[outer], form.const)
-    (q_ii, q_io, q_oo, l_i, l_o, k), d = _over_lcm(coefs)
+    quad, lin, d = form.quad_num, form.lin_num, form.den
+    coefs = (quad[inner][inner], quad[inner][outer], quad[outer][outer],
+             lin[inner], lin[outer], form.const_num)
+    q_ii, q_io, q_oo, l_i, l_o, k = coefs
     # t_i = (t0 + i dt) / s and w = W / s, with integers t0, dt, s and W.
     n = grid.points - 1
     s = math.lcm(grid.lo.denominator, grid.hi.denominator) * n
@@ -355,8 +356,9 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     if mode == "exact":
         return Fraction(best, m * d * s * s)
 
-    floats = tuple(map(float, coefs))
-    lo, hi, step = float(grid.lo), float(grid.hi), float(grid.step)
+    # int / int rounds correctly, so each float is the exact rational's float.
+    floats = tuple(c / d for c in coefs)
+    lo, hi, step = w_lo / s, w_hi / s, dt / s
     reach = 2 * _float_error_bound(floats, lo, hi)
     window = [(0, n)]
     if not math.isinf(reach):
@@ -503,13 +505,10 @@ class MinimaxReport:
 
 def _outer_derivative_bound(form: QuadraticForm, grid: GridSpec) -> Fraction:
     """Exact bound on |d/dw| of the form over the grid box, both coordinates."""
-    m = max(abs(grid.lo), abs(grid.hi))
-    bounds = []
-    for w in (0, 1):
-        o = 1 - w
-        bounds.append(2 * abs(form.quad[w][w]) * m + 2 * abs(form.quad[w][o]) * m
-                      + abs(form.lin[w]))
-    return max(bounds)
+    m, s = max(abs(grid.lo), abs(grid.hi)).as_integer_ratio()
+    quad, lin = form.quad_num, form.lin_num
+    return Fraction(max(2 * (abs(quad[w][w]) + abs(quad[w][1 - w])) * m + abs(lin[w]) * s
+                        for w in (0, 1)), form.den * s)
 
 
 def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
@@ -688,13 +687,12 @@ def _check_foc_residual(case: _SuiteCase, oracle: str):
         chosen, den = _over_lcm(case.solved[pattern].chosen)
         for i, firm in enumerate(FIRMS):
             # Only the own component of firm i's payoff gradient, lin_i + 2 Q_i . v,
-            # on ints: times den and the lcm of lin_i's and Q_i's denominators.
+            # on ints: times den and the form's denominator.
             form = build_payoff_quadratic(case.params, pattern, firm).form
-            (lin, *quad), form_den = _over_lcm((form.lin[i], *form.quad[i]))
-            grad = lin * den + 2 * sum(map(mul, quad, chosen))
+            grad = form.lin_num[i] * den + 2 * sum(map(mul, form.quad_num[i], chosen))
             if grad != 0:
                 return "fail", {"pattern": pattern, "firm": firm,
-                                "residual": format_rational(Fraction(grad, form_den * den))}
+                                "residual": format_rational(Fraction(grad, form.den * den))}
     return "ok", None
 
 

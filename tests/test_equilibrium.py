@@ -35,7 +35,12 @@ from triopoly.market import (
     ModelParams,
     payoff_vector,
 )
-from triopoly.verify import sample_model_params
+from triopoly.verify import (
+    GridSpec,
+    _outer_derivative_bound,
+    grid_minimax_pair,
+    sample_model_params,
+)
 
 SPOT = ModelParams(10, "1/2", 2, 2, 3)
 
@@ -333,6 +338,27 @@ def test_warm_payoff_forms_and_tables_do_no_fraction_arithmetic(monkeypatch):
     assert calls == []
 
 
+def test_warm_minimax_chains_do_no_fraction_arithmetic(monkeypatch):
+    # From a warm operator to the chain values: the payoff form, its slice, both
+    # chains in either mode and the outer-derivative bound all run on ints.
+    b = Fraction(5, 1_000_003)
+    params = ModelParams("37/3", b, "7/2", "11/5", 3)
+    grid = GridSpec(Fraction(-1, 3), params.a, 1001)
+    fixed = Fraction(17, 7)
+    for asg in ALL_ASSIGNMENTS:
+        build_payoff_quadratic(params, asg, "A")
+    calls = _count_fraction_arithmetic(monkeypatch)
+    for asg in ALL_ASSIGNMENTS:
+        for firm in FIRMS:
+            form = build_payoff_quadratic(params, asg, firm).form
+            for keep, pinned in (((0, 2), 1), ((1, 0), 2)):
+                sliced = form.slice(keep, {pinned: fixed})
+                for mode in ("exact", "float"):
+                    grid_minimax_pair(sliced, grid, mode=mode)
+                _outer_derivative_bound(sliced, grid)
+    assert calls == []
+
+
 def test_cold_operator_does_no_fraction_arithmetic(monkeypatch):
     b = Fraction(5, 1_000_003)
     params = ModelParams("37/3", b, "7/2", "11/5", 3)
@@ -459,7 +485,8 @@ def test_gain_and_tables_run_on_any_exact_field(b):
         assert [(*f, c) for f, c in zip(ref.free_map, ref.free_const)] == \
             _over(op.free, op.q * op.e)
         assert [(*m, *l) for m, l in zip(ref.foc, ref.foc_rhs)] == _over(op.foc, op.foc_den)
-        assert _unwrap(ref.psi_quad) == op.psi_quad
+        assert _unwrap(ref.psi_quad) == tuple(tuple(_over(quad, 4 * op.q * op.e))
+                                              for quad in op.psi_quad)
     table = _unwrap(_transcribed_output_table(_Exact(b)))
     assert table == _transcribed_output_table(b)
     for pattern, (rows, den) in _printed_output_table(*b.as_integer_ratio()).items():

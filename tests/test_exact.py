@@ -1,6 +1,7 @@
 """Kernel tests: rational parsing and formatting, quadratic forms."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from triopoly.exact import (
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 small_rationals = st.fractions(min_value=-8, max_value=8, max_denominator=16)
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
 
 
 # --- canonical form and parsing ---------------------------------------------
@@ -72,19 +74,95 @@ def test_rational_vector_length_check():
 
 
 @st.composite
-def quadratic_forms(draw, dim=3):
+def quadratic_forms(draw, dim=3, values=small_rationals):
     sym = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            value = draw(small_rationals)
+            value = draw(values)
             sym[i][j] = sym[j][i] = value
-    lin = tuple(draw(small_rationals) for _ in range(dim))
-    const = draw(small_rationals)
+    lin = tuple(draw(values) for _ in range(dim))
+    const = draw(values)
     return QuadraticForm(tuple(tuple(row) for row in sym), lin, const)
 
 
-def vectors(dim=3):
-    return st.tuples(*([small_rationals] * dim))
+def vectors(dim=3, values=small_rationals):
+    return st.tuples(*([values] * dim))
+
+
+# The Fraction formulas the integer form must reproduce.
+
+
+def _reference_evaluate(form, point):
+    v = rational_vector(point, form.dim)
+    total = form.const
+    for i in range(form.dim):
+        total += form.lin[i] * v[i]
+        row = form.quad[i]
+        for j in range(form.dim):
+            total += row[j] * v[i] * v[j]
+    return total
+
+
+def _reference_gradient(form, point):
+    v = rational_vector(point, form.dim)
+    return tuple(
+        2 * sum(form.quad[i][j] * v[j] for j in range(form.dim)) + form.lin[i]
+        for i in range(form.dim)
+    )
+
+
+def _reference_slice(form, keep, fixed):
+    """(quad, lin, const) of the form restricted to ``keep`` with ``fixed`` pinned."""
+    fixed_vals = {i: as_rational(v) for i, v in fixed.items()}
+    m = len(keep)
+    quad = tuple(tuple(form.quad[keep[r]][keep[s]] for s in range(m)) for r in range(m))
+    lin = tuple(
+        form.lin[keep[r]]
+        + 2 * sum(form.quad[keep[r]][f] * val for f, val in fixed_vals.items())
+        for r in range(m)
+    )
+    const = form.const
+    for f, val in fixed_vals.items():
+        const += form.lin[f] * val
+    for f, vf in fixed_vals.items():
+        for g, vg in fixed_vals.items():
+            const += form.quad[f][g] * vf * vg
+    return quad, lin, const
+
+
+@st.composite
+def _form_cases(draw):
+    """A form of dimension 1-4 on wide denominators, a point, and a keep/fixed split."""
+    dim = draw(st.integers(1, 4))
+    form = draw(quadratic_forms(dim, wide_rationals))
+    point = draw(vectors(dim, wide_rationals))
+    order = draw(st.permutations(range(dim)))
+    kept = draw(st.integers(0, dim))
+    return form, point, tuple(order[:kept]), {f: point[f] for f in order[kept:]}
+
+
+@given(_form_cases())
+@settings(max_examples=300, deadline=None)
+def test_integer_form_matches_fraction_reference(case):
+    form, point, keep, fixed = case
+    assert repr(form.evaluate(point)) == repr(_reference_evaluate(form, point))
+    assert repr(form.gradient(point)) == repr(_reference_gradient(form, point))
+    sliced = form.slice(keep, fixed)
+    assert repr((sliced.quad, sliced.lin, sliced.const)) == \
+        repr(_reference_slice(form, keep, fixed))
+
+
+@given(quadratic_forms(values=wide_rationals), st.integers(1, 10**6))
+def test_form_from_integers_equals_form_from_fractions(form, scale):
+    # The same values over any common positive denominator give the same form.
+    values = [*(v for row in form.quad for v in row), *form.lin, form.const]
+    den = lcm(*(v.denominator for v in values)) * scale
+    rows = [[int(v * den) for v in row] for row in form.quad]
+    same = QuadraticForm.from_numerators(rows, [int(v * den) for v in form.lin],
+                                         int(form.const * den), den)
+    assert same == form
+    assert hash(same) == hash(form)
+    assert repr(same) == repr(form)
 
 
 def test_eval_single_term():
@@ -113,6 +191,8 @@ def test_asymmetric_matrix_rejected():
         QuadraticForm(((0, 1, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 0), 0)
     with pytest.raises(ValueError):
         QuadraticForm(((0, 1), (1, 0)), (0, 0, 0), 0)
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticForm.from_numerators(((0, 1), (2, 0)), (0, 0), 0, 3)
 
 
 @given(quadratic_forms(), vectors(), small_rationals.filter(lambda v: v != 0))
