@@ -20,6 +20,7 @@ from .market import (
     PATTERNS,
     ModelParams,
     StrategyAssignment,
+    _interior,
     as_assignment,
     payoff_vector,
 )
@@ -223,7 +224,7 @@ def _solve_float_rows(params, selection):
         decimals = [decimal_string(v) for v in values]
         # A returned iterate has soc_ok: the iteration raises ConcavityViolation otherwise.
         soc_ok = True
-        interior = all(v >= 0 for v in state.x) and all(v >= 0 for v in state.p)
+        interior = _interior(state)
         rows.append(
             [_pattern_label(asg), str(asg)]
             + decimals + decimals

@@ -12,7 +12,8 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    choosers, d = 1 + (m - 1) b = g / e and 1 - b = h / e, and [X | x0] is
    ints over q = g h. It is the package's one route from committed values
    to a market state: ``solve_equilibrium`` and ``resolve_market`` both
-   apply it and check that the state reproduces every committed value.
+   apply it, hand the output numerators to the state as ints, and check on
+   the state's integers that it reproduces every committed value.
    ``direct_demand``, the inverse of the demand system, is its all-price
    case, applied without that check.
 2. Each firm's free variable (its price, or its output) is affine in v, ints
@@ -32,12 +33,13 @@ Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
 ``corrected`` the variant that agrees with the solver. They differ in a
 single entry, the sign of the all-quantity pattern's third output. Like the
-solver, the tables are linear maps cached per b, on its ints n, e: each
-output is a row of coefficients on (a, c_AB, c_C), the transcribed
-numerator's terms over its denominator. The transcription runs on any exact
-field; the cache holds each pattern's rows as ints over one denominator,
-dotted with (a, c_AB, c_C) over their lcm. The solver is ground truth; the
-tables are cross-checks and documentation.
+solver, the tables are linear maps cached per b, on its ints n, e, and
+built without Fraction arithmetic: each output is a row of coefficients on
+(a, c_AB, c_C). A transcribed entry is a polynomial in b over a product of
+linear factors in b; scaled by e to the denominator's degree, both are
+integer polynomials in n and e, so each pattern's rows are ints over one
+denominator, dotted with (a, c_AB, c_C) over their lcm. The solver is
+ground truth; the tables are cross-checks and documentation.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .market import (
     ModelParams,
     PayoffVector,
     StrategyAssignment,
+    _interior,
     as_assignment,
     ensure_float_safe,
     firm_index,
@@ -105,13 +108,6 @@ def _dot(u, v):
 
 def _theta(params: ModelParams) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return (params.a, params.c_a, params.c_b, params.c_c)
-
-
-def _over_lcm_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer rows of a rational matrix over the lcm of its denominators, and that lcm."""
-    flat, den = _over_lcm([v for row in rows for v in row])
-    n = len(rows[0])
-    return tuple(tuple(flat[k:k + n]) for k in range(0, len(flat), n)), den
 
 
 def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
@@ -170,28 +166,30 @@ class _Operator:
         g = math.gcd(det, *(n for row in gain for n in row)) * (1 if det > 0 else -1)
         return tuple(tuple(n // g for n in row) for row in gain), det // g
 
-    def outputs(self, nums: Sequence[int], a_num: int,
-                den: int) -> tuple[Fraction, Fraction, Fraction]:
-        """Outputs x = [X | x0] . (nums, a_num) / (q den) at v = nums / den, a = a_num / den."""
-        return tuple(Fraction(_dot(row, (*nums, a_num)), self.q * den) for row in self.pin)
+    def output_numerators(self, nums: Sequence[int], a_num: int) -> list[int]:
+        """Outputs x = [X | x0] . (nums, a_num) over q den, at v = nums / den, a = a_num / den."""
+        values = (*nums, a_num)
+        return [_dot(row, values) for row in self.pin]
 
     def resolve(self, params: ModelParams, nums: Sequence[int], a_num: int,
                 den: int) -> tuple[tuple[Fraction, Fraction, Fraction], MarketState]:
         """(v, state) for committed values v = nums / den at a = a_num / den, checked.
 
-        The state holds the outputs of :meth:`outputs`, and it must reproduce
-        each committed value: a price chooser's p_i and a quantity chooser's x_i.
+        The state's outputs are those of :meth:`output_numerators`, and it must
+        reproduce each committed value, a price chooser's p_i and a quantity
+        chooser's x_i: on the state's integers, by cross-multiplication.
         """
-        state = MarketState.from_outputs(params, self.outputs(nums, a_num, den))
-        chosen = tuple(Fraction(n, den) for n in nums)
-        committed = tuple(state.p[i] if choice == PRICE else state.x[i]
-                          for i, choice in enumerate(self.assignment.choices))
-        if committed != chosen:
-            raise ArithmeticError(
-                f"market state does not reproduce the committed values "
-                f"for {self.assignment} at {params.describe()}"
-            )
-        return chosen, state
+        state = MarketState._from_numerators(params, self.output_numerators(nums, a_num),
+                                       self.q * den)
+        x_num, x_den, p_num, p_den = state._ints
+        for i, choice in enumerate(self.assignment.choices):
+            held, held_den = (p_num[i], p_den) if choice == PRICE else (x_num[i], x_den)
+            if held * den != nums[i] * held_den:
+                raise ArithmeticError(
+                    f"market state does not reproduce the committed values "
+                    f"for {self.assignment} at {params.describe()}"
+                )
+        return tuple(Fraction(n, den) for n in nums), state
 
     @cached_property
     def psi_quad(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -387,8 +385,7 @@ def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equili
     chosen, state = op.resolve(params, nums, det * theta[0], det * t)
     payoffs = payoff_vector(params, state)
     soc_ok = all(op.foc[i][i] < 0 for i in range(3))
-    interior = all(v >= 0 for v in state.x) and all(v >= 0 for v in state.p)
-    return Equilibrium(params, asg, chosen, state, payoffs, interior, soc_ok)
+    return Equilibrium(params, asg, chosen, state, payoffs, _interior(state), soc_ok)
 
 
 def resolve_market(params: ModelParams, assignment: AssignmentLike,
@@ -415,7 +412,8 @@ def direct_demand(params: ModelParams,
     tests the pinning rows independently.
     """
     (a_num, *nums), den = _over_lcm((params.a, *rational_vector(p, 3)))
-    return _operator(*params.b.as_integer_ratio(), PATTERNS[6]).outputs(nums, a_num, den)
+    op = _operator(*params.b.as_integer_ratio(), PATTERNS[6])
+    return tuple(Fraction(n, op.q * den) for n in op.output_numerators(nums, a_num))
 
 
 @dataclass(frozen=True)
@@ -466,55 +464,73 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
     return ClosedFormOutputs(pattern, printed, corrected)
 
 
-def _row(den, a, c_ab, c_c) -> tuple:
-    """One transcribed entry: its numerator's (a, c_AB, c_C) coefficients over den."""
-    return (a / den, c_ab / den, c_c / den)
-
-
 @lru_cache(maxsize=64)
 def _printed_output_table(n: int, e: int) -> dict:
     """Each pattern's three transcribed rows at b = n / e as ints over one denominator.
 
     An output is its row dotted with (a, c_AB, c_C), over that denominator.
-    Keyed by the ints of b alone, as ``_operator`` is: one verify run meets
-    at most 64 distinct b, the given one and the sampler's.
+    Every transcribed numerator is a polynomial in b, and every denominator
+    a product of linear factors in b; scaled by e to the pattern
+    denominator's degree, both are integer polynomials in n and e. Keyed by
+    the ints of b alone, as ``_operator`` is: one verify run meets at most
+    64 distinct b, the given one and the sampler's.
     """
-    table = _transcribed_output_table(Fraction(n, e))
-    return {k: _over_lcm_rows(rows) for k, rows in table.items()}
+    monomials = {degree: [n**k * e**(degree - k) for k in range(degree + 1)]
+                 for degree in (2, 3, 4)}
 
+    def row(degree: int, *polynomials: tuple[int, ...]) -> list[int]:
+        # e^degree p(n / e) for each p, given by its coefficients in b, highest power first.
+        return [sum(map(mul, reversed(p), monomials[degree])) for p in polynomials]
 
-def _transcribed_output_table(b) -> dict:
-    """All six transcribed output triples at b, as rows on (a, c_AB, c_C), on any exact field."""
-    d12 = (4 - b) * (b + 2)
-    x12_ab = _row(d12, 4 - b, -4, b)
-    # Transcribed with denominator (b - 4)(b + 2); equals the negative of the
-    # solver's value for pattern 1 and the true value for pattern 2.
-    x1_c_printed = _row(d12, b - 4, -2 * b, b + 4)
-    x2_c = _row((b - 4) * (b + 2), b - 4, -2 * b, b + 4)
+    # e (4 - b), e (b + 2), e (1 - b), e (3 b + 4), e (5 b + 4) and e (b + 4).
+    u, v, h = 4 * e - n, n + 2 * e, e - n
+    w3, w5, w4 = 3 * n + 4 * e, 5 * n + 4 * e, n + 4 * e
 
-    d3 = (4 - b) * (1 - b) * (b + 2) * (3 * b + 4)
-    a3 = 3 * b**3 - 11 * b**2 - 8 * b + 16
-    x3_a = _row(d3, a3, -3 * b**3 + 6 * b**2 + 4 * b - 16, 5 * b**2 + 4 * b)
-    x3_c = _row(d3, a3, -3 * b**3 + 4 * b**2 + 8 * b, 7 * b**2 - 16)
+    # Over (4 - b)(b + 2). Pattern 1's x_C is transcribed over (4 - b)(b + 2)
+    # and pattern 2's over (b - 4)(b + 2), with one numerator: the sign slip
+    # of pattern 1.
+    d12 = u * v
+    x12_ab = row(2, (-1, 4), (-4,), (1, 0))
+    x12_c = row(2, (1, -4), (-2, 0), (1, 4))
 
-    d46 = (1 - b) * (b + 2) * (5 * b + 4)
-    a46 = -5 * b**2 + b + 4
-    x46_ab = _row(d46, a46, 3 * b**2 - 2 * b - 4, 2 * b**2 + b)
-    x46_c = _row(d46, a46, 4 * b**2 + 2 * b, b**2 - 3 * b - 4)
+    # Over (4 - b)(1 - b)(b + 2)(3 b + 4).
+    d3 = d12 * h * w3
+    a3 = (3, -11, -8, 16)
+    x3_a = row(4, a3, (-3, 6, 4, -16), (5, 4, 0))
+    x3_c = row(4, a3, (-3, 4, 8, 0), (7, 0, -16))
 
-    d5 = (1 - b) * (b + 2) * (b + 4) * (5 * b + 4)
-    a5 = -5 * b**3 - 19 * b**2 + 8 * b + 16
-    x5_a = _row(d5, a5, 6 * b**3 + 16 * b**2 - 12 * b - 16, -(b**3) + 3 * b**2 + 4 * b)
-    x5_c = _row(d5, a5, b**3 + 12 * b**2 + 8 * b, 4 * b**3 + 7 * b**2 - 16 * b - 16)
+    # Over (1 - b)(b + 2)(5 b + 4).
+    d46 = h * v * w5
+    a46 = (-5, 1, 4)
+    x46_ab = row(3, a46, (3, -2, -4), (2, 1, 0))
+    x46_c = row(3, a46, (4, 2, 0), (1, -3, -4))
 
-    return {
-        1: (x12_ab, x12_ab, x1_c_printed),
-        2: (x12_ab, x12_ab, x2_c),
-        3: (x3_a, x12_ab, x3_c),
-        4: (x46_ab, x46_ab, x46_c),
-        5: (x5_a, x46_ab, x5_c),
-        6: (x46_ab, x46_ab, x46_c),
+    # Over (1 - b)(b + 2)(b + 4)(5 b + 4).
+    d5 = d46 * w4
+    a5 = (-5, -19, 8, 16)
+    x5_a = row(4, a5, (6, 16, -12, -16), (-1, 3, 4, 0))
+    x5_c = row(4, a5, (1, 12, 8, 0), (4, 7, -16, -16))
+
+    tables = {
+        1: ((x12_ab, x12_ab, x12_c), d12),
+        2: ((x12_ab, x12_ab, [-c for c in x12_c]), d12),
+        3: ((x3_a, [c * h * w3 for c in x12_ab], x3_c), d3),
+        4: ((x46_ab, x46_ab, x46_c), d46),
+        5: ((x5_a, [c * w4 for c in x46_ab], x5_c), d5),
     }
+    reduced = {k: _reduced_rows(*table) for k, table in tables.items()}
+    reduced[6] = reduced[4]  # patterns 4 and 6 are transcribed with the same rows
+    return reduced
+
+
+def _reduced_rows(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Int rows over den > 0 with their common factor removed.
+
+    The result is over the lcm of the entries' reduced denominators, as
+    ``_over_lcm`` puts their Fractions.
+    """
+    g = math.gcd(den, *(c for row in rows for c in row))
+    return tuple(tuple(c // g for c in row) for row in rows), den // g
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,21 @@ This module holds the model's primitives: inverse demand, profits and
 payoffs. Every map derived from them lives in :mod:`triopoly.equilibrium`,
 among them the pinning map from three committed values to the full market
 state (``resolve_market``) and its all-price case, the demand inversion
-(``direct_demand``). Both end in :meth:`MarketState.from_outputs` here.
+(``direct_demand``).
 
-The state -> payoff path (:func:`inverse_demand`, :func:`profit`,
-:func:`payoff_vector`) works on exact integer numerators over a shared
-denominator and builds ``Fraction``s only for the values it returns.
+Every :class:`MarketState` also holds its integer form, made once with the
+state. :meth:`MarketState.from_outputs` and the pinning map hand it integer
+outputs, and its prices come from the integer kernel of
+:func:`inverse_demand`. The state -> payoff path (:func:`profit`,
+:func:`payoff_vector`) and the interior flag read those integers and build
+``Fraction``s only for the values they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .exact import (
@@ -247,20 +250,41 @@ class MarketState:
     Instances are meant to be built through :meth:`from_outputs`, directly or
     by ``triopoly.equilibrium.resolve_market``, which guarantees that prices
     and quantities lie on the demand system. The constructor itself only
-    coerces and sizes.
+    coerces, sizes and derives the state's integer form.
+
+    That form, made with the state and never changed, is ``x`` and ``p``
+    each as integer numerators over the lcm of their denominators; the
+    payoffs and the interior flag read it. It is not a field, so equality,
+    hashing and repr see only ``x`` and ``p``.
     """
 
     x: tuple[Fraction, Fraction, Fraction]
     p: tuple[Fraction, Fraction, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", rational_vector(self.x, 3))
-        object.__setattr__(self, "p", rational_vector(self.p, 3))
+        x, p = rational_vector(self.x, 3), rational_vector(self.p, 3)
+        (x_num, x_den), (p_num, p_den) = _over_lcm(x), _over_lcm(p)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_ints", (tuple(x_num), x_den, tuple(p_num), p_den))
 
     @classmethod
     def from_outputs(cls, params: ModelParams, x: Sequence[RationalLike]) -> "MarketState":
         quantities = rational_vector(x, 3)
-        return cls(quantities, inverse_demand(params, quantities))
+        return cls._from_numerators(params, *_over_lcm(quantities), quantities)
+
+    @classmethod
+    def _from_numerators(cls, params: ModelParams, n: Sequence[int], xd: int,
+                   x: tuple[Fraction, Fraction, Fraction] | None = None) -> "MarketState":
+        """The state at outputs n / xd, ints with xd > 0, and the prices that clear them.
+
+        ``x``, when given, holds those outputs as Fractions already. Nothing
+        is coerced: each Fraction is built once, from the reduced integers.
+        """
+        x_num, x_den = _reduced(n, xd)
+        p_num, p_den = _reduced(*_price_numerators(params, x_num, x_den))
+        return _built(cls, x=_fractions(x_num, x_den) if x is None else x,
+                      p=_fractions(p_num, p_den), _ints=(x_num, x_den, p_num, p_den))
 
     def swap_ab(self) -> "MarketState":
         return MarketState((self.x[1], self.x[0], self.x[2]), (self.p[1], self.p[0], self.p[2]))
@@ -284,33 +308,70 @@ class PayoffVector:
         object.__setattr__(self, "psi", rational_vector(self.psi, 3))
 
 
+def _built(cls, **attributes):
+    """An instance of the frozen dataclass ``cls`` holding ``attributes`` as given.
+
+    It skips ``__post_init__``: every value must already have its final type.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(attributes)
+    return obj
+
+
+def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, int, int], int]:
+    """Three numerators over den > 0, their common factor removed: the form ``_over_lcm`` gives."""
+    g = gcd(den, *nums)
+    return (nums[0] // g, nums[1] // g, nums[2] // g), den // g
+
+
+def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The three Fractions nums_i / den."""
+    return Fraction(nums[0], den), Fraction(nums[1], den), Fraction(nums[2], den)
+
+
+def _interior(state: MarketState) -> bool:
+    """Whether every output and price is nonnegative, read off the state's numerators."""
+    x_num, _, p_num, _ = state._ints
+    return min(*x_num, *p_num) >= 0
+
+
+def _price_numerators(params: ModelParams, n: Sequence[int],
+                      xd: int) -> tuple[tuple[int, int, int], int]:
+    """Integers m_i over one denominator den with p_i = m_i / den at the outputs n / xd.
+
+    p_i = a - b sum(x) - (1 - b) x_i. With b = bn / bd, den = lcm(xd bd, den(a)).
+    """
+    (an, ad), (bn, bd) = params.a.as_integer_ratio(), params.b.as_integer_ratio()
+    den = lcm(xd * bd, ad)
+    b_scale = bn * (den // (xd * bd))
+    shared = an * (den // ad) - b_scale * (n[0] + n[1] + n[2])
+    own = den // xd - b_scale
+    return (shared - own * n[0], shared - own * n[1], shared - own * n[2]), den
+
+
 def inverse_demand(params: ModelParams,
                    x: Sequence[RationalLike]) -> tuple[Fraction, Fraction, Fraction]:
     """Prices cleared by the given outputs: p_i = a - x_i - b (x_j + x_k).
 
-    With outputs n_i / xd and b = bn / bd, prices are computed over
-    den = lcm(xd bd, den(a)) on integers; only the results become Fractions.
+    The prices are computed on integers over one denominator; only the
+    results become Fractions.
     """
-    n, xd = _over_lcm(rational_vector(x, 3))
-    (an, ad), (bn, bd) = params.a.as_integer_ratio(), params.b.as_integer_ratio()
-    den = lcm(xd * bd, ad)
-    a_num = an * (den // ad)
-    x_scale = den // xd
-    b_scale = bn * (den // (xd * bd))
-    total = n[0] + n[1] + n[2]
-    return tuple(Fraction(a_num - x_scale * n[i] - b_scale * (total - n[i]), den)
-                 for i in range(3))
+    return _fractions(*_price_numerators(params, *_over_lcm(rational_vector(x, 3))))
 
 
 def _profit_numerators(params: ModelParams,
                        state: MarketState) -> tuple[tuple[int, int, int], int]:
     """Integers n_i and one denominator d with (p_i - c_i) x_i = n_i / d for every firm.
 
-    Prices and costs share one denominator md and outputs another, xd; d = md xd.
+    The state holds its prices over pd and its outputs over xd. With the
+    costs over cd and m = lcm(pd, cd), d = m xd.
     """
-    pc, md = _over_lcm(state.p + params.costs)
-    xn, xd = _over_lcm(state.x)
-    return tuple((pc[i] - pc[i + 3]) * xn[i] for i in range(3)), md * xd
+    x_num, x_den, p_num, p_den = state._ints
+    c_num, c_den = _over_lcm(params.costs)
+    m = lcm(p_den, c_den)
+    p_scale, c_scale = m // p_den, m // c_den
+    return tuple([(p * p_scale - c * c_scale) * x
+                  for p, c, x in zip(p_num, c_num, x_num)]), m * x_den
 
 
 def profit(params: ModelParams, firm: str, state: MarketState) -> Fraction:
@@ -328,10 +389,9 @@ def payoff_vector(params: ModelParams, state: MarketState) -> PayoffVector:
     """
     nums, den = _profit_numerators(params, state)
     total = nums[0] + nums[1] + nums[2]
-    psi = tuple(3 * n - total for n in nums)
+    psi = (3 * nums[0] - total, 3 * nums[1] - total, 3 * nums[2] - total)
     if psi[0] + psi[1] + psi[2] != 0:
         raise ArithmeticError(
             f"relative payoffs with numerators {psi} over {2 * den} do not sum to zero"
         )
-    return PayoffVector(tuple(Fraction(n, den) for n in nums),
-                        tuple(Fraction(n, 2 * den) for n in psi))
+    return _built(PayoffVector, pi=_fractions(nums, den), psi=_fractions(psi, 2 * den))

@@ -17,7 +17,6 @@ from triopoly.equilibrium import (
     _cofactor_solve,
     _operator,
     _printed_output_table,
-    _transcribed_output_table,
     best_response,
     best_response_iteration,
     build_payoff_quadratic,
@@ -376,6 +375,38 @@ def test_cold_operator_does_no_fraction_arithmetic(monkeypatch):
     assert _operator.cache_info().misses == len(ALL_ASSIGNMENTS)
 
 
+def test_cold_table_does_no_fraction_arithmetic(monkeypatch):
+    params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "7/2", 3)
+    _printed_output_table.cache_clear()
+    calls = _count_fraction_arithmetic(monkeypatch)
+    for pattern in sorted(PATTERNS):
+        closed_form_outputs(params, pattern)
+    assert calls == []
+    assert _printed_output_table.cache_info().misses == 1
+
+
+def test_resolve_rejects_a_corrupted_pinning_row(monkeypatch):
+    # The committed values are checked on the state's integers. Shifting one
+    # pinning row's intercept column moves that firm's output, and so its
+    # price, away from any committed value: the check must catch either.
+    params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "11/5", 3)
+    chosen = (Fraction(7, 3), Fraction(-2, 5), 4)
+    expected = {asg: resolve_market(params, asg, chosen) for asg in ALL_ASSIGNMENTS}
+    for asg in ALL_ASSIGNMENTS:
+        op = _operator.__wrapped__(*params.b.as_integer_ratio(), asg)
+        monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: op)
+        assert resolve_market(params, asg, chosen) == expected[asg]
+        for i in range(3):
+            pin = tuple((*row[:3], row[3] + 1) if k == i else row
+                        for k, row in enumerate(op.pin))
+            corrupted = dataclasses.replace(op, pin=pin)
+            monkeypatch.setattr("triopoly.equilibrium._operator",
+                                lambda n, e, asg: corrupted)
+            with pytest.raises(ArithmeticError,
+                               match="does not reproduce the committed values"):
+                resolve_market(params, asg, chosen)
+
+
 def test_singular_gain_names_the_solve(monkeypatch):
     params = ModelParams(10, "1/3", 2, 2, 3)
     op = _operator(*params.b.as_integer_ratio(), PATTERNS[1])
@@ -468,6 +499,48 @@ def _unwrap(entries):
 
 def _over(rows, den) -> list:
     return [tuple(Fraction(v, den) for v in row) for row in rows]
+
+
+def _row(den, a, c_ab, c_c) -> tuple:
+    """One transcribed entry: its numerator's (a, c_AB, c_C) coefficients over den."""
+    return (a / den, c_ab / den, c_c / den)
+
+
+def _transcribed_output_table(b) -> dict:
+    """All six transcribed output triples at b, as rows on (a, c_AB, c_C), on any exact field.
+
+    The reference for the integer tables of ``_printed_output_table``.
+    """
+    d12 = (4 - b) * (b + 2)
+    x12_ab = _row(d12, 4 - b, -4, b)
+    # Transcribed with denominator (b - 4)(b + 2); equals the negative of the
+    # solver's value for pattern 1 and the true value for pattern 2.
+    x1_c_printed = _row(d12, b - 4, -2 * b, b + 4)
+    x2_c = _row((b - 4) * (b + 2), b - 4, -2 * b, b + 4)
+
+    d3 = (4 - b) * (1 - b) * (b + 2) * (3 * b + 4)
+    a3 = 3 * b**3 - 11 * b**2 - 8 * b + 16
+    x3_a = _row(d3, a3, -3 * b**3 + 6 * b**2 + 4 * b - 16, 5 * b**2 + 4 * b)
+    x3_c = _row(d3, a3, -3 * b**3 + 4 * b**2 + 8 * b, 7 * b**2 - 16)
+
+    d46 = (1 - b) * (b + 2) * (5 * b + 4)
+    a46 = -5 * b**2 + b + 4
+    x46_ab = _row(d46, a46, 3 * b**2 - 2 * b - 4, 2 * b**2 + b)
+    x46_c = _row(d46, a46, 4 * b**2 + 2 * b, b**2 - 3 * b - 4)
+
+    d5 = (1 - b) * (b + 2) * (b + 4) * (5 * b + 4)
+    a5 = -5 * b**3 - 19 * b**2 + 8 * b + 16
+    x5_a = _row(d5, a5, 6 * b**3 + 16 * b**2 - 12 * b - 16, -(b**3) + 3 * b**2 + 4 * b)
+    x5_c = _row(d5, a5, b**3 + 12 * b**2 + 8 * b, 4 * b**3 + 7 * b**2 - 16 * b - 16)
+
+    return {
+        1: (x12_ab, x12_ab, x1_c_printed),
+        2: (x12_ab, x12_ab, x2_c),
+        3: (x3_a, x12_ab, x3_c),
+        4: (x46_ab, x46_ab, x46_c),
+        5: (x5_a, x46_ab, x5_c),
+        6: (x46_ab, x46_ab, x46_c),
+    }
 
 
 @pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(57, 64), Fraction(123457, 1000003)])

@@ -1,5 +1,8 @@
 """Market model tests: parameters, assignments, demand, resolution, payoffs."""
 
+import copy
+import dataclasses
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triopoly.exact import _over_lcm
 from triopoly.market import (
     ALL_ASSIGNMENTS,
     FIRMS,
@@ -15,6 +19,7 @@ from triopoly.market import (
     MarketState,
     ModelParams,
     PayoffVector,
+    _interior,
     as_assignment,
     ensure_float_safe,
     firm_index,
@@ -22,7 +27,7 @@ from triopoly.market import (
     payoff_vector,
     profit,
 )
-from triopoly.equilibrium import direct_demand, resolve_market
+from triopoly.equilibrium import direct_demand, resolve_market, solve_equilibrium
 
 SPOT = ModelParams(10, "1/2", 2, 2, 3)
 
@@ -279,6 +284,12 @@ def _assert_fractions_equal(got, expected):
     assert all(type(v) is Fraction for v in got)
 
 
+def _textbook_payoffs(params, state):
+    pi = tuple((state.p[i] - params.costs[i]) * state.x[i] for i in range(3))
+    psi = tuple(pi[i] - (pi[(i + 1) % 3] + pi[(i + 2) % 3]) / 2 for i in range(3))
+    return pi, psi
+
+
 @given(_market_params(), _vectors, _vectors)
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_textbook_formulas(params, x, p):
@@ -288,12 +299,54 @@ def test_kernel_matches_textbook_formulas(params, x, p):
     _assert_fractions_equal(on_demand.p, _reference_prices(params, x))
     # payoff_vector takes any state, so also one whose prices are off the demand system.
     for state in (on_demand, MarketState(x, p)):
-        pi = tuple((state.p[i] - params.costs[i]) * state.x[i] for i in range(3))
-        psi = tuple(pi[i] - (pi[(i + 1) % 3] + pi[(i + 2) % 3]) / 2 for i in range(3))
+        pi, psi = _textbook_payoffs(params, state)
         payoffs = payoff_vector(params, state)
         _assert_fractions_equal(payoffs.pi, pi)
         _assert_fractions_equal(payoffs.psi, psi)
         _assert_fractions_equal(tuple(profit(params, f, state) for f in FIRMS), pi)
+
+
+# The public constructor's inputs: ints, strings like "-7/3" and Fractions.
+_entries = st.one_of(st.integers(-50, 50), _values.map(str), _values)
+
+
+@given(_market_params(), st.tuples(_entries, _entries, _entries),
+       st.tuples(_entries, _entries, _entries), _vectors)
+@settings(max_examples=60, deadline=None)
+def test_integer_form_is_never_stale(params, x, p, chosen):
+    # Every route that makes a state must leave it holding the integer form of
+    # its own x and p, which the payoffs and the interior flag read.
+    made = [MarketState(x, p), MarketState.from_outputs(params, x)]
+    for asg in ALL_ASSIGNMENTS:
+        made += [resolve_market(params, asg, chosen), solve_equilibrium(params, asg).state]
+    derived = [route(state) for state in made for route in (
+        MarketState.swap_ab,
+        lambda s: dataclasses.replace(s, p=s.x),
+        copy.copy,
+        lambda s: pickle.loads(pickle.dumps(s)),
+    )]
+    for state in made + derived:
+        (x_num, x_den), (p_num, p_den) = _over_lcm(state.x), _over_lcm(state.p)
+        assert state._ints == (tuple(x_num), x_den, tuple(p_num), p_den)
+        payoffs = payoff_vector(params, state)
+        assert (payoffs.pi, payoffs.psi) == _textbook_payoffs(params, state)
+        assert _interior(state) == all(v >= 0 for v in (*state.x, *state.p))
+
+
+@pytest.mark.parametrize("x, p, interior", [
+    ((0, 1, 2), (3, 2, 1), True),  # an output of exactly 0
+    ((1, 2, 3), (3, 0, 1), True),  # a price of exactly 0
+    ((0, 0, 10), None, True),  # on the demand system at SPOT: p = (5, 5, 0)
+    ((0, 0, 0), (0, 0, 0), True),
+    ((1, "-1/1000000007", 3), (3, 2, 1), False),
+    ((1, 2, 3), (3, 2, "-7/3"), False),
+    (("-1/2", 2, 3), ("-1/3", 2, 1), False),
+])
+def test_interior_matches_the_fraction_definition_at_the_boundary(x, p, interior):
+    state = MarketState.from_outputs(SPOT, x) if p is None else MarketState(x, p)
+    assert min(*state.x, *state.p) == 0 or not interior
+    assert all(v >= 0 for v in (*state.x, *state.p)) == interior
+    assert _interior(state) == interior
 
 
 def test_vectors_coerce_ints_strings_and_lists():
