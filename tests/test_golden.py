@@ -23,6 +23,8 @@ ASYM = ["--a", "50", "--b", "57/64", "--cA", "181/8", "--cB", "201/8", "--cC", "
 PRIME_B = ["--a", "10", "--b", "123457/1000003", "--cA", "2", "--cB", "2", "--cC", "3"]
 MIXED = ["--a", "50", "--b", "123457/1000003", "--cA", "1/3", "--cB", "2/7", "--cC", "5/11"]
 NEAR_ONE = ["--a", "50", "--b", "63/64", "--cA", "181/8", "--cB", "201/8", "--cC", "237/8"]
+# A fractional intercept: theta's lcm differs from the costs' lcm.
+FRAC_A = ["--a", "101/3", "--b", "5/7", "--cA", "1/4", "--cB", "1/4", "--cC", "2/9"]
 
 CASES = {
     "solve_table": ["solve", *SPOT],
@@ -32,11 +34,14 @@ CASES = {
     "solve_mixed_table": ["solve", *MIXED],
     "solve_mixed_json": ["solve", *MIXED, "--format", "json"],
     "solve_mixed_float_csv": ["solve", *MIXED, "--mode", "float", "--format", "csv"],
+    "solve_frac_a_json": ["solve", *FRAC_A, "--format", "json"],
+    "solve_frac_a_float_csv": ["solve", *FRAC_A, "--mode", "float", "--format", "csv"],
     "verify_spot_table": ["verify", *SPOT, "--draws", "20"],
     "verify_spot_json": ["verify", *SPOT, "--draws", "20", "--format", "json"],
     "verify_asym_table": ["verify", *ASYM, "--draws", "20"],
     "verify_asym_json": ["verify", *ASYM, "--draws", "20", "--format", "json"],
     "verify_near_one_json": ["verify", *NEAR_ONE, "--draws", "20", "--format", "json"],
+    "verify_frac_a_table": ["verify", *FRAC_A, "--draws", "20"],
     "minimax_float_table": ["minimax", *SPOT],
     "minimax_exact_json": ["minimax", *SPOT, "--mode", "exact", "--grid-points", "101",
                            "--format", "json"],
@@ -45,6 +50,7 @@ CASES = {
     "minimax_negative_lo_csv": ["minimax", *SPOT, "--grid-lo=-5", "--grid-hi", "3",
                                 "--grid-points", "7", "--format", "csv"],
     "minimax_prime_b": ["minimax", *PRIME_B],
+    "minimax_frac_a_table": ["minimax", *FRAC_A],
 }
 
 
