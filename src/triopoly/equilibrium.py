@@ -106,10 +106,6 @@ def _dot(u, v):
     return sum(products, next(products))
 
 
-def _theta(params: ModelParams) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return (params.a, params.c_a, params.c_b, params.c_c)
-
-
 def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
     """N = -adj(M) R and D = det M for a 3x3 M on any exact ring, checked M N + D R = 0.
 
@@ -208,19 +204,19 @@ class _Operator:
         return tuple(tuple(tuple(own[i][s] if r == i else own[i][r] if s == i else shared[r][s]
                                  for s in range(3)) for r in range(3)) for i in range(3))
 
-    def payoff_form(self, i: int, theta: Sequence[Fraction]) -> QuadraticForm:
-        """Firm i's relative payoff as a quadratic in v at the given theta, on ints.
+    def payoff_form(self, i: int, params: ModelParams) -> QuadraticForm:
+        """Firm i's relative payoff as a quadratic in v at the theta of params, on ints.
 
         Profit pi_k = (p_k - c_k) x_k has the linear term a f0_k e_k - c_k X_k
         and the constant -a c_k x0_k; psi_i weights them by half of
         _TWICE_WEIGHTS[i]. Both are dot products on ints over q e: f0_j from
         ``free[j]``, and column j of ``pin`` times e. With theta over its lcm
-        t and the weights doubled, the linear part is over 2 q e t and the
-        constant over 2 q e t^2; with ``psi_quad`` over 4 q e, the form is
-        over 4 q e t^2.
+        t, as params holds it, and the weights doubled, the linear part is
+        over 2 q e t and the constant over 2 q e t^2; with ``psi_quad`` over
+        4 q e, the form is over 4 q e t^2.
         """
         e, pin = self.e, self.pin
-        (a, *costs), t = _over_lcm(theta)
+        _, _, (a, *costs), t = params._ints
         weights = _TWICE_WEIGHTS[i]
         scaled_costs = tuple(map(mul, weights, costs))
         lin = [2 * t * (a * weights[j] * f[3] - e * _dot(scaled_costs, (x[j] for x in pin)))
@@ -320,8 +316,8 @@ def build_payoff_quadratic(params: ModelParams, assignment: AssignmentLike,
                            firm: str) -> QuadraticPayoff:
     """Exact quadratic representation of one firm's relative payoff."""
     asg = as_assignment(assignment)
-    op = _operator(*params.b.as_integer_ratio(), asg)
-    return QuadraticPayoff(firm, asg, op.payoff_form(firm_index(firm), _theta(params)))
+    op = _operator(*params._ints[:2], asg)
+    return QuadraticPayoff(firm, asg, op.payoff_form(firm_index(firm), params))
 
 
 def best_response(params: ModelParams, assignment: AssignmentLike, firm: str,
@@ -368,13 +364,13 @@ def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equili
     resolves v into the checked state.
     """
     asg = as_assignment(assignment)
-    op = _operator(*params.b.as_integer_ratio(), asg)
+    n, e, theta, t = params._ints
+    op = _operator(n, e, asg)
     try:
         gain, det = op.integer_solve
     except SingularSystem:
         raise SingularSystem(
             f"stacked first-order conditions for {asg} at {params.describe()}") from None
-    theta, t = _over_lcm(_theta(params))
     nums = [_dot(row, theta) for row in gain]
     for i, row in enumerate(op.foc):
         if _dot(row[:3], nums) + det * _dot(row[3:], theta) != 0:
@@ -399,7 +395,7 @@ def resolve_market(params: ModelParams, assignment: AssignmentLike,
     """
     asg = as_assignment(assignment)
     (a_num, *nums), den = _over_lcm((params.a, *rational_vector(chosen, 3)))
-    return _operator(*params.b.as_integer_ratio(), asg).resolve(params, nums, a_num, den)[1]
+    return _operator(*params._ints[:2], asg).resolve(params, nums, a_num, den)[1]
 
 
 def direct_demand(params: ModelParams,
@@ -412,7 +408,7 @@ def direct_demand(params: ModelParams,
     tests the pinning rows independently.
     """
     (a_num, *nums), den = _over_lcm((params.a, *rational_vector(p, 3)))
-    op = _operator(*params.b.as_integer_ratio(), PATTERNS[6])
+    op = _operator(*params._ints[:2], PATTERNS[6])
     return tuple(Fraction(n, op.q * den) for n in op.output_numerators(nums, a_num))
 
 
@@ -457,9 +453,10 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
             "closed-form output tables assume c_A = c_B, "
             f"got cA={params.c_a} cB={params.c_b}"
         )
-    rows, den = _printed_output_table(*params.b.as_integer_ratio())[pattern]
-    theta, t = _over_lcm((params.a, params.c_a, params.c_c))
-    printed = tuple(Fraction(_dot(row, theta), den * t) for row in rows)
+    # With c_A = c_B, (a, c_AB, c_C) is over theta's lcm t.
+    n, e, (a, c_ab, _, c_c), t = params._ints
+    rows, den = _printed_output_table(n, e)[pattern]
+    printed = tuple(Fraction(_dot(row, (a, c_ab, c_c)), den * t) for row in rows)
     corrected = printed if pattern != 1 else (printed[0], printed[1], -printed[2])
     return ClosedFormOutputs(pattern, printed, corrected)
 
@@ -572,8 +569,8 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
         if not all(map(math.isfinite, current)):
             raise ValueError(f"init must be finite, got {current}")
 
-    op = _operator(*params.b.as_integer_ratio(), asg)
-    theta, t = _over_lcm(_theta(params))
+    n, e, theta, t = params._ints
+    op = _operator(n, e, asg)
     den = op.foc_den
     curvature, slope, intercept = [], [], []
     # int / int rounds correctly, so each float is the exact rational's float.

@@ -148,11 +148,6 @@ class QuadraticForm:
         object.__setattr__(self, "const_num", const // g)
         object.__setattr__(self, "den", den // g)
 
-    @classmethod
-    def zero(cls, dim: int) -> "QuadraticForm":
-        row = (0,) * dim
-        return cls.from_numerators((row,) * dim, row, 0, 1)
-
     @property
     def quad(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.quad_num)

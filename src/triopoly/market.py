@@ -23,12 +23,12 @@ among them the pinning map from three committed values to the full market
 state (``resolve_market``) and its all-price case, the demand inversion
 (``direct_demand``).
 
-Every :class:`MarketState` also holds its integer form, made once with the
-state. :meth:`MarketState.from_outputs` and the pinning map hand it integer
-outputs, and its prices come from the integer kernel of
-:func:`inverse_demand`. The state -> payoff path (:func:`profit`,
-:func:`payoff_vector`) and the interior flag read those integers and build
-``Fraction``s only for the values they return.
+Every :class:`ModelParams` and :class:`MarketState` holds its integer form,
+made once at construction. The pinning map hands a state integer outputs,
+and its prices come from the integer kernel of :func:`inverse_demand`. The
+state -> payoff path (:func:`profit`, :func:`payoff_vector`) and the
+interior flag read those integers and build ``Fraction``s only for the
+values they return.
 """
 
 from __future__ import annotations
@@ -85,7 +85,10 @@ class ModelParams:
 
     Validation enforces 0 < b < 1 (goods are imperfect substitutes), costs
     nonnegative, and a strictly above every cost so that producing can pay.
-    All fields are exact rationals; strings like "1/2" are accepted.
+    All fields are exact rationals; strings like "1/2" are accepted. Their
+    integer form, b = n / e and theta = (a, c_A, c_B, c_C) = theta_num / t
+    over its lcm, is made here and nowhere else. It is not a field, so
+    equality, hashing and repr see only the five rationals.
     """
 
     a: Fraction
@@ -107,6 +110,8 @@ class ModelParams:
                 f"a must exceed every marginal cost, got a={self.a} "
                 f"with costs ({', '.join(map(str, self.costs))})"
             )
+        theta_num, t = _over_lcm((self.a, *self.costs))
+        object.__setattr__(self, "_ints", (*self.b.as_integer_ratio(), tuple(theta_num), t))
 
     @property
     def costs(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -145,7 +150,8 @@ def ensure_float_safe(params: ModelParams) -> None:
     damping 1/2 some assignments diverge well below b = 1), and the refusal
     stays as it is until float mode decides convergence up front.
     """
-    if Fraction(1) - params.b < Fraction(1, 10**6):
+    n, e, _, _ = params._ints
+    if (e - n) * 10**6 < e:
         raise ValueError(
             f"b={params.b} is within 1e-6 of 1; float mode rejects it, use exact mode"
         )
@@ -339,9 +345,9 @@ def _price_numerators(params: ModelParams, n: Sequence[int],
                       xd: int) -> tuple[tuple[int, int, int], int]:
     """Integers m_i over one denominator den with p_i = m_i / den at the outputs n / xd.
 
-    p_i = a - b sum(x) - (1 - b) x_i. With b = bn / bd, den = lcm(xd bd, den(a)).
+    p_i = a - b sum(x) - (1 - b) x_i. With b = bn / bd and a = an / ad, den = lcm(xd bd, ad).
     """
-    (an, ad), (bn, bd) = params.a.as_integer_ratio(), params.b.as_integer_ratio()
+    bn, bd, (an, *_), ad = params._ints
     den = lcm(xd * bd, ad)
     b_scale = bn * (den // (xd * bd))
     shared = an * (den // ad) - b_scale * (n[0] + n[1] + n[2])
@@ -364,10 +370,10 @@ def _profit_numerators(params: ModelParams,
     """Integers n_i and one denominator d with (p_i - c_i) x_i = n_i / d for every firm.
 
     The state holds its prices over pd and its outputs over xd. With the
-    costs over cd and m = lcm(pd, cd), d = m xd.
+    costs over theta's lcm cd and m = lcm(pd, cd), d = m xd.
     """
     x_num, x_den, p_num, p_den = state._ints
-    c_num, c_den = _over_lcm(params.costs)
+    _, _, (_, *c_num), c_den = params._ints
     m = lcm(p_den, c_den)
     p_scale, c_scale = m // p_den, m // c_den
     return tuple([(p * p_scale - c * c_scale) * x

@@ -31,7 +31,9 @@ from triopoly.market import (
     FIRMS,
     PATTERNS,
     PRICE,
+    MarketState,
     ModelParams,
+    ensure_float_safe,
     payoff_vector,
 )
 from triopoly.verify import (
@@ -334,6 +336,36 @@ def test_warm_payoff_forms_and_tables_do_no_fraction_arithmetic(monkeypatch):
         for pattern in sorted(PATTERNS):
             closed_form_outputs(params, pattern)
         direct_demand(params, prices)
+    assert calls == []
+
+
+def test_no_kernel_rederives_parameter_integers(monkeypatch):
+    # ModelParams puts b and theta on integers once; from warm caches on, no
+    # solve, table, payoff form, payoff vector or float guard does it again.
+    params = ModelParams("101/3", "123457/1000003", "1/4", "1/4", "2/9")
+    state = MarketState.from_outputs(params, (Fraction(7, 3), Fraction(-2, 5), 4))
+
+    def kernels():
+        for pattern in sorted(PATTERNS):
+            solve_equilibrium(params, pattern)
+            closed_form_outputs(params, pattern)
+            for firm in FIRMS:
+                build_payoff_quadratic(params, pattern, firm)
+        payoff_vector(params, state)
+        ensure_float_safe(params)
+
+    kernels()
+    calls = []
+    real = Fraction.as_integer_ratio
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
+    assert Fraction(1, 2).as_integer_ratio() == (1, 2) and calls  # the counter sees calls
+    calls.clear()
+    kernels()
     assert calls == []
 
 

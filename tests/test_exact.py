@@ -179,7 +179,7 @@ def test_eval_at_zero_is_constant(form):
 
 
 def test_dimension_mismatch_rejected():
-    form = QuadraticForm.zero(3)
+    form = QuadraticForm.from_numerators(((0, 0, 0),) * 3, (0, 0, 0), 0, 1)
     with pytest.raises(ValueError):
         form.evaluate((1, 2))
     with pytest.raises(ValueError):
@@ -217,7 +217,7 @@ def test_slice_agrees_with_full_evaluation(form, point):
 
 
 def test_slice_requires_partition():
-    form = QuadraticForm.zero(3)
+    form = QuadraticForm.from_numerators(((0, 0, 0),) * 3, (0, 0, 0), 0, 1)
     with pytest.raises(ValueError):
         form.slice((0, 1), {1: 0})
     with pytest.raises(ValueError):

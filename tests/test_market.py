@@ -62,12 +62,24 @@ def test_params_reject_small_intercept():
         ModelParams(10, "1/2", 2, 2, 10)
 
 
-def test_b_near_one_exact_ok_float_rejected():
-    params = ModelParams(10, Fraction(10**7 - 1, 10**7), 2, 2, 3)
-    with pytest.raises(ValueError, match="float mode"):
+_P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("b, rejected", [
+    (Fraction(10**7 - 1, 10**7), True),
+    (Fraction(1, 2), False),  # far enough from 1 passes the guard
+    (1 - Fraction(1, 10**6), False),  # the comparison is strict
+    (1 - Fraction(1, 10**6) + Fraction(1, 10**13), True),
+    (Fraction(_P61 - 10**12, _P61), True),  # 1 - b is about 4.3e-7
+    (Fraction(_P61 - _P61 // 10**6 - 1, _P61), False),  # 1 - b just above 1e-6
+])
+def test_b_near_one_exact_ok_float_rejected(b, rejected):
+    params = ModelParams(10, b, 2, 2, 3)
+    if rejected:
+        with pytest.raises(ValueError, match="float mode"):
+            ensure_float_safe(params)
+    else:
         ensure_float_safe(params)
-    # Far enough from 1 passes the guard.
-    ensure_float_safe(SPOT)
 
 
 def test_params_dict_round_trip():
@@ -331,6 +343,56 @@ def test_integer_form_is_never_stale(params, x, p, chosen):
         payoffs = payoff_vector(params, state)
         assert (payoffs.pi, payoffs.psi) == _textbook_payoffs(params, state)
         assert _interior(state) == all(v >= 0 for v in (*state.x, *state.p))
+
+
+def _spellings(value):
+    """Constructor inputs meaning value >= 0: itself, "n/d", and an int or a decimal string."""
+    forms = [value, f"{value.numerator}/{value.denominator}"]
+    if value.denominator == 1:
+        forms.append(int(value))
+    for k in range(1, 13):
+        if 10**k % value.denominator == 0:
+            scaled = value.numerator * (10**k // value.denominator)
+            forms.append(f"{scaled // 10**k}.{scaled % 10**k:0{k}d}")
+            break
+    return forms
+
+
+_decimals = st.integers(0, 40 * 10**4).map(lambda k: Fraction(k, 10**4))
+
+
+@st.composite
+def _spelled_params(draw):
+    costs = draw(st.tuples(*[st.one_of(_costs, _decimals)] * 3))
+    a = max(costs) + draw(st.one_of(_margins, st.integers(1, 40).map(Fraction)))
+    b = draw(st.one_of(_b_values, st.integers(1, 999).map(lambda k: Fraction(k, 1000))))
+    values = (a, b, *costs)
+    return values, [draw(st.sampled_from(_spellings(v))) for v in values]
+
+
+@given(_spelled_params(), _b_values, _costs)
+@settings(max_examples=100, deadline=None)
+def test_params_integer_form_is_never_stale(drawn, b, cost):
+    # Every route that makes a ModelParams must leave it holding the integers
+    # of its own b and theta, which every kernel reads instead of re-deriving.
+    values, spelled = drawn
+    params = ModelParams(*spelled)
+    assert (params.a, params.b, *params.costs) == values
+    made = [
+        params,
+        ModelParams.from_dict(dict(zip(("a", "b", "cA", "cB", "cC"), spelled))),
+        dataclasses.replace(params, b=b),
+        dataclasses.replace(params, c_b=cost % params.a),
+        copy.copy(params),
+        copy.deepcopy(params),
+        pickle.loads(pickle.dumps(params)),
+    ]
+    assert made[2].b == b and made[3].c_b == cost % params.a
+    for held in made:
+        theta_num, t = _over_lcm((held.a, *held.costs))
+        assert held._ints == (*held.b.as_integer_ratio(), tuple(theta_num), t)
+    assert made[1] == params and hash(made[1]) == hash(params) and "_ints" not in repr(params)
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["a", "b", "c_a", "c_b", "c_c"]
 
 
 @pytest.mark.parametrize("x, p, interior", [

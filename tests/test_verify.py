@@ -139,7 +139,8 @@ def test_degenerate_slice_detected():
 
 def test_grid_minimax_pair_validation():
     with pytest.raises(ValueError, match="two-variable"):
-        grid_minimax_pair(QuadraticForm.zero(3), GridSpec(0, 1, 5))
+        grid_minimax_pair(QuadraticForm.from_numerators(((0, 0, 0),) * 3, (0, 0, 0), 0, 1),
+                          GridSpec(0, 1, 5))
     with pytest.raises(ValueError, match="mode"):
         grid_minimax_pair(bilinear_saddle(), GridSpec(0, 1, 5), mode="fast")
 
