@@ -65,21 +65,25 @@ def test_params_reject_small_intercept():
 _P61 = 2**61 - 1
 
 
-@pytest.mark.parametrize("b, rejected", [
+# (b, whether float mode rejects it); every such b is a valid exact-mode parameter.
+_NEAR_ONE = [
     (Fraction(10**7 - 1, 10**7), True),
     (Fraction(1, 2), False),  # far enough from 1 passes the guard
     (1 - Fraction(1, 10**6), False),  # the comparison is strict
     (1 - Fraction(1, 10**6) + Fraction(1, 10**13), True),
     (Fraction(_P61 - 10**12, _P61), True),  # 1 - b is about 4.3e-7
     (Fraction(_P61 - _P61 // 10**6 - 1, _P61), False),  # 1 - b just above 1e-6
-])
-def test_b_near_one_exact_ok_float_rejected(b, rejected):
-    params = ModelParams(10, b, 2, 2, 3)
-    if rejected:
-        with pytest.raises(ValueError, match="float mode"):
+]
+
+
+def test_b_near_one_exact_ok_float_rejected():
+    for b, rejected in _NEAR_ONE:
+        params = ModelParams(10, b, 2, 2, 3)
+        if rejected:
+            with pytest.raises(ValueError, match="float mode"):
+                ensure_float_safe(params)
+        else:
             ensure_float_safe(params)
-    else:
-        ensure_float_safe(params)
 
 
 def test_params_dict_round_trip():
