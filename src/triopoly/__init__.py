@@ -43,6 +43,7 @@ from .equilibrium import (
     best_response_iteration,
     build_payoff_quadratic,
     closed_form_outputs,
+    committed_values,
     direct_demand,
     resolve_market,
     solve_equilibrium,
@@ -100,6 +101,7 @@ __all__ = [
     "best_response_iteration",
     "build_payoff_quadratic",
     "closed_form_outputs",
+    "committed_values",
     "solve_equilibrium",
     "DegenerateSlice",
     "EquivalenceReport",

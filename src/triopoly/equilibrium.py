@@ -83,6 +83,7 @@ __all__ = [
     "best_response",
     "Equilibrium",
     "solve_equilibrium",
+    "committed_values",
     "resolve_market",
     "direct_demand",
     "ClosedFormOutputs",
@@ -354,17 +355,15 @@ class Equilibrium:
         return doc
 
 
-def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equilibrium:
-    """Solve the stacked first-order conditions of one assignment exactly.
+def _committed_numerators(params: ModelParams,
+                          asg: StrategyAssignment) -> tuple[_Operator, list[int], int]:
+    """(op, nums, det): the committed values v = nums / (det t), checked, on ints.
 
-    The committed values are v = K theta from the (b, assignment) operator,
-    on integer numerators: with theta = theta_n / t, v = N theta_n / (D t).
-    Every firm's own first-order condition is checked to vanish at v,
-    M N theta_n + D L theta_n = 0 on ints, before the operator's pinning map
-    resolves v into the checked state.
+    With theta = theta_n / t, v = N theta_n / (D t) from the (b, assignment)
+    operator's gain N / D, and every firm's own first-order condition is
+    checked to vanish at v, M N theta_n + D L theta_n = 0.
     """
-    asg = as_assignment(assignment)
-    n, e, theta, t = params._ints
+    n, e, theta, _ = params._ints
     op = _operator(n, e, asg)
     try:
         gain, det = op.integer_solve
@@ -378,6 +377,32 @@ def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equili
                 f"first-order condition of firm {FIRMS[i]} does not vanish "
                 f"for {asg} at {params.describe()}"
             )
+    return op, nums, det
+
+
+def committed_values(params: ModelParams,
+                     assignment: AssignmentLike) -> tuple[Fraction, Fraction, Fraction]:
+    """The equilibrium's committed values alone: ``solve_equilibrium(...).chosen``.
+
+    They come from the same checked numerators as the solve's, with their
+    first-order conditions verified, but no market state or payoff is built.
+    """
+    _, nums, det = _committed_numerators(params, as_assignment(assignment))
+    den = det * params._ints[3]
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equilibrium:
+    """Solve the stacked first-order conditions of one assignment exactly.
+
+    The committed values are v = K theta from the (b, assignment) operator,
+    on integer numerators, each firm's own first-order condition checked to
+    vanish at v (see :func:`committed_values`), before the operator's pinning
+    map resolves v into the checked state.
+    """
+    asg = as_assignment(assignment)
+    op, nums, det = _committed_numerators(params, asg)
+    _, _, theta, t = params._ints
     chosen, state = op.resolve(params, nums, det * theta[0], det * t)
     payoffs = payoff_vector(params, state)
     soc_ok = all(op.foc[i][i] < 0 for i in range(3))

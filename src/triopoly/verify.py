@@ -39,6 +39,7 @@ from .equilibrium import (
     Equilibrium,
     build_payoff_quadratic,
     closed_form_outputs,
+    committed_values,
     direct_demand,
     solve_equilibrium,
 )
@@ -107,11 +108,23 @@ def _assignment_label(value: AssignmentLike) -> str:
 
 def _compare(left: AssignmentLike, right: AssignmentLike, el: Equilibrium,
              er: Equilibrium) -> EquivalenceReport:
-    max_diff = max(abs(a - b) for a, b in zip(el.state.x + el.state.p,
-                                               er.state.x + er.state.p))
-    witness = None if max_diff == 0 else (el.state, er.state)
+    # A state's integer form is canonical: the states are equal iff their forms are.
+    forms = el.state._ints, er.state._ints
+    equal = forms[0] == forms[1]
+    if equal:
+        max_diff, witness = Fraction(0), None
+    else:
+        # x, then p: each block's differences over the product of its two
+        # denominators, the larger block kept by cross-multiplication.
+        num, den = 0, 1
+        (lx, lx_den, lp, lp_den), (rx, rx_den, rp, rp_den) = forms
+        for l_num, l_den, r_num, r_den in ((lx, lx_den, rx, rx_den), (lp, lp_den, rp, rp_den)):
+            block = max(abs(u * r_den - v * l_den) for u, v in zip(l_num, r_num))
+            if block * den > num * l_den * r_den:
+                num, den = block, l_den * r_den
+        max_diff, witness = Fraction(num, den), (el.state, er.state)
     return EquivalenceReport(_assignment_label(left), _assignment_label(right),
-                             max_diff == 0, max_diff, witness)
+                             equal, max_diff, witness)
 
 
 def check_equivalence(params: ModelParams, left: AssignmentLike,
@@ -243,6 +256,18 @@ def _check_not_degenerate(form: QuadraticForm) -> None:
             raise DegenerateSlice(f"payoff is constant in the {role} variable")
 
 
+def _grid_integers(grid: GridSpec) -> tuple[int, int, int, int]:
+    """(s, w_lo, w_hi, dt): lo = w_lo / s, hi = w_hi / s and t_i = (w_lo + i dt) / s, on ints.
+
+    s is the lcm of the bounds' denominators times points - 1, so the step
+    h = dt / s is an int over s too.
+    """
+    n = grid.points - 1
+    s = math.lcm(grid.lo.denominator, grid.hi.denominator) * n
+    w_lo, w_hi = (x.numerator * (s // x.denominator) for x in (grid.lo, grid.hi))
+    return s, w_lo, w_hi, (w_hi - w_lo) // n
+
+
 def _last_true(pred, lo: int, hi: int) -> int:
     """Largest j in [lo, hi) with pred(j), given pred(lo) and not pred(hi) on a monotone pred."""
     step = 1
@@ -324,9 +349,8 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     q_ii, q_io, q_oo, l_i, l_o, k = coefs
     # t_i = (t0 + i dt) / s and w = W / s, with integers t0, dt, s and W.
     n = grid.points - 1
-    s = math.lcm(grid.lo.denominator, grid.hi.denominator) * n
-    w_lo, w_hi = (x.numerator * (s // x.denominator) for x in (grid.lo, grid.hi))
-    t0, dt = w_lo, (w_hi - w_lo) // n
+    s, w_lo, w_hi, dt = _grid_integers(grid)
+    t0 = w_lo
     # d s^2 f(t_i, W / s) = q_ii W^2 + beta_i W + gamma_i with beta_i = b0 + b1 i
     # and gamma_i = (g2 i + g1) i + g0; m puts the vertex value on integers.
     b1, b0 = 2 * q_io * dt, 2 * q_io * t0 + l_i * s
@@ -503,12 +527,14 @@ class MinimaxReport:
         }
 
 
-def _outer_derivative_bound(form: QuadraticForm, grid: GridSpec) -> Fraction:
-    """Exact bound on |d/dw| of the form over the grid box, both coordinates."""
-    m, s = max(abs(grid.lo), abs(grid.hi)).as_integer_ratio()
+def _outer_derivative_bound(form: QuadraticForm, m: int, s: int) -> tuple[int, int]:
+    """Exact bound on |d/dw| of the form over the box [-m/s, m/s]^2, both coordinates.
+
+    Returned as (num, den) with den > 0: an int over the form's den times s.
+    """
     quad, lin = form.quad_num, form.lin_num
-    return Fraction(max(2 * (abs(quad[w][w]) + abs(quad[w][1 - w])) * m + abs(lin[w]) * s
-                        for w in (0, 1)), form.den * s)
+    return (max(2 * (abs(quad[w][w]) + abs(quad[w][1 - w])) * m + abs(lin[w]) * s
+                for w in (0, 1)), form.den * s)
 
 
 def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
@@ -516,12 +542,15 @@ def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
     """Scan the minimax equalities of one payoff slice and certify the spread.
 
     The payoff owner's relative payoff is restricted to the (max_firm,
-    min_firm) plane with the third firm pinned. For a zero-sum-game payoff
-    with an interior saddle on the box, min-max and max-min coincide, in the
-    base variables and equally after flipping the minimizer's variable; the
-    scan checks that all requested chain quantities agree within 2 h G, where
-    h is the grid step and G an exact bound on the outer derivative. The
-    verdict is decided in exact arithmetic when ``mode="exact"``.
+    min_firm) plane with the third firm pinned, by default at its committed
+    value in the base assignment's equilibrium (:func:`committed_values`,
+    checked on its first-order conditions; no market state is built). For a
+    zero-sum-game payoff with an interior saddle on the box, min-max and
+    max-min coincide, in the base variables and equally after flipping the
+    minimizer's variable; the scan checks that all requested chain
+    quantities agree within 2 h G, where h is the grid step and G an exact
+    bound on the outer derivative. The verdict is decided in exact
+    arithmetic when ``mode="exact"``.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"mode must be 'float' or 'exact', got {mode!r}")
@@ -536,7 +565,7 @@ def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
     if slice_spec.fixed_value is not None:
         fixed_value = slice_spec.fixed_value
     else:
-        fixed_value = solve_equilibrium(params, base).chosen[fixed_idx]
+        fixed_value = committed_values(params, base)[fixed_idx]
 
     keep = (firm_index(max_firm), firm_index(min_firm))
     fixed = {fixed_idx: fixed_value}
@@ -550,21 +579,32 @@ def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
         trans = build_payoff_quadratic(params, flipped, slice_spec.payoff_firm).form
         scans.append(("transformed", trans.slice(keep, fixed)))
 
+    # The box lies in [-m/s, m/s]^2 and the grid step is h = dt / s.
+    s, w_lo, w_hi, dt = _grid_integers(grid)
+    m = max(abs(w_lo), abs(w_hi))
     quantities_raw = {}
-    bound = Fraction(0)
+    bound, bound_den = 0, 1  # G, the largest bound, compared by cross-multiplication
     for label, sliced in scans:
         min_max, max_min = grid_minimax_pair(sliced, grid, mode=mode)
         quantities_raw[f"min_max_{label}"] = min_max
         quantities_raw[f"max_min_{label}"] = max_min
-        bound = max(bound, _outer_derivative_bound(sliced, grid))
+        num, den = _outer_derivative_bound(sliced, m, s)
+        if num * bound_den > bound * den:
+            bound, bound_den = num, den
 
-    tolerance_exact = 2 * grid.step * bound
-    values = list(quantities_raw.values())
-    spread_raw = max(values) - min(values)
+    # 2 h G, and in exact mode the spread, on ints; int / int rounds
+    # correctly, so each float is the exact rational's float.
+    tol_num, tol_den = 2 * dt * bound, s * bound_den
+    tolerance = tol_num / tol_den
+    high, low = max(quantities_raw.values()), min(quantities_raw.values())
     if mode == "exact":
-        passed = spread_raw <= tolerance_exact
+        spread_num = high.numerator * low.denominator - low.numerator * high.denominator
+        spread_den = high.denominator * low.denominator
+        spread = spread_num / spread_den
+        passed = spread_num * tol_den <= tol_num * spread_den
     else:
-        passed = spread_raw <= float(tolerance_exact)
+        spread = high - low
+        passed = spread <= tolerance
     return MinimaxReport(
         payoff_firm=slice_spec.payoff_firm,
         max_firm=max_firm,
@@ -576,8 +616,8 @@ def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
         mode=mode,
         grid=grid,
         quantities={k: float(v) for k, v in quantities_raw.items()},
-        spread=float(spread_raw),
-        tolerance=float(tolerance_exact),
+        spread=spread,
+        tolerance=tolerance,
         passed=passed,
     )
 

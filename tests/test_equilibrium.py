@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triopoly.verify
 from triopoly.equilibrium import (
     ConcavityViolation,
     QuadraticPayoff,
@@ -21,6 +22,7 @@ from triopoly.equilibrium import (
     best_response_iteration,
     build_payoff_quadratic,
     closed_form_outputs,
+    committed_values,
     direct_demand,
     resolve_market,
     solve_equilibrium,
@@ -38,8 +40,10 @@ from triopoly.market import (
 )
 from triopoly.verify import (
     GridSpec,
+    MinimaxSlice,
     _outer_derivative_bound,
     grid_minimax_pair,
+    minimax_check,
     sample_model_params,
 )
 
@@ -268,6 +272,7 @@ def test_integer_solve_matches_fraction_reference(params):
         ref = _reference_operator(params.b, asg)
         rhs = [-sum(coef * value for coef, value in zip(row, theta)) for row in ref.foc_rhs]
         assert _residual_vanishes(ref.foc, rhs, eq.chosen)
+        assert committed_values(params, asg) == eq.chosen
         assert eq.soc_ok == all(ref.foc[i][i] < 0 for i in range(3))
         assert eq.state.x == tuple(sum(map(mul, row, eq.chosen)) + c * params.a
                                    for row, c in zip(ref.x_map, ref.x_const))
@@ -371,13 +376,20 @@ def test_no_kernel_rederives_parameter_integers(monkeypatch):
 
 def test_warm_minimax_chains_do_no_fraction_arithmetic(monkeypatch):
     # From a warm operator to the chain values: the payoff form, its slice, both
-    # chains in either mode and the outer-derivative bound all run on ints.
+    # chains in either mode and the outer-derivative bound all run on ints. So
+    # does a whole minimax check: its pinned value, tolerance and verdict, with
+    # no solve of the market.
     b = Fraction(5, 1_000_003)
     params = ModelParams("37/3", b, "7/2", "11/5", 3)
     grid = GridSpec(Fraction(-1, 3), params.a, 1001)
     fixed = Fraction(17, 7)
+    m, s = max(abs(grid.lo), abs(grid.hi)).as_integer_ratio()
     for asg in ALL_ASSIGNMENTS:
         build_payoff_quadratic(params, asg, "A")
+    solves = []
+    real_solve = triopoly.verify.solve_equilibrium
+    monkeypatch.setattr(triopoly.verify, "solve_equilibrium",
+                        lambda *args: solves.append(args) or real_solve(*args))
     calls = _count_fraction_arithmetic(monkeypatch)
     for asg in ALL_ASSIGNMENTS:
         for firm in FIRMS:
@@ -386,8 +398,11 @@ def test_warm_minimax_chains_do_no_fraction_arithmetic(monkeypatch):
                 sliced = form.slice(keep, {pinned: fixed})
                 for mode in ("exact", "float"):
                     grid_minimax_pair(sliced, grid, mode=mode)
-                _outer_derivative_bound(sliced, grid)
+                _outer_derivative_bound(sliced, m, s)
+            for mode in ("exact", "float"):
+                minimax_check(params, MinimaxSlice(firm, base_assignment=asg), grid, mode=mode)
     assert calls == []
+    assert solves == []
 
 
 def test_cold_operator_does_no_fraction_arithmetic(monkeypatch):
@@ -444,9 +459,30 @@ def test_singular_gain_names_the_solve(monkeypatch):
     op = _operator(*params.b.as_integer_ratio(), PATTERNS[1])
     singular = dataclasses.replace(op, foc=(op.foc[0], op.foc[0], op.foc[2]))
     monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: singular)
-    with pytest.raises(SingularSystem, match=r"\(stacked first-order conditions "
-                                             r"for QQQ at a=10/1 b=1/3 "):
-        solve_equilibrium(params, 1)
+    for route in (solve_equilibrium, committed_values):
+        with pytest.raises(SingularSystem, match=r"\(stacked first-order conditions "
+                                                 r"for QQQ at a=10/1 b=1/3 "):
+            route(params, 1)
+
+
+def test_corrupted_gain_fails_its_first_order_conditions_on_every_route(monkeypatch):
+    # The first-order conditions are checked on the committed numerators that
+    # the solve, committed_values and so the minimax check's pinned value read.
+    params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "11/5", 3)
+    for asg in ALL_ASSIGNMENTS:
+        op = _operator(*params.b.as_integer_ratio(), asg)
+        (gain, det), corrupted = op.integer_solve, dataclasses.replace(op)
+        for i in range(3):
+            bad = tuple((*row[:3], row[3] + 1) if k == i else row for k, row in enumerate(gain))
+            corrupted.__dict__["integer_solve"] = (bad, det)
+            monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: corrupted)
+            for route in (lambda: solve_equilibrium(params, asg),
+                          lambda: committed_values(params, asg),
+                          lambda: minimax_check(params, MinimaxSlice(FIRMS[i],
+                                                                     base_assignment=asg))):
+                with pytest.raises(ArithmeticError, match=f"first-order condition of firm "
+                                                          f"[ABC] does not vanish for {asg} "):
+                    route()
 
 
 @pytest.mark.parametrize("step, matrix", [

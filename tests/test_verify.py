@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 import triopoly.verify
 from triopoly.equilibrium import build_payoff_quadratic, solve_equilibrium
 from triopoly.exact import QuadraticForm, as_rational, format_rational
-from triopoly.market import ModelParams
+from triopoly.market import ALL_ASSIGNMENTS, FIRMS, MarketState, ModelParams, firm_index
 from triopoly.verify import (
     DegenerateSlice,
     GridSpec,
     MinimaxSlice,
+    _compare,
     check_equivalence,
     closed_form_discrepancies,
     equal_pattern_pairs,
@@ -81,6 +83,50 @@ def test_matrix_diagonal_trivial():
     for i in range(6):
         assert matrix[i][i].equal
         assert matrix[i][i].max_abs_diff == 0
+
+
+_state_values = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+_state_vectors = st.tuples(_state_values, _state_values, _state_values)
+
+
+@st.composite
+def _state_pairs(draw):
+    """Two states, each made with ``MarketState(x, p)`` or ``from_outputs``."""
+    params = ModelParams("101/3", draw(st.sampled_from(("1/2", "5/7", "3/1000003"))), 2, 3, 4)
+
+    def made(x, p):
+        return MarketState.from_outputs(params, x) if draw(st.booleans()) else MarketState(x, p)
+
+    x, p = draw(_state_vectors), draw(_state_vectors)
+    kind = draw(st.sampled_from(("identical", "same_x", "zeros", "sign_flip", "independent")))
+    if kind == "zeros":
+        x = p = (Fraction(0),) * 3
+    left = made(x, p)
+    if kind in ("identical", "zeros"):
+        right = draw(st.sampled_from((left, MarketState(left.x, left.p), made(left.x, left.p))))
+    elif kind == "same_x":
+        right = MarketState(left.x, draw(_state_vectors))
+    elif kind == "sign_flip":
+        right = made(tuple(-v for v in left.x), tuple(-v for v in left.p))
+    else:
+        right = made(draw(_state_vectors), draw(_state_vectors))
+    return left, right
+
+
+@settings(max_examples=400, deadline=None)
+@given(_state_pairs())
+def test_compare_matches_the_definition(pair):
+    left, right = pair
+    el, er = SimpleNamespace(state=left), SimpleNamespace(state=right)
+    report = _compare(1, "QPP", el, er)
+    max_diff = max(abs(u - v) for u, v in zip(left.x + left.p, right.x + right.p))
+    assert (report.left, report.right) == ("1", "QPP")
+    assert report.equal == (max_diff == 0) == (left == right)
+    assert type(report.max_abs_diff) is Fraction and report.max_abs_diff == max_diff
+    if report.equal:
+        assert report.witness is None
+    else:
+        assert report.witness[0] is left and report.witness[1] is right
 
 
 def test_closed_form_discrepancies_spot():
@@ -358,6 +404,69 @@ def test_minimax_report_serialization():
     assert doc["fixed_value"] == "114/35"
     assert doc["grid"] == {"lo": "0/1", "hi": "10/1", "points": 1001}
     assert doc["base_assignment"] == "QQQ"
+
+
+def _parent_minimax(params, slice_spec, grid, mode):
+    """Oracle: the pinned value from a full solve, and 2 h G and the spread as Fractions."""
+    max_firm, min_firm, fixed_firm = slice_spec.resolve_firms()
+    fixed = firm_index(fixed_firm)
+    value = solve_equilibrium(params, slice_spec.base_assignment).chosen[fixed]
+    keep = (firm_index(max_firm), firm_index(min_firm))
+    base, flipped = slice_spec.base_assignment, slice_spec.base_assignment.flip(min_firm)
+    assignments = {"direct": (base,), "via_other_variable": (flipped,),
+                   "both": (base, flipped)}[slice_spec.transform]
+    forms = [build_payoff_quadratic(params, asg, slice_spec.payoff_firm).form
+             .slice(keep, {fixed: value}) for asg in assignments]
+    reach = max(abs(grid.lo), abs(grid.hi))
+    bound = max(2 * (abs(form.quad[w][w]) + abs(form.quad[w][1 - w])) * reach
+                + abs(form.lin[w]) for form in forms for w in (0, 1))
+    tolerance = 2 * grid.step * bound
+    values = [v for form in forms for v in grid_minimax_pair(form, grid, mode=mode)]
+    spread = max(values) - min(values)
+    passed = spread <= (tolerance if mode == "exact" else float(tolerance))
+    return value, float(tolerance), float(spread), passed, [float(v) for v in values]
+
+
+_minimax_b = st.sampled_from((64, 999_983, 1_000_003, 1_000_033)).flatmap(
+    lambda den: st.integers(1, den - 2).map(lambda k: Fraction(k, den)))
+_minimax_costs = st.fractions(min_value=0, max_value=30, max_denominator=1000)
+
+
+@st.composite
+def _minimax_cases(draw):
+    costs = draw(st.tuples(_minimax_costs, _minimax_costs, _minimax_costs)
+                 .filter(lambda c: c[0] != c[1]))
+    margin = Fraction(draw(st.integers(1, 400)), draw(st.sampled_from((1, 3, 7, 97))))
+    params = ModelParams(max(costs) + margin, draw(_minimax_b), *costs)
+    slice_spec = MinimaxSlice(draw(st.sampled_from(FIRMS)),
+                              base_assignment=draw(st.sampled_from(ALL_ASSIGNMENTS)),
+                              transform=draw(st.sampled_from(
+                                  ("direct", "via_other_variable", "both"))))
+    den = draw(st.sampled_from((1, 2, 3, 64)))
+    lo = Fraction(draw(st.integers(-10 * den, 5 * den)), den)
+    width = Fraction(draw(st.integers(1, 60 * den)), den)
+    grid = GridSpec(lo, lo + width, draw(st.sampled_from((3, 101, 1001))))
+    return params, slice_spec, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(_minimax_cases())
+def test_minimax_check_matches_the_fraction_oracle(case):
+    params, slice_spec, grid = case
+    for mode in ("exact", "float"):
+        try:
+            value, tolerance, spread, passed, values = _parent_minimax(params, slice_spec,
+                                                                       grid, mode)
+        except DegenerateSlice:
+            with pytest.raises(DegenerateSlice):
+                minimax_check(params, slice_spec, grid, mode=mode)
+            continue
+        report = minimax_check(params, slice_spec, grid, mode=mode)
+        assert type(report.fixed_value) is Fraction and report.fixed_value == value
+        assert repr(report.tolerance) == repr(tolerance)
+        assert repr(report.spread) == repr(spread)
+        assert report.passed == passed
+        assert list(report.quantities.values()) == values
 
 
 # --- sampler and property suite --------------------------------------------------------
