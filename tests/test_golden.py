@@ -36,6 +36,8 @@ CASES = {
     "solve_mixed_float_csv": ["solve", *MIXED, "--mode", "float", "--format", "csv"],
     "solve_frac_a_json": ["solve", *FRAC_A, "--format", "json"],
     "solve_frac_a_float_csv": ["solve", *FRAC_A, "--mode", "float", "--format", "csv"],
+    "solve_mirror_qpp_json": ["solve", *FRAC_A, "--pattern", "QPP", "--format", "json"],
+    "solve_mirror_pqq_csv": ["solve", *MIXED, "--pattern", "PQQ", "--format", "csv"],
     "verify_spot_table": ["verify", *SPOT, "--draws", "20"],
     "verify_spot_json": ["verify", *SPOT, "--draws", "20", "--format", "json"],
     "verify_asym_table": ["verify", *ASYM, "--draws", "20"],
