@@ -25,8 +25,8 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    pivoting, N = -adj(M) L and D = det M, on [M | L] as ints, checked
    (M N + D L = 0) and reduced by their gcd. A solve is then integer dot
    products with theta over its lcm, its first-order conditions checked on
-   the same ints; Fractions are built only for the committed values and
-   outputs. A payoff form's linear and constant terms are integer dot
+   the same ints; a Fraction of the result is built only when a caller
+   reads it. A payoff form's linear and constant terms are integer dot
    products the same way.
 
 Printed closed-form output tables exist for the six numbered patterns and
@@ -69,7 +69,9 @@ from .market import (
     ModelParams,
     PayoffVector,
     StrategyAssignment,
+    _built,
     _interior,
+    _view,
     as_assignment,
     ensure_float_safe,
     firm_index,
@@ -169,8 +171,8 @@ class _Operator:
         return [_dot(row, values) for row in self.pin]
 
     def resolve(self, params: ModelParams, nums: Sequence[int], a_num: int,
-                den: int) -> tuple[tuple[Fraction, Fraction, Fraction], MarketState]:
-        """(v, state) for committed values v = nums / den at a = a_num / den, checked.
+                den: int) -> MarketState:
+        """The state at committed values v = nums / den and a = a_num / den, checked.
 
         The state's outputs are those of :meth:`output_numerators`, and it must
         reproduce each committed value, a price chooser's p_i and a quantity
@@ -186,7 +188,7 @@ class _Operator:
                     f"market state does not reproduce the committed values "
                     f"for {self.assignment} at {params.describe()}"
                 )
-        return tuple(Fraction(n, den) for n in nums), state
+        return state
 
     @cached_property
     def psi_quad(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -333,7 +335,9 @@ class Equilibrium:
 
     ``interior`` records whether all quantities and prices are nonnegative;
     ``soc_ok`` whether every firm's own curvature is negative. Both are
-    reported rather than enforced, so degenerate corners stay visible.
+    reported rather than enforced, so degenerate corners stay visible. One
+    made by :func:`solve_equilibrium` holds ``chosen`` as integer
+    numerators over one denominator, and builds it on its first read.
     """
 
     params: ModelParams
@@ -343,6 +347,9 @@ class Equilibrium:
     payoffs: PayoffVector
     interior: bool
     soc_ok: bool
+
+    def __getattr__(self, name: str):
+        return _view(self, name, ("chosen",))
 
     def to_dict(self) -> dict:
         doc = {"assignment": str(self.assignment), "pattern": self.assignment.pattern,
@@ -356,7 +363,7 @@ class Equilibrium:
 
 
 def _committed_numerators(params: ModelParams,
-                          asg: StrategyAssignment) -> tuple[_Operator, list[int], int]:
+                          asg: StrategyAssignment) -> tuple[_Operator, tuple[int, ...], int]:
     """(op, nums, det): the committed values v = nums / (det t), checked, on ints.
 
     With theta = theta_n / t, v = N theta_n / (D t) from the (b, assignment)
@@ -370,7 +377,7 @@ def _committed_numerators(params: ModelParams,
     except SingularSystem:
         raise SingularSystem(
             f"stacked first-order conditions for {asg} at {params.describe()}") from None
-    nums = [_dot(row, theta) for row in gain]
+    nums = tuple(_dot(row, theta) for row in gain)
     for i, row in enumerate(op.foc):
         if _dot(row[:3], nums) + det * _dot(row[3:], theta) != 0:
             raise ArithmeticError(
@@ -398,15 +405,16 @@ def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equili
     The committed values are v = K theta from the (b, assignment) operator,
     on integer numerators, each firm's own first-order condition checked to
     vanish at v (see :func:`committed_values`), before the operator's pinning
-    map resolves v into the checked state.
+    map resolves v into the checked state. Every check runs here, on
+    integers; the result's public Fractions are built on their first read.
     """
     asg = as_assignment(assignment)
     op, nums, det = _committed_numerators(params, asg)
     _, _, theta, t = params._ints
-    chosen, state = op.resolve(params, nums, det * theta[0], det * t)
-    payoffs = payoff_vector(params, state)
-    soc_ok = all(op.foc[i][i] < 0 for i in range(3))
-    return Equilibrium(params, asg, chosen, state, payoffs, _interior(state), soc_ok)
+    state = op.resolve(params, nums, det * theta[0], det * t)
+    return _built(Equilibrium, params=params, assignment=asg, state=state,
+                  payoffs=payoff_vector(params, state), interior=_interior(state),
+                  soc_ok=all(op.foc[i][i] < 0 for i in range(3)), _ints=(nums, det * t))
 
 
 def resolve_market(params: ModelParams, assignment: AssignmentLike,
@@ -420,7 +428,7 @@ def resolve_market(params: ModelParams, assignment: AssignmentLike,
     """
     asg = as_assignment(assignment)
     (a_num, *nums), den = _over_lcm((params.a, *rational_vector(chosen, 3)))
-    return _operator(*params._ints[:2], asg).resolve(params, nums, a_num, den)[1]
+    return _operator(*params._ints[:2], asg).resolve(params, nums, a_num, den)
 
 
 def direct_demand(params: ModelParams,

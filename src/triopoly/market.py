@@ -27,8 +27,9 @@ Every :class:`ModelParams` and :class:`MarketState` holds its integer form,
 made once at construction. The pinning map hands a state integer outputs,
 and its prices come from the integer kernel of :func:`inverse_demand`. The
 state -> payoff path (:func:`profit`, :func:`payoff_vector`) and the
-interior flag read those integers and build ``Fraction``s only for the
-values they return.
+interior flag read those integers. A state, a payoff vector or an
+equilibrium made from integers builds each public ``Fraction`` once, on
+its first read.
 """
 
 from __future__ import annotations
@@ -261,11 +262,17 @@ class MarketState:
     That form, made with the state and never changed, is ``x`` and ``p``
     each as integer numerators over the lcm of their denominators; the
     payoffs and the interior flag read it. It is not a field, so equality,
-    hashing and repr see only ``x`` and ``p``.
+    hashing and repr see only ``x`` and ``p``. A state made from integers
+    (:meth:`from_outputs`, the pinning map) builds each field from that
+    form on its first read, so its ``vars()`` shows only the fields read
+    so far.
     """
 
     x: tuple[Fraction, Fraction, Fraction]
     p: tuple[Fraction, Fraction, Fraction]
+
+    def __getattr__(self, name: str):
+        return _view(self, name, ("x", "p"))
 
     def __post_init__(self):
         x, p = rational_vector(self.x, 3), rational_vector(self.p, 3)
@@ -285,12 +292,15 @@ class MarketState:
         """The state at outputs n / xd, ints with xd > 0, and the prices that clear them.
 
         ``x``, when given, holds those outputs as Fractions already. Nothing
-        is coerced: each Fraction is built once, from the reduced integers.
+        is coerced: the state keeps the reduced integers, and builds each
+        other field from them on its first read.
         """
         x_num, x_den = _reduced(n, xd)
         p_num, p_den = _reduced(*_price_numerators(params, x_num, x_den))
-        return _built(cls, x=_fractions(x_num, x_den) if x is None else x,
-                      p=_fractions(p_num, p_den), _ints=(x_num, x_den, p_num, p_den))
+        state = _built(cls, _ints=(x_num, x_den, p_num, p_den))
+        if x is not None:
+            state.__dict__["x"] = x
+        return state
 
     def swap_ab(self) -> "MarketState":
         return MarketState((self.x[1], self.x[0], self.x[2]), (self.p[1], self.p[0], self.p[2]))
@@ -304,10 +314,17 @@ class MarketState:
 
 @dataclass(frozen=True)
 class PayoffVector:
-    """Per-firm absolute profits and the relative payoffs they induce."""
+    """Per-firm absolute profits and the relative payoffs they induce.
+
+    :func:`payoff_vector` makes one that holds both as integer numerators
+    over one denominator each, and builds each field on its first read.
+    """
 
     pi: tuple[Fraction, Fraction, Fraction]
     psi: tuple[Fraction, Fraction, Fraction]
+
+    def __getattr__(self, name: str):
+        return _view(self, name, ("pi", "psi"))
 
     def __post_init__(self):
         object.__setattr__(self, "pi", rational_vector(self.pi, 3))
@@ -322,6 +339,22 @@ def _built(cls, **attributes):
     obj = object.__new__(cls)
     obj.__dict__.update(attributes)
     return obj
+
+
+def _view(obj, name: str, names: tuple[str, ...]):
+    """Field ``name`` of ``obj``, one of ``names``, built from ``obj._ints`` on its first read.
+
+    The i-th of ``names`` is held in ``_ints`` as three numerators at 2 i
+    over the denominator at 2 i + 1. Its Fractions are stored in the
+    instance, so later reads do not come here. Any other name, or an object
+    without ``_ints``, raises AttributeError, as a missing attribute does.
+    """
+    ints = obj.__dict__.get("_ints")
+    if ints is None or name not in names:
+        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
+    i = 2 * names.index(name)
+    value = obj.__dict__[name] = _fractions(ints[i], ints[i + 1])
+    return value
 
 
 def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, int, int], int]:
@@ -400,4 +433,4 @@ def payoff_vector(params: ModelParams, state: MarketState) -> PayoffVector:
         raise ArithmeticError(
             f"relative payoffs with numerators {psi} over {2 * den} do not sum to zero"
         )
-    return _built(PayoffVector, pi=_fractions(nums, den), psi=_fractions(psi, 2 * den))
+    return _built(PayoffVector, _ints=(nums, den, psi, 2 * den))

@@ -194,7 +194,14 @@ def closed_form_discrepancies(params: ModelParams) -> list[dict]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A uniform closed grid on [lo, hi] with the given number of points."""
+    """A uniform closed grid on [lo, hi] with the given number of points.
+
+    Its integer form (s, w_lo, w_hi, dt), with lo = w_lo / s, hi = w_hi / s
+    and the i-th point (w_lo + i dt) / s, is made here once: s is the lcm of
+    the bounds' denominators times points - 1, so the step dt / s is an int
+    over s too. It is not a field, so equality, hashing and repr see only
+    lo, hi and points.
+    """
 
     lo: Fraction
     hi: Fraction
@@ -209,6 +216,10 @@ class GridSpec:
             raise ValueError(f"grid bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
         if self.points < 3:
             raise ValueError(f"grid needs at least 3 points, got {self.points}")
+        n = self.points - 1
+        s = math.lcm(self.lo.denominator, self.hi.denominator) * n
+        w_lo, w_hi = (x.numerator * (s // x.denominator) for x in (self.lo, self.hi))
+        object.__setattr__(self, "_ints", (s, w_lo, w_hi, (w_hi - w_lo) // n))
 
     @property
     def step(self) -> Fraction:
@@ -254,18 +265,6 @@ def _check_not_degenerate(form: QuadraticForm) -> None:
     for coord, role in ((0, "maximized"), (1, "minimized")):
         if quad[coord][coord] == 0 and quad[coord][1 - coord] == 0 and lin[coord] == 0:
             raise DegenerateSlice(f"payoff is constant in the {role} variable")
-
-
-def _grid_integers(grid: GridSpec) -> tuple[int, int, int, int]:
-    """(s, w_lo, w_hi, dt): lo = w_lo / s, hi = w_hi / s and t_i = (w_lo + i dt) / s, on ints.
-
-    s is the lcm of the bounds' denominators times points - 1, so the step
-    h = dt / s is an int over s too.
-    """
-    n = grid.points - 1
-    s = math.lcm(grid.lo.denominator, grid.hi.denominator) * n
-    w_lo, w_hi = (x.numerator * (s // x.denominator) for x in (grid.lo, grid.hi))
-    return s, w_lo, w_hi, (w_hi - w_lo) // n
 
 
 def _last_true(pred, lo: int, hi: int) -> int:
@@ -349,7 +348,7 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     q_ii, q_io, q_oo, l_i, l_o, k = coefs
     # t_i = (t0 + i dt) / s and w = W / s, with integers t0, dt, s and W.
     n = grid.points - 1
-    s, w_lo, w_hi, dt = _grid_integers(grid)
+    s, w_lo, w_hi, dt = grid._ints
     t0 = w_lo
     # d s^2 f(t_i, W / s) = q_ii W^2 + beta_i W + gamma_i with beta_i = b0 + b1 i
     # and gamma_i = (g2 i + g1) i + g0; m puts the vertex value on integers.
@@ -580,7 +579,7 @@ def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
         scans.append(("transformed", trans.slice(keep, fixed)))
 
     # The box lies in [-m/s, m/s]^2 and the grid step is h = dt / s.
-    s, w_lo, w_hi, dt = _grid_integers(grid)
+    s, w_lo, w_hi, dt = grid._ints
     m = max(abs(w_lo), abs(w_hi))
     quantities_raw = {}
     bound, bound_den = 0, 1  # G, the largest bound, compared by cross-multiplication

@@ -322,6 +322,32 @@ def test_warm_solve_does_no_fraction_arithmetic(monkeypatch):
     assert calls == []
 
 
+def test_warm_results_build_no_fraction_until_a_field_is_read(monkeypatch):
+    # A solve's or a payoff vector's public Fractions are built on their first read.
+    params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "11/5", 3)
+    x = (Fraction(7, 3), Fraction(-2, 5), Fraction(4))  # Fractions already: none is coerced
+    for asg in ALL_ASSIGNMENTS:
+        solve_equilibrium(params, asg)
+    made = []
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(1, 2) and made  # the counter sees constructions
+    made.clear()
+    solved = [solve_equilibrium(params, asg) for asg in ALL_ASSIGNMENTS]
+    payoffs = payoff_vector(params, MarketState.from_outputs(params, x))
+    assert made == [] and payoffs
+    state = solved[0].state
+    state.x
+    assert len(made) == 3
+    state.x
+    assert len(made) == 3
+
+
 def test_warm_payoff_forms_and_tables_do_no_fraction_arithmetic(monkeypatch):
     b = Fraction(5, 1_000_003)
     cold = ModelParams("37/3", b, "7/2", "7/2", 3)
@@ -452,6 +478,22 @@ def test_resolve_rejects_a_corrupted_pinning_row(monkeypatch):
             with pytest.raises(ArithmeticError,
                                match="does not reproduce the committed values"):
                 resolve_market(params, asg, chosen)
+
+
+def test_corrupted_pinning_row_fails_the_solve_before_any_field_is_read(monkeypatch):
+    # The committed-value check runs on the state's integers inside the solve,
+    # not when a lazily built field is first read.
+    params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "11/5", 3)
+    for asg in ALL_ASSIGNMENTS:
+        op = _operator(*params.b.as_integer_ratio(), asg)
+        for i in range(3):
+            pin = tuple((*row[:3], row[3] + 1) if k == i else row
+                        for k, row in enumerate(op.pin))
+            corrupted = dataclasses.replace(op, pin=pin)
+            monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: corrupted)
+            with pytest.raises(ArithmeticError,
+                               match="does not reproduce the committed values"):
+                solve_equilibrium(params, asg)
 
 
 def test_singular_gain_names_the_solve(monkeypatch):

@@ -27,7 +27,7 @@ from triopoly.market import (
     payoff_vector,
     profit,
 )
-from triopoly.equilibrium import direct_demand, resolve_market, solve_equilibrium
+from triopoly.equilibrium import Equilibrium, direct_demand, resolve_market, solve_equilibrium
 
 SPOT = ModelParams(10, "1/2", 2, 2, 3)
 
@@ -347,6 +347,50 @@ def test_integer_form_is_never_stale(params, x, p, chosen):
         payoffs = payoff_vector(params, state)
         assert (payoffs.pi, payoffs.psi) == _textbook_payoffs(params, state)
         assert _interior(state) == all(v >= 0 for v in (*state.x, *state.p))
+
+
+def _eager_twin(obj):
+    """The same result built eagerly by the public constructors from obj's field values."""
+    if isinstance(obj, MarketState):
+        return MarketState(obj.x, obj.p)
+    if isinstance(obj, PayoffVector):
+        return PayoffVector(obj.pi, obj.psi)
+    return Equilibrium(obj.params, obj.assignment, obj.chosen, _eager_twin(obj.state),
+                       _eager_twin(obj.payoffs), obj.interior, obj.soc_ok)
+
+
+_ROUND_TRIPS = (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)))
+
+
+@given(_market_params(), _vectors, _vectors)
+@settings(max_examples=30, deadline=None)
+def test_lazy_fields_keep_the_dataclass_contract(params, x, chosen):
+    # States, payoff vectors and equilibria from the solve, the pinning map and
+    # the state -> payoff path build their public Fractions on first read; an
+    # unread one must behave as the eagerly built object with the same values.
+    makers = [lambda: MarketState.from_outputs(params, x),
+              lambda: payoff_vector(params, MarketState.from_outputs(params, x))]
+    for asg in ALL_ASSIGNMENTS:
+        makers += [lambda asg=asg: solve_equilibrium(params, asg),
+                   lambda asg=asg: resolve_market(params, asg, chosen)]
+    for make in makers:
+        twin = _eager_twin(make())
+        cls, names = type(twin), [f.name for f in dataclasses.fields(twin)]
+        assert not set(names) <= set(vars(make()))  # some field is still unbuilt
+        for view in (lambda obj: obj, *_ROUND_TRIPS):
+            got = view(make())
+            assert type(got) is cls and got == twin and hash(got) == hash(twin)
+            assert repr(view(make())) == repr(twin)
+            assert dataclasses.asdict(view(make())) == dataclasses.asdict(twin)
+        unread = make()
+        for name in names:
+            assert getattr(unread, name) is getattr(unread, name)
+        for obj in (make(), object.__new__(cls)):
+            with pytest.raises(AttributeError, match="'no_such_field'"):
+                obj.no_such_field
+            assert not hasattr(obj, "__setstate__")
+        with pytest.raises(AttributeError, match=f"'{names[0]}'"):
+            getattr(object.__new__(cls), names[0])
 
 
 def _spellings(value):

@@ -40,6 +40,24 @@ def test_cache_inventory():
     assert found == ["_operator", "_printed_output_table", "integer_solve", "psi_quad"]
 
 
+def test_lazy_field_inventory():
+    # A field built on first read is absent from vars() until then; a new one must be
+    # deliberate, and go through the one helper that builds it from the integer form.
+    found, helpers = {}, []
+    for path in sorted((SRC / "triopoly").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_view":
+                helpers.append(path.name)
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and method.name == "__getattr__":
+                        found[node.name] = sorted(
+                            call.func.id for call in ast.walk(method)
+                            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name))
+    assert helpers == ["market.py"]
+    assert found == {name: ["_view"] for name in ("Equilibrium", "MarketState", "PayoffVector")}
+
+
 def test_no_module_imports_private_names_of_equilibrium():
     # The (b, assignment) operator's row layout is private to triopoly.equilibrium.
     found = [
