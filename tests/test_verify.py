@@ -1,6 +1,8 @@
 """Verification layer tests: equivalence, minimax scans, property suite."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -149,6 +151,20 @@ def test_grid_spec_values():
     assert grid.values() == [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1]
     floats = grid.float_values()
     assert len(floats) == 5 and floats[0] == 0.0 and floats[-1] == 1.0
+
+
+def test_grid_integer_form_is_never_stale():
+    # Every route that makes a grid must leave it holding the integers of its own
+    # bounds and step, which the chains and the tolerance read.
+    grid = GridSpec("-1/3", "7/2", 5)
+    made = [grid, dataclasses.replace(grid, hi=Fraction(5, 4)),
+            dataclasses.replace(grid, points=1001), copy.deepcopy(grid),
+            pickle.loads(pickle.dumps(grid))]
+    for held in made:
+        s, w_lo, w_hi, dt = held._ints
+        assert (Fraction(w_lo, s), Fraction(w_hi, s), Fraction(dt, s)) == (
+            held.lo, held.hi, held.step)
+    assert made[3] == grid and hash(made[3]) == hash(grid) and "_ints" not in repr(grid)
 
 
 def test_grid_spec_validation():
