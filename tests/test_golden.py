@@ -25,6 +25,9 @@ MIXED = ["--a", "50", "--b", "123457/1000003", "--cA", "1/3", "--cB", "2/7", "--
 NEAR_ONE = ["--a", "50", "--b", "63/64", "--cA", "181/8", "--cB", "201/8", "--cC", "237/8"]
 # A fractional intercept: theta's lcm differs from the costs' lcm.
 FRAC_A = ["--a", "101/3", "--b", "5/7", "--cA", "1/4", "--cB", "1/4", "--cC", "2/9"]
+# b over the Mersenne prime 2^61 - 1: the operator's integers run near 2^61 and beyond.
+P61 = ["--a", "50", "--b", "1152921504606846975/2305843009213693951",
+       "--cA", "1/3", "--cB", "2/7", "--cC", "5/11"]
 
 CASES = {
     "solve_table": ["solve", *SPOT],
@@ -38,6 +41,7 @@ CASES = {
     "solve_frac_a_float_csv": ["solve", *FRAC_A, "--mode", "float", "--format", "csv"],
     "solve_mirror_qpp_json": ["solve", *FRAC_A, "--pattern", "QPP", "--format", "json"],
     "solve_mirror_pqq_csv": ["solve", *MIXED, "--pattern", "PQQ", "--format", "csv"],
+    "solve_p61_json": ["solve", *P61, "--format", "json"],
     "verify_spot_table": ["verify", *SPOT, "--draws", "20"],
     "verify_spot_json": ["verify", *SPOT, "--draws", "20", "--format", "json"],
     "verify_asym_table": ["verify", *ASYM, "--draws", "20"],
@@ -53,6 +57,7 @@ CASES = {
                                 "--grid-points", "7", "--format", "csv"],
     "minimax_prime_b": ["minimax", *PRIME_B],
     "minimax_frac_a_table": ["minimax", *FRAC_A],
+    "minimax_p61_exact": ["minimax", *P61, "--firm", "B", "--mode", "exact"],
 }
 
 
