@@ -23,11 +23,15 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    over 2 q e; second-order conditions reduce to M_ii < 0, which is checked.
 3. The gain K(b) = -M^-1 L = N / D comes from a cofactor solve with no
    pivoting, N = -adj(M) L and D = det M, on [M | L] as ints, checked
-   (M N + D L = 0) and reduced by their gcd. A solve is then integer dot
-   products with theta over its lcm, its first-order conditions checked on
-   the same ints; a Fraction of the result is built only when a caller
-   reads it. A payoff form's linear and constant terms are integer dot
-   products the same way.
+   (M N + D L = 0) and reduced by their gcd. The model has three firms, so
+   the cold build, the cofactor solve and every per-call kernel are
+   straight-line 3x3 integer arithmetic. A solve is three 4-term sums of
+   the gain rows with theta over its lcm, its first-order conditions
+   checked on the same ints; a Fraction of the result is built only when a
+   caller reads it. A payoff form's linear and constant terms are 3-term
+   sums over the pinning columns the same way. The rows of items 1 and 2
+   come from a builder that uses only +, -, * on n and e, so it runs on any
+   ring; the cached operator reduces them by their gcd on ints.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
@@ -103,29 +107,25 @@ class ConcavityViolation(Exception):
 _TWICE_WEIGHTS = tuple(tuple(2 if k == i else -1 for k in range(3)) for i in range(3))
 
 
-def _dot(u, v):
-    # Start from the first product: an int start would cost one more Fraction add.
-    products = map(mul, u, v)
-    return sum(products, next(products))
-
-
 def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
     """N = -adj(M) R and D = det M for a 3x3 M on any exact ring, checked M N + D R = 0.
 
-    D = 0 raises SingularSystem.
+    D = 0 raises SingularSystem. Only +, -, * and == 0 touch the entries.
     """
     (a, b, c), (d, e, f), (g, h, i) = m
-    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
-           (f * g - d * i, a * i - c * g, c * d - a * f),
-           (d * h - e * g, b * g - a * h, a * e - b * d))
-    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    a00, a01, a02 = e * i - f * h, c * h - b * i, b * f - c * e
+    a10, a11, a12 = f * g - d * i, a * i - c * g, c * d - a * f
+    a20, a21, a22 = d * h - e * g, b * g - a * h, a * e - b * d
+    det = a * a00 + b * a10 + c * a20
     if det == 0:
         raise SingularSystem()
-    gain = tuple(tuple(-_dot(row, col) for col in zip(*rhs)) for row in adj)
-    for row, r in zip(m, rhs):
-        if any(_dot(row, col) + det * r_t != 0 for col, r_t in zip(zip(*gain), r)):
-            raise ArithmeticError(f"gain of {assignment} fails its first-order conditions")
-    return gain, det
+    columns = [(-(a00 * r0 + a01 * r1 + a02 * r2), -(a10 * r0 + a11 * r1 + a12 * r2),
+                -(a20 * r0 + a21 * r1 + a22 * r2)) for r0, r1, r2 in zip(*rhs)]
+    for (m0, m1, m2), r in zip(m, rhs):
+        for (n0, n1, n2), r_t in zip(columns, r):
+            if m0 * n0 + m1 * n1 + m2 * n2 + det * r_t != 0:
+                raise ArithmeticError(f"gain of {assignment} fails its first-order conditions")
+    return tuple(zip(*columns)), det
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,13 @@ class _Operator:
         foc = self.foc
         gain, det = _cofactor_solve([row[:3] for row in foc], [row[3:] for row in foc],
                                     self.assignment)
-        g = math.gcd(det, *(n for row in gain for n in row)) * (1 if det > 0 else -1)
+        g = math.gcd(det, *gain[0], *gain[1], *gain[2]) * (1 if det > 0 else -1)
         return tuple(tuple(n // g for n in row) for row in gain), det // g
 
     def output_numerators(self, nums: Sequence[int], a_num: int) -> list[int]:
         """Outputs x = [X | x0] . (nums, a_num) over q den, at v = nums / den, a = a_num / den."""
-        values = (*nums, a_num)
-        return [_dot(row, values) for row in self.pin]
+        v0, v1, v2 = nums
+        return [x0 * v0 + x1 * v1 + x2 * v2 + x3 * a_num for x0, x1, x2, x3 in self.pin]
 
     def resolve(self, params: ModelParams, nums: Sequence[int], a_num: int,
                 den: int) -> MarketState:
@@ -218,62 +218,81 @@ class _Operator:
         over 2 q e t and the constant over 2 q e t^2; with ``psi_quad`` over
         4 q e, the form is over 4 q e t^2.
         """
-        e, pin = self.e, self.pin
-        _, _, (a, *costs), t = params._ints
-        weights = _TWICE_WEIGHTS[i]
-        scaled_costs = tuple(map(mul, weights, costs))
-        lin = [2 * t * (a * weights[j] * f[3] - e * _dot(scaled_costs, (x[j] for x in pin)))
-               for j, f in enumerate(self.free)]
-        const = -2 * a * e * _dot(scaled_costs, (x[3] for x in pin))
+        e = self.e
+        (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23) = self.pin
+        (_, _, _, f0), (_, _, _, f1), (_, _, _, f2) = self.free
+        _, _, (a, c0, c1, c2), t = params._ints
+        w0, w1, w2 = _TWICE_WEIGHTS[i]
+        s0, s1, s2 = w0 * c0, w1 * c1, w2 * c2
+        lin = [2 * t * (a * w0 * f0 - e * (s0 * x00 + s1 * x10 + s2 * x20)),
+               2 * t * (a * w1 * f1 - e * (s0 * x01 + s1 * x11 + s2 * x21)),
+               2 * t * (a * w2 * f2 - e * (s0 * x02 + s1 * x12 + s2 * x22))]
+        const = -2 * a * e * (s0 * x03 + s1 * x13 + s2 * x23)
         tt = t * t
         quad = [[v * tt for v in row] for row in self.psi_quad[i]]
         return QuadraticForm.from_numerators(quad, lin, const, 4 * self.q * e * tt)
 
 
-@lru_cache(maxsize=1024)
-def _operator(n: int, e: int, assignment: StrategyAssignment) -> _Operator:
-    """Build the theta-free operator of b = n / e on ints; keyed by (n, e, assignment) only.
+def _operator_rows(n, e, assignment: StrategyAssignment) -> tuple:
+    """(q, pin, free, foc): the rows of b = n / e over q, q e and 2 q e, on any ring.
 
-    The key holds ints, not b: every Fraction over 2^61 - 1, the modulus of
-    Python's numeric hash, hashes alike, so a b-keyed cache would compare
-    such keys one by one.
+    Only +, -, * touch n and e, so the rows are polynomials in them; with
+    e = 1 they are the maps at b = n on any exact field.
 
     The m price choosers' outputs solve ((1 - b) I + b J) x_P = a - v_P -
     b sum(v_Q), and that block's inverse is (I - b J / d) / (1 - b) with
     d = 1 + (m - 1) b, so no elimination is needed. With d = g / e and
-    1 - b = h / e, every entry of [X | x0] is an int over q = g h.
+    1 - b = h / e, every entry of [X | x0] is over q = g h.
     """
     price = tuple(choice == PRICE for choice in assignment.choices)
     g, h = e + (sum(price) - 1) * n, e - n
     q = g * h
-    own, cross_price, cross_quantity = (n - g) * e, n * e, -n * h
+    own, cross_price, cross_quantity, eh = (n - g) * e, n * e, -n * h, e * h
     pin = []
     for i in range(3):
         if price[i]:
-            pin.append((*(own if j == i else cross_price if price[j] else cross_quantity
-                          for j in range(3)), e * h))
+            row = [cross_price if p else cross_quantity for p in price]
+            row[i] = own
+            row.append(eh)
         else:
-            pin.append((*(q if j == i else 0 for j in range(3)), 0))
+            row = [0, 0, 0, 0]
+            row[i] = q
+        pin.append(tuple(row))
 
     # Over q e: a price chooser's free variable is its output, and a quantity
     # chooser's is its price p_i = a - x_i - b (x_j + x_k).
     free = []
-    for i, row in enumerate(pin):
+    for i, (x0, x1, x2, x3) in enumerate(pin):
         if price[i]:
-            free.append(tuple(e * v for v in row))
+            free.append((e * x0, e * x1, e * x2, e * x3))
         else:
-            j, k = (i + 1) % 3, (i + 2) % 3
-            *f, f0 = (-e * x - n * (y + z) for x, y, z in zip(row, pin[j], pin[k]))
-            free.append((*f, q * e + f0))
+            (y0, y1, y2, y3), (z0, z1, z2, z3) = pin[(i + 1) % 3], pin[(i + 2) % 3]
+            free.append((-e * x0 - n * (y0 + z0), -e * x1 - n * (y1 + z1),
+                         -e * x2 - n * (y2 + z2), q * e - e * x3 - n * (y3 + z3)))
 
     # psi_i = sum_k W_ik pi_k, pi_k = v_k (F_k . v + f0_k a) - c_k x_k: in d psi_i / d v_i,
-    # v_j has the coefficient F_ij + W_ij F_ji. With W = T / 2, [M | L] is over 2 q e.
-    t = _TWICE_WEIGHTS
-    foc = [(*(2 * free[i][j] + t[i][j] * free[j][i] for j in range(3)), 2 * free[i][3],
-            *(-t[i][k] * e * pin[k][i] for k in range(3))) for i in range(3)]
-    c = math.gcd(2 * q * e, *(v for row in foc for v in row))
-    return _Operator(assignment, e, q, tuple(pin), tuple(free),
-                     tuple(tuple(v // c for v in row) for row in foc), 2 * q * e // c)
+    # v_j has the coefficient F_ij + W_ij F_ji. With W = T / 2 and T = _TWICE_WEIGHTS,
+    # [M | L] is over 2 q e: M_ij = 2 F_ij + T_ij F_ji and L_i = (2 f0_i, -T_ik e X_ki).
+    (f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23) = free
+    (x00, x01, x02, _), (x10, x11, x12, _), (x20, x21, x22, _) = pin
+    foc = ((4 * f00, 2 * f01 - f10, 2 * f02 - f20, 2 * f03, -2 * e * x00, e * x10, e * x20),
+           (2 * f10 - f01, 4 * f11, 2 * f12 - f21, 2 * f13, e * x01, -2 * e * x11, e * x21),
+           (2 * f20 - f02, 2 * f21 - f12, 4 * f22, 2 * f23, e * x02, e * x12, -2 * e * x22))
+    return q, tuple(pin), tuple(free), foc
+
+
+@lru_cache(maxsize=1024)
+def _operator(n: int, e: int, assignment: StrategyAssignment) -> _Operator:
+    """The theta-free operator of b = n / e on ints; keyed by (n, e, assignment) only.
+
+    The key holds ints, not b: every Fraction over 2^61 - 1, the modulus of
+    Python's numeric hash, hashes alike, so a b-keyed cache would compare
+    such keys one by one. [M | L] is reduced by its gcd with 2 q e.
+    """
+    q, pin, free, foc = _operator_rows(n, e, assignment)
+    c = math.gcd(2 * q * e, *foc[0], *foc[1], *foc[2])
+    return _built(_Operator, assignment=assignment, e=e, q=q, pin=pin, free=free,
+                  foc=tuple(tuple(v // c for v in row) for row in foc), foc_den=2 * q * e // c)
 
 
 @dataclass(frozen=True)
@@ -311,7 +330,7 @@ class QuadraticPayoff:
         # With the rivals over their lcm s, the own slope is over den s.
         nums, s = _over_lcm(rivals)
         nums.insert(i, 0)
-        slope = self.form.lin_num[i] * s + 2 * _dot(quad[i], nums)
+        slope = self.form.lin_num[i] * s + 2 * sum(map(mul, quad[i], nums))
         return Fraction(-slope, 2 * quad[i][i] * s)
 
 
@@ -370,16 +389,16 @@ def _committed_numerators(params: ModelParams,
     operator's gain N / D, and every firm's own first-order condition is
     checked to vanish at v, M N theta_n + D L theta_n = 0.
     """
-    n, e, theta, _ = params._ints
+    n, e, (a, c0, c1, c2), _ = params._ints
     op = _operator(n, e, asg)
     try:
         gain, det = op.integer_solve
     except SingularSystem:
         raise SingularSystem(
             f"stacked first-order conditions for {asg} at {params.describe()}") from None
-    nums = tuple(_dot(row, theta) for row in gain)
-    for i, row in enumerate(op.foc):
-        if _dot(row[:3], nums) + det * _dot(row[3:], theta) != 0:
+    v0, v1, v2 = nums = tuple(k0 * a + k1 * c0 + k2 * c1 + k3 * c2 for k0, k1, k2, k3 in gain)
+    for i, (m0, m1, m2, l0, l1, l2, l3) in enumerate(op.foc):
+        if m0 * v0 + m1 * v1 + m2 * v2 + det * (l0 * a + l1 * c0 + l2 * c1 + l3 * c2) != 0:
             raise ArithmeticError(
                 f"first-order condition of firm {FIRMS[i]} does not vanish "
                 f"for {asg} at {params.describe()}"
@@ -414,7 +433,8 @@ def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equili
     state = op.resolve(params, nums, det * theta[0], det * t)
     return _built(Equilibrium, params=params, assignment=asg, state=state,
                   payoffs=payoff_vector(params, state), interior=_interior(state),
-                  soc_ok=all(op.foc[i][i] < 0 for i in range(3)), _ints=(nums, det * t))
+                  soc_ok=op.foc[0][0] < 0 and op.foc[1][1] < 0 and op.foc[2][2] < 0,
+                  _ints=(nums, det * t))
 
 
 def resolve_market(params: ModelParams, assignment: AssignmentLike,
@@ -489,7 +509,7 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
     # With c_A = c_B, (a, c_AB, c_C) is over theta's lcm t.
     n, e, (a, c_ab, _, c_c), t = params._ints
     rows, den = _printed_output_table(n, e)[pattern]
-    printed = tuple(Fraction(_dot(row, (a, c_ab, c_c)), den * t) for row in rows)
+    printed = tuple(Fraction(r0 * a + r1 * c_ab + r2 * c_c, den * t) for r0, r1, r2 in rows)
     corrected = printed if pattern != 1 else (printed[0], printed[1], -printed[2])
     return ClosedFormOutputs(pattern, printed, corrected)
 
@@ -615,7 +635,7 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
             )
         curvature.append(own)
         slope.append([m / den for m in row[:3]])
-        intercept.append(_dot(row[3:], theta) / (den * t))
+        intercept.append(sum(map(mul, row[3:], theta)) / (den * t))
 
     converged = False
     iterations = 0

@@ -17,6 +17,7 @@ from triopoly.equilibrium import (
     QuadraticPayoff,
     _cofactor_solve,
     _operator,
+    _operator_rows,
     _printed_output_table,
     best_response,
     best_response_iteration,
@@ -653,27 +654,61 @@ def _transcribed_output_table(b) -> dict:
     }
 
 
+def _reference_rows(ref) -> tuple:
+    """The reference's pinning, free and first-order rows, each row ending in its constants."""
+    return ([(*x, c) for x, c in zip(ref.x_map, ref.x_const)],
+            [(*f, c) for f, c in zip(ref.free_map, ref.free_const)],
+            [(*m, *l) for m, l in zip(ref.foc, ref.foc_rhs)])
+
+
+def _assert_operator_matches(op, ref, psi_quad, gain, det):
+    """The integer operator holds the reference's maps, and its gain is N / D reduced."""
+    int_gain, int_det = op.integer_solve
+    assert int_det > 0 and math.gcd(int_det, *(n for row in int_gain for n in row)) == 1
+    assert [[n / det for n in row] for row in gain] == \
+        [[Fraction(n, int_det) for n in row] for row in int_gain]
+    assert _reference_rows(ref) == (_over(op.pin, op.q), _over(op.free, op.q * op.e),
+                                    _over(op.foc, op.foc_den))
+    assert psi_quad == tuple(tuple(_over(quad, 4 * op.q * op.e)) for quad in op.psi_quad)
+
+
 @pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(57, 64), Fraction(123457, 1000003)])
 def test_gain_and_tables_run_on_any_exact_field(b):
     # Only field operations on b: the route a symbolic b would take. The integer
     # operator must hold the same maps as the reference built on that field.
     for asg in ALL_ASSIGNMENTS:
         ref = _reference_operator(_Exact(b), asg)
-        op = _operator(*b.as_integer_ratio(), asg)
         gain, det = _unwrap(_cofactor_solve(ref.foc, ref.foc_rhs, asg))
-        int_gain, int_det = op.integer_solve
-        assert [[n / det for n in row] for row in gain] == \
-            [[Fraction(n, int_det) for n in row] for row in int_gain]
-        assert [(*x, c) for x, c in zip(ref.x_map, ref.x_const)] == _over(op.pin, op.q)
-        assert [(*f, c) for f, c in zip(ref.free_map, ref.free_const)] == \
-            _over(op.free, op.q * op.e)
-        assert [(*m, *l) for m, l in zip(ref.foc, ref.foc_rhs)] == _over(op.foc, op.foc_den)
-        assert _unwrap(ref.psi_quad) == tuple(tuple(_over(quad, 4 * op.q * op.e))
-                                              for quad in op.psi_quad)
+        _assert_operator_matches(_operator(*b.as_integer_ratio(), asg), ref,
+                                 _unwrap(ref.psi_quad), gain, det)
     table = _unwrap(_transcribed_output_table(_Exact(b)))
     assert table == _transcribed_output_table(b)
     for pattern, (rows, den) in _printed_output_table(*b.as_integer_ratio()).items():
         assert tuple(tuple(Fraction(n, den) for n in row) for row in rows) == table[pattern]
+
+
+@given(_b_values)
+@settings(max_examples=60, deadline=None)
+def test_unrolled_operator_matches_fraction_reference_at_drawn_b(b):
+    # Every entry of the straight-line build and gain, at b over 64 and over
+    # primes up to 2^61 - 1, against the Fraction reference and its own gain.
+    for asg in ALL_ASSIGNMENTS:
+        ref = _reference_operator(b, asg)
+        gain, det = _cofactor_solve(ref.foc, ref.foc_rhs, asg)
+        _assert_operator_matches(_operator(*b.as_integer_ratio(), asg), ref, ref.psi_quad,
+                                 gain, det)
+
+
+@given(_b_values)
+@settings(max_examples=30, deadline=None)
+def test_operator_rows_run_on_any_exact_ring(b):
+    # The row builder uses only +, -, * on n and e: at n = b, e = 1 in a field
+    # that is not Fraction, its rows over q, q e and 2 q e are the reference maps.
+    for asg in ALL_ASSIGNMENTS:
+        q, pin, free, foc = _operator_rows(_Exact(b), 1, asg)
+        rows = tuple(_unwrap(tuple(tuple(v / den for v in row) for row in rows))
+                     for rows, den in ((pin, q), (free, q), (foc, 2 * q)))
+        assert _reference_rows(_reference_operator(b, asg)) == tuple(map(list, rows))
 
 
 def test_solve_accepts_string_and_int():
