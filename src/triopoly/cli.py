@@ -26,7 +26,6 @@ from .market import (
 )
 from .equilibrium import (
     ConcavityViolation,
-    Equilibrium,
     best_response_iteration,
     resolve_market,
     solve_equilibrium,
@@ -170,10 +169,6 @@ def _pattern_label(asg: StrategyAssignment) -> str:
     return str(asg.pattern) if asg.pattern is not None else "-"
 
 
-def _exact_values(eq: Equilibrium):
-    return eq.state.x + eq.state.p + eq.payoffs.psi
-
-
 def _cmd_solve(args) -> tuple[str, bool]:
     params = _params_from_args(args)
     selection = _parse_selection(args.pattern)
@@ -195,15 +190,14 @@ def _solve_exact_rows(params, selection):
     rows = []
     docs = []
     for asg in selection:
-        eq = solve_equilibrium(params, asg)
-        values = _exact_values(eq)
+        doc = solve_equilibrium(params, asg).to_dict()
         rows.append(
             [_pattern_label(asg), str(asg)]
-            + [format_rational(v) for v in values]
-            + [decimal_string(v) for v in values]
-            + [_flag(eq.interior), _flag(eq.soc_ok)]
+            + doc["x"] + doc["p"] + doc["psi"]
+            + doc["x_dec"] + doc["p_dec"] + doc["psi_dec"]
+            + [_flag(doc["flags"]["interior"]), _flag(doc["flags"]["soc_ok"])]
         )
-        docs.append(eq.to_dict())
+        docs.append(doc)
     return rows, docs
 
 

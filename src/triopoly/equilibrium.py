@@ -22,16 +22,17 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    gives the stacked first-order conditions M(b) v + L(b) theta = 0, ints
    over 2 q e; second-order conditions reduce to M_ii < 0, which is checked.
 3. The gain K(b) = -M^-1 L = N / D comes from a cofactor solve with no
-   pivoting, N = -adj(M) L and D = det M, on [M | L] as ints, checked
-   (M N + D L = 0) and reduced by their gcd. The model has three firms, so
-   the cold build, the cofactor solve and every per-call kernel are
-   straight-line 3x3 integer arithmetic. A solve is three 4-term sums of
-   the gain rows with theta over its lcm, its first-order conditions
-   checked on the same ints; a Fraction of the result is built only when a
-   caller reads it. A payoff form's linear and constant terms are 3-term
-   sums over the pinning columns the same way. The rows of items 1 and 2
-   come from a builder that uses only +, -, * on n and e, so it runs on any
-   ring; the cached operator reduces them by their gcd on ints.
+   pivoting, N = -adj(M) L and D = det M, on [M | L] as ints over 2 q e,
+   checked (M N + D L = 0) and reduced to N / D with gcd 1 and D > 0. The
+   model has three firms, so the cold build, the cofactor solve and every
+   per-call kernel are straight-line 3x3 integer arithmetic. A solve is
+   three 4-term sums of the gain rows with theta over its lcm, its
+   first-order conditions checked on the same ints; a Fraction of the
+   result is built only when a caller reads it. A payoff form's linear and
+   constant terms are 3-term sums over the pinning columns the same way.
+   The rows of items 1 and 2 come from a builder that uses only +, -, * on
+   n and e, so it runs on any ring; the cached operator holds them as it
+   returns them.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
@@ -41,9 +42,11 @@ solver, the tables are linear maps cached per b, on its ints n, e, and
 built without Fraction arithmetic: each output is a row of coefficients on
 (a, c_AB, c_C). A transcribed entry is a polynomial in b over a product of
 linear factors in b; scaled by e to the denominator's degree, both are
-integer polynomials in n and e, so each pattern's rows are ints over one
-denominator, dotted with (a, c_AB, c_C) over their lcm. The solver is
-ground truth; the tables are cross-checks and documentation.
+integer polynomials in n and e, so each pattern's rows are ints over its
+transcribed denominator, and the table's body, like the operator's rows,
+runs on any ring. An output is its row dotted with (a, c_AB, c_C) over
+their lcm. The solver is ground truth; the tables are cross-checks and
+documentation.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ class _Operator:
     quantity and its output when it commits a price, is [F | f0]_i . (v, a)
     over q e, from the rows of ``free``. The stacked own-variable
     first-order conditions read [M | L] . (v, theta) = 0, from the rows of
-    ``foc`` over ``foc_den`` > 0.
+    ``foc`` over 2 q e.
 
     These rows are the package's only copy of each map: the pinning map and
     ``direct_demand`` apply ``pin``, ``payoff_form`` reads ``free`` and the
@@ -151,7 +154,6 @@ class _Operator:
     pin: tuple[tuple[int, ...], ...]
     free: tuple[tuple[int, ...], ...]
     foc: tuple[tuple[int, ...], ...]
-    foc_den: int
 
     @cached_property
     def integer_solve(self) -> tuple:
@@ -287,12 +289,11 @@ def _operator(n: int, e: int, assignment: StrategyAssignment) -> _Operator:
 
     The key holds ints, not b: every Fraction over 2^61 - 1, the modulus of
     Python's numeric hash, hashes alike, so a b-keyed cache would compare
-    such keys one by one. [M | L] is reduced by its gcd with 2 q e.
+    such keys one by one. The operator holds the rows of ``_operator_rows``
+    as that builder returns them.
     """
     q, pin, free, foc = _operator_rows(n, e, assignment)
-    c = math.gcd(2 * q * e, *foc[0], *foc[1], *foc[2])
-    return _built(_Operator, assignment=assignment, e=e, q=q, pin=pin, free=free,
-                  foc=tuple(tuple(v // c for v in row) for row in foc), foc_den=2 * q * e // c)
+    return _built(_Operator, assignment=assignment, e=e, q=q, pin=pin, free=free, foc=foc)
 
 
 @dataclass(frozen=True)
@@ -516,21 +517,23 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
 
 @lru_cache(maxsize=64)
 def _printed_output_table(n: int, e: int) -> dict:
-    """Each pattern's three transcribed rows at b = n / e as ints over one denominator.
+    """Each pattern's three transcribed rows at b = n / e over its transcribed denominator.
 
     An output is its row dotted with (a, c_AB, c_C), over that denominator.
     Every transcribed numerator is a polynomial in b, and every denominator
     a product of linear factors in b; scaled by e to the pattern
-    denominator's degree, both are integer polynomials in n and e. Keyed by
-    the ints of b alone, as ``_operator`` is: one verify run meets at most
-    64 distinct b, the given one and the sampler's.
+    denominator's degree, both are polynomials in n and e. Only +, -, *
+    touch n and e, so, like ``_operator_rows``, the body runs on any ring,
+    and on ints the rows are ints over a positive int. Keyed by the ints of
+    b alone, as ``_operator`` is: one verify run meets at most 64 distinct
+    b, the given one and the sampler's.
     """
     monomials = {degree: [n**k * e**(degree - k) for k in range(degree + 1)]
                  for degree in (2, 3, 4)}
 
-    def row(degree: int, *polynomials: tuple[int, ...]) -> list[int]:
+    def row(degree: int, *polynomials: tuple[int, ...]) -> tuple:
         # e^degree p(n / e) for each p, given by its coefficients in b, highest power first.
-        return [sum(map(mul, reversed(p), monomials[degree])) for p in polynomials]
+        return tuple(sum(map(mul, reversed(p), monomials[degree])) for p in polynomials)
 
     # e (4 - b), e (b + 2), e (1 - b), e (3 b + 4), e (5 b + 4) and e (b + 4).
     u, v, h = 4 * e - n, n + 2 * e, e - n
@@ -561,26 +564,16 @@ def _printed_output_table(n: int, e: int) -> dict:
     x5_a = row(4, a5, (6, 16, -12, -16), (-1, 3, 4, 0))
     x5_c = row(4, a5, (1, 12, 8, 0), (4, 7, -16, -16))
 
-    tables = {
+    # Patterns 4 and 6 are transcribed with the same rows.
+    pattern46 = ((x46_ab, x46_ab, x46_c), d46)
+    return {
         1: ((x12_ab, x12_ab, x12_c), d12),
-        2: ((x12_ab, x12_ab, [-c for c in x12_c]), d12),
-        3: ((x3_a, [c * h * w3 for c in x12_ab], x3_c), d3),
-        4: ((x46_ab, x46_ab, x46_c), d46),
-        5: ((x5_a, [c * w4 for c in x46_ab], x5_c), d5),
+        2: ((x12_ab, x12_ab, tuple(-c for c in x12_c)), d12),
+        3: ((x3_a, tuple(c * h * w3 for c in x12_ab), x3_c), d3),
+        4: pattern46,
+        5: ((x5_a, tuple(c * w4 for c in x46_ab), x5_c), d5),
+        6: pattern46,
     }
-    reduced = {k: _reduced_rows(*table) for k, table in tables.items()}
-    reduced[6] = reduced[4]  # patterns 4 and 6 are transcribed with the same rows
-    return reduced
-
-
-def _reduced_rows(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Int rows over den > 0 with their common factor removed.
-
-    The result is over the lcm of the entries' reduced denominators, as
-    ``_over_lcm`` puts their Fractions.
-    """
-    g = math.gcd(den, *(c for row in rows for c in row))
-    return tuple(tuple(c // g for c in row) for row in rows), den // g
 
 
 @dataclass(frozen=True)
@@ -624,7 +617,7 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
 
     n, e, theta, t = params._ints
     op = _operator(n, e, asg)
-    den = op.foc_den
+    den = 2 * op.q * e
     curvature, slope, intercept = [], [], []
     # int / int rounds correctly, so each float is the exact rational's float.
     for i, row in enumerate(op.foc):

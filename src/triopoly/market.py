@@ -283,24 +283,18 @@ class MarketState:
 
     @classmethod
     def from_outputs(cls, params: ModelParams, x: Sequence[RationalLike]) -> "MarketState":
-        quantities = rational_vector(x, 3)
-        return cls._from_numerators(params, *_over_lcm(quantities), quantities)
+        return cls._from_numerators(params, *_over_lcm(rational_vector(x, 3)))
 
     @classmethod
-    def _from_numerators(cls, params: ModelParams, n: Sequence[int], xd: int,
-                   x: tuple[Fraction, Fraction, Fraction] | None = None) -> "MarketState":
+    def _from_numerators(cls, params: ModelParams, n: Sequence[int], xd: int) -> "MarketState":
         """The state at outputs n / xd, ints with xd > 0, and the prices that clear them.
 
-        ``x``, when given, holds those outputs as Fractions already. Nothing
-        is coerced: the state keeps the reduced integers, and builds each
-        other field from them on its first read.
+        Nothing is coerced: the state keeps the reduced integers, and builds
+        each field from them on its first read.
         """
         x_num, x_den = _reduced(n, xd)
         p_num, p_den = _reduced(*_price_numerators(params, x_num, x_den))
-        state = _built(cls, _ints=(x_num, x_den, p_num, p_den))
-        if x is not None:
-            state.__dict__["x"] = x
-        return state
+        return _built(cls, _ints=(x_num, x_den, p_num, p_den))
 
     def swap_ab(self) -> "MarketState":
         return MarketState((self.x[1], self.x[0], self.x[2]), (self.p[1], self.p[0], self.p[2]))

@@ -668,7 +668,7 @@ def _assert_operator_matches(op, ref, psi_quad, gain, det):
     assert [[n / det for n in row] for row in gain] == \
         [[Fraction(n, int_det) for n in row] for row in int_gain]
     assert _reference_rows(ref) == (_over(op.pin, op.q), _over(op.free, op.q * op.e),
-                                    _over(op.foc, op.foc_den))
+                                    _over(op.foc, 2 * op.q * op.e))
     assert psi_quad == tuple(tuple(_over(quad, 4 * op.q * op.e)) for quad in op.psi_quad)
 
 
@@ -697,6 +697,21 @@ def test_unrolled_operator_matches_fraction_reference_at_drawn_b(b):
         gain, det = _cofactor_solve(ref.foc, ref.foc_rhs, asg)
         _assert_operator_matches(_operator(*b.as_integer_ratio(), asg), ref, ref.psi_quad,
                                  gain, det)
+
+
+@given(_b_values)
+@settings(max_examples=60, deadline=None)
+def test_cached_operator_and_table_are_their_ring_generic_bodies(b):
+    # The caches hold what the bodies return: the operator the rows of
+    # _operator_rows verbatim, and the table body, run on a field that is
+    # not Fraction, the transcribed entries over their denominators.
+    n, e = b.as_integer_ratio()
+    for asg in ALL_ASSIGNMENTS:
+        op = _operator(n, e, asg)
+        assert (op.q, op.pin, op.free, op.foc) == _operator_rows(n, e, asg)
+    transcribed = _transcribed_output_table(b)
+    for pattern, (rows, den) in _printed_output_table.__wrapped__(_Exact(b), 1).items():
+        assert _unwrap(tuple(tuple(v / den for v in row) for row in rows)) == transcribed[pattern]
 
 
 @given(_b_values)

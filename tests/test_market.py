@@ -393,6 +393,13 @@ def test_lazy_fields_keep_the_dataclass_contract(params, x, chosen):
             getattr(object.__new__(cls), names[0])
 
 
+def test_state_from_outputs_builds_x_on_its_first_read():
+    state = MarketState.from_outputs(SPOT, (Fraction(7, 3), "-2/5", 4))
+    assert set(vars(state)) == {"_ints"}
+    assert state.x == (Fraction(7, 3), Fraction(-2, 5), Fraction(4))
+    assert set(vars(state)) == {"_ints", "x"}
+
+
 def _spellings(value):
     """Constructor inputs meaning value >= 0: itself, "n/d", and an int or a decimal string."""
     forms = [value, f"{value.numerator}/{value.denominator}"]
