@@ -45,6 +45,7 @@ from .equilibrium import (
     closed_form_outputs,
     committed_values,
     direct_demand,
+    own_payoff_slopes,
     resolve_market,
     solve_equilibrium,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "build_payoff_quadratic",
     "closed_form_outputs",
     "committed_values",
+    "own_payoff_slopes",
     "solve_equilibrium",
     "DegenerateSlice",
     "EquivalenceReport",

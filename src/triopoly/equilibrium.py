@@ -89,6 +89,7 @@ __all__ = [
     "ConcavityViolation",
     "QuadraticPayoff",
     "build_payoff_quadratic",
+    "own_payoff_slopes",
     "best_response",
     "Equilibrium",
     "solve_equilibrium",
@@ -143,7 +144,7 @@ class _Operator:
     ``foc`` over 2 q e.
 
     These rows are the package's only copy of each map: the pinning map and
-    ``direct_demand`` apply ``pin``, ``payoff_form`` reads ``free`` and the
+    ``direct_demand`` apply ``pin``, ``payoff_terms`` reads ``free`` and the
     columns of ``pin``, and the solve and its second-order flag read ``foc``.
     Nothing outside this module reads them.
     """
@@ -200,7 +201,7 @@ class _Operator:
         has the matrix 3/2 sym(e_i F_i') + shared over q e, where shared is
         -1/2 sum_k sym(e_k F_k'): row and column i are ``own[i]``, the rest
         is ``shared``. Each entry is an int over 4 q e. Only ``payoff_form``
-        reads it.
+        and ``own_payoff_slopes`` read it.
         """
         f = self.free
         shared = [[-f[r][s] - f[s][r] for s in range(3)] for r in range(3)]
@@ -209,16 +210,16 @@ class _Operator:
         return tuple(tuple(tuple(own[i][s] if r == i else own[i][r] if s == i else shared[r][s]
                                  for s in range(3)) for r in range(3)) for i in range(3))
 
-    def payoff_form(self, i: int, params: ModelParams) -> QuadraticForm:
-        """Firm i's relative payoff as a quadratic in v at the theta of params, on ints.
+    def payoff_terms(self, i: int, params: ModelParams) -> tuple[list[int], int]:
+        """(lin, const): firm i's payoff's linear and constant terms, ints over 4 q e t^2.
 
         Profit pi_k = (p_k - c_k) x_k has the linear term a f0_k e_k - c_k X_k
         and the constant -a c_k x0_k; psi_i weights them by half of
         _TWICE_WEIGHTS[i]. Both are dot products on ints over q e: f0_j from
         ``free[j]``, and column j of ``pin`` times e. With theta over its lcm
         t, as params holds it, and the weights doubled, the linear part is
-        over 2 q e t and the constant over 2 q e t^2; with ``psi_quad`` over
-        4 q e, the form is over 4 q e t^2.
+        over 2 q e t and the constant over 2 q e t^2; both are scaled to
+        4 q e t^2, the denominator of ``psi_quad`` times t^2.
         """
         e = self.e
         (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23) = self.pin
@@ -229,10 +230,18 @@ class _Operator:
         lin = [2 * t * (a * w0 * f0 - e * (s0 * x00 + s1 * x10 + s2 * x20)),
                2 * t * (a * w1 * f1 - e * (s0 * x01 + s1 * x11 + s2 * x21)),
                2 * t * (a * w2 * f2 - e * (s0 * x02 + s1 * x12 + s2 * x22))]
-        const = -2 * a * e * (s0 * x03 + s1 * x13 + s2 * x23)
-        tt = t * t
+        return lin, -2 * a * e * (s0 * x03 + s1 * x13 + s2 * x23)
+
+    def payoff_form(self, i: int, params: ModelParams) -> QuadraticForm:
+        """Firm i's relative payoff as a quadratic in v at the theta of params, on ints.
+
+        The matrix is ``psi_quad[i]`` and the rest :meth:`payoff_terms`; with
+        theta over its lcm t, the form is over 4 q e t^2.
+        """
+        lin, const = self.payoff_terms(i, params)
+        tt = params._ints[3] ** 2
         quad = [[v * tt for v in row] for row in self.psi_quad[i]]
-        return QuadraticForm.from_numerators(quad, lin, const, 4 * self.q * e * tt)
+        return QuadraticForm.from_numerators(quad, lin, const, 4 * self.q * self.e * tt)
 
 
 def _operator_rows(n, e, assignment: StrategyAssignment) -> tuple:
@@ -341,6 +350,30 @@ def build_payoff_quadratic(params: ModelParams, assignment: AssignmentLike,
     asg = as_assignment(assignment)
     op = _operator(*params._ints[:2], asg)
     return QuadraticPayoff(firm, asg, op.payoff_form(firm_index(firm), params))
+
+
+def own_payoff_slopes(params: ModelParams, assignment: AssignmentLike, nums: Sequence[int],
+                      den: int) -> tuple[list[int], int]:
+    """Each firm's own payoff slope d psi_i / d v_i at v = nums / den, on ints.
+
+    ``nums`` are three int numerators over the int ``den`` > 0. Returns the
+    three slopes' numerators over one int denominator, the payoff forms'
+    unreduced one, 4 q e t^2, times ``den``. Firm i's is lin_i den +
+    2 t^2 (row i of its matrix) . nums, the own component of its form's
+    gradient without the form: it reads the forms' matrices and terms, the
+    route of :func:`build_payoff_quadratic`, never the first-order rows the
+    solver reads, so at an equilibrium the slopes vanish by a route of
+    their own.
+    """
+    op = _operator(*params._ints[:2], as_assignment(assignment))
+    tt = params._ints[3] ** 2
+    v0, v1, v2 = nums
+    slopes = []
+    for i, matrix in enumerate(op.psi_quad):
+        q0, q1, q2 = matrix[i]
+        slopes.append(op.payoff_terms(i, params)[0][i] * den
+                      + 2 * tt * (q0 * v0 + q1 * v1 + q2 * v2))
+    return slopes, 4 * op.q * op.e * tt * den
 
 
 def best_response(params: ModelParams, assignment: AssignmentLike, firm: str,

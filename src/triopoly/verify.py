@@ -18,7 +18,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .exact import QuadraticForm, _over_lcm, as_rational, format_rational
 from .market import (
@@ -41,6 +40,7 @@ from .equilibrium import (
     closed_form_outputs,
     committed_values,
     direct_demand,
+    own_payoff_slopes,
     solve_equilibrium,
 )
 
@@ -721,17 +721,18 @@ def _check_demand_round_trip(case: _SuiteCase, oracle: str):
 
 
 def _check_foc_residual(case: _SuiteCase, oracle: str):
-    # The payoff quadratics are an independent route to the first-order conditions.
+    # The payoff forms' matrices and terms are a route to the first-order conditions
+    # apart from the solver's rows: each own slope must vanish at the solve's
+    # numerators, or at the committed values over their lcm for an equilibrium
+    # made without them. No form and no Fraction is built unless a slope does not.
     for pattern in PATTERN_NUMBERS:
-        chosen, den = _over_lcm(case.solved[pattern].chosen)
-        for i, firm in enumerate(FIRMS):
-            # Only the own component of firm i's payoff gradient, lin_i + 2 Q_i . v,
-            # on ints: times den and the form's denominator.
-            form = build_payoff_quadratic(case.params, pattern, firm).form
-            grad = form.lin_num[i] * den + 2 * sum(map(mul, form.quad_num[i], chosen))
-            if grad != 0:
+        eq = case.solved[pattern]
+        nums, den = getattr(eq, "_ints", None) or _over_lcm(eq.chosen)
+        slopes, slope_den = own_payoff_slopes(case.params, pattern, nums, den)
+        for firm, slope in zip(FIRMS, slopes):
+            if slope != 0:
                 return "fail", {"pattern": pattern, "firm": firm,
-                                "residual": format_rational(Fraction(grad, form.den * den))}
+                                "residual": format_rational(Fraction(slope, slope_den))}
     return "ok", None
 
 
@@ -751,15 +752,16 @@ def _check_closed_form_agreement(case: _SuiteCase, oracle: str):
     for pattern in PATTERN_NUMBERS:
         table = closed_form_outputs(case.params, pattern)
         target = table.corrected if oracle == "corrected" else table.printed
-        solved = case.solved[pattern].state.x
-        if solved != target:
-            mismatch = next(i for i in range(3) if solved[i] != target[i])
-            return "fail", {
-                "pattern": pattern,
-                "component": ("xA", "xB", "xC")[mismatch],
-                "solver": format_rational(solved[mismatch]),
-                "oracle": format_rational(target[mismatch]),
-            }
+        # The solved outputs on the state's integers, against the table by cross-multiplication.
+        x_num, x_den, _, _ = case.solved[pattern].state._ints
+        for name, num, value in zip(("xA", "xB", "xC"), x_num, target):
+            if num * value.denominator != value.numerator * x_den:
+                return "fail", {
+                    "pattern": pattern,
+                    "component": name,
+                    "solver": format_rational(Fraction(num, x_den)),
+                    "oracle": format_rational(value),
+                }
     return "ok", None
 
 
@@ -767,8 +769,10 @@ def _check_ab_symmetry(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b:
         return "vacuous", None
     for pattern in (1, 2, 4, 6):
+        # Outputs, and prices, share one denominator in a state's integer form.
         state = case.solved[pattern].state
-        if state.x[0] != state.x[1] or state.p[0] != state.p[1]:
+        x_num, _, p_num, _ = state._ints
+        if x_num[0] != x_num[1] or p_num[0] != p_num[1]:
             return "fail", {"pattern": pattern, "state": state.to_dict()}
     return "ok", None
 
@@ -777,7 +781,9 @@ def _check_ab_swap_covariance(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b:
         return "vacuous", None
     for mirror, pattern in (("QPP", 5), ("PQQ", 3)):
-        if case.solved[mirror].state != case.solved[pattern].state.swap_ab():
+        # A state's integer form is canonical, and swapping A and B permutes it.
+        (x0, x1, x2), x_den, (p0, p1, p2), p_den = case.solved[pattern].state._ints
+        if case.solved[mirror].state._ints != ((x1, x0, x2), x_den, (p1, p0, p2), p_den):
             return "fail", {"assignment": mirror, "pattern": pattern}
     return "ok", None
 

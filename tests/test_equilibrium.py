@@ -25,6 +25,7 @@ from triopoly.equilibrium import (
     closed_form_outputs,
     committed_values,
     direct_demand,
+    own_payoff_slopes,
     resolve_market,
     solve_equilibrium,
 )
@@ -289,6 +290,21 @@ def test_payoff_form_matches_resolved_market_at_fractional_theta(params, chosen)
         psi = payoff_vector(params, resolve_market(params, asg, chosen)).psi
         for i, firm in enumerate(FIRMS):
             assert build_payoff_quadratic(params, asg, firm).form.evaluate(chosen) == psi[i]
+
+
+@given(st.one_of(_mixed_params(), st.randoms(use_true_random=False).map(sample_model_params)),
+       st.tuples(small, small, small))
+@settings(max_examples=60, deadline=None)
+def test_own_payoff_slopes_equal_the_payoff_forms_gradients(params, v):
+    # v is no equilibrium, so the two routes meet where the slopes are not zero;
+    # it is handed over the product of its denominators, not their lcm.
+    den = math.prod(x.denominator for x in v)
+    nums = [int(x * den) for x in v]
+    for asg in ALL_ASSIGNMENTS:
+        slopes, slope_den = own_payoff_slopes(params, asg, nums, den)
+        for i, firm in enumerate(FIRMS):
+            gradient = build_payoff_quadratic(params, asg, firm).form.gradient(v)
+            assert Fraction(slopes[i], slope_den) == gradient[i]
 
 
 def _count_fraction_arithmetic(monkeypatch) -> list:

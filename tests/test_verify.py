@@ -597,6 +597,25 @@ def test_verify_command_solves_each_key_once(solve_calls, capsys):
     assert len(solve_calls) == 800
 
 
+def test_verify_command_builds_no_payoff_form_when_every_property_passes(monkeypatch, capsys):
+    from triopoly.cli import run_cli
+
+    # The first-order-condition check runs on the solves' integers; a form is
+    # built only to report a failure.
+    calls = []
+    real = triopoly.verify.build_payoff_quadratic
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(triopoly.verify, "build_payoff_quadratic", counted)
+    assert run_cli(["verify", "--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2",
+                    "--cC", "3", "--draws", "100"]) == 0
+    assert "verification: PASS" in capsys.readouterr().out
+    assert calls == []
+
+
 def test_verify_command_rejects_draws_before_solving(solve_calls, capsys):
     from triopoly.cli import run_cli
 
@@ -634,3 +653,71 @@ def test_verify_command_builds_the_matrix_once(solve_calls, capsys):
                     "--cC", "3", "--draws", "1"]) == 0
     assert "equal pairs: (1,2) (4,6)" in capsys.readouterr().out
     assert len(solve_calls) <= 14
+
+
+def _replace_in_draw(monkeypatch, key, change):
+    """Make the suite's solve of ``key`` return ``change(eq)`` in place of its equilibrium eq."""
+    real = triopoly.verify.solve_equilibrium
+
+    def patched(params, assignment):
+        eq = real(params, assignment)
+        return change(eq) if assignment == key else eq
+
+    monkeypatch.setattr(triopoly.verify, "solve_equilibrium", patched)
+
+
+def test_foc_residual_fails_on_perturbed_committed_values(monkeypatch):
+    # An equilibrium made by dataclasses.replace holds no integer form, so the
+    # check reads its committed values over their lcm.
+    v = solve_equilibrium(SPOT, 3).chosen
+    perturbed = (v[0] + Fraction(1, 7), v[1], v[2])
+    _replace_in_draw(monkeypatch, 3, lambda eq: dataclasses.replace(eq, chosen=perturbed))
+    outcome = {p.name: p for p in property_suite(SPOT, draws=1).properties}
+    residual = outcome["foc_residual"]
+    assert (residual.status, residual.checked) == ("fail", 1)
+    gradient = build_payoff_quadratic(SPOT, 3, "A").form.gradient(perturbed)
+    assert gradient[0] != 0
+    assert residual.counterexample == {"draw": 0, "params": SPOT.to_dict(), "pattern": 3,
+                                       "firm": "A", "residual": format_rational(gradient[0])}
+    assert all(p.status != "fail" for name, p in outcome.items() if name != "foc_residual")
+
+
+def test_foc_residual_passes_on_committed_values_without_their_integer_form(monkeypatch):
+    _replace_in_draw(monkeypatch, 4, lambda eq: dataclasses.replace(eq, chosen=eq.chosen))
+    outcome = {p.name: p for p in property_suite(SPOT, draws=3).properties}
+    assert (outcome["foc_residual"].status, outcome["foc_residual"].checked) == ("pass", 3)
+
+
+def _state_with(state: MarketState, x0) -> MarketState:
+    """A state from the public constructor: ``state`` with its first output replaced."""
+    return MarketState((x0, *state.x[1:]), state.p)
+
+
+def test_ab_symmetry_fails_on_an_asymmetric_state(monkeypatch):
+    state = _state_with(solve_equilibrium(SPOT, 4).state, 1)
+    _replace_in_draw(monkeypatch, 4, lambda eq: dataclasses.replace(eq, state=state))
+    outcome = {p.name: p for p in property_suite(SPOT, draws=1).properties}
+    symmetry = outcome["ab_symmetry"]
+    assert (symmetry.status, symmetry.checked) == ("fail", 1)
+    assert symmetry.counterexample == {"draw": 0, "params": SPOT.to_dict(), "pattern": 4,
+                                       "state": state.to_dict()}
+
+
+def test_ab_swap_covariance_fails_on_a_mirror_state_that_is_no_swap(monkeypatch):
+    mirror = solve_equilibrium(SPOT, "QPP").state
+    _replace_in_draw(monkeypatch, "QPP",
+                     lambda eq: dataclasses.replace(eq, state=_state_with(mirror, 1)))
+    outcome = {p.name: p for p in property_suite(SPOT, draws=1).properties}
+    covariance = outcome["ab_swap_covariance"]
+    assert (covariance.status, covariance.checked) == ("fail", 1)
+    assert covariance.counterexample == {"draw": 0, "params": SPOT.to_dict(),
+                                         "assignment": "QPP", "pattern": 5}
+
+
+def test_ab_checks_pass_on_equal_states_from_the_public_constructor(monkeypatch):
+    # The constructor's integer form is the solver's: equal states compare equal on it.
+    for key in (4, "QPP"):
+        _replace_in_draw(monkeypatch, key, lambda eq: dataclasses.replace(
+            eq, state=MarketState(eq.state.x, eq.state.p)))
+        outcome = {p.name: p.status for p in property_suite(SPOT, draws=3).properties}
+        assert outcome["ab_symmetry"] == outcome["ab_swap_covariance"] == "pass"
