@@ -45,6 +45,7 @@ from .equilibrium import (
     closed_form_outputs,
     committed_values,
     direct_demand,
+    direct_demand_numerators,
     own_payoff_slopes,
     resolve_market,
     solve_equilibrium,
@@ -87,6 +88,7 @@ __all__ = [
     "StrategyAssignment",
     "as_assignment",
     "direct_demand",
+    "direct_demand_numerators",
     "ensure_float_safe",
     "firm_index",
     "inverse_demand",
@@ -127,7 +129,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    # The CLI pulls in argparse, csv and json; import it only when asked for.
+    # The CLI pulls in argparse; import it only when asked for.
     if name in ("main", "run_cli"):
         from . import cli
 

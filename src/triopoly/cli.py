@@ -8,9 +8,7 @@ diffed byte for byte. Exit codes: 0 success, 1 bad arguments or parameters,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import re
 import sys
 from fractions import Fraction
@@ -133,7 +131,17 @@ def _render_table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+# json and csv are imported where they are used: every CLI call pays for its
+# imports, and most print neither JSON nor CSV.
+def _json_text(doc, **options) -> str:
+    import json
+
+    return json.dumps(doc, **options)
+
+
 def _csv_text(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -176,7 +184,7 @@ def _cmd_solve(args) -> tuple[str, bool]:
     rows, docs = solve_rows(params, selection)
     if args.format == "json":
         doc = {"params": params.to_dict(), "mode": args.mode, "equilibria": docs}
-        text = json.dumps(doc, indent=2)
+        text = _json_text(doc, indent=2)
     elif args.format == "csv":
         text = _csv_text(_SOLVE_CSV_HEADER, rows)
     else:
@@ -259,7 +267,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
             "typo_ledger": ledger,
             "suite": suite.to_dict(),
         }
-        text = json.dumps(doc, indent=2)
+        text = _json_text(doc, indent=2)
     elif args.format == "csv":
         rows = [[p.name, p.status, str(p.checked)] for p in suite.properties]
         text = _csv_text(["property", "status", "checked"], rows)
@@ -291,7 +299,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
             if prop.counterexample is not None:
                 lines.append(
                     "    counterexample: "
-                    + json.dumps(prop.counterexample, sort_keys=True)
+                    + _json_text(prop.counterexample, sort_keys=True)
                 )
         lines.append(f"verification: {'PASS' if suite.passed else 'FAIL'}")
         text = "\n".join(lines)
@@ -334,7 +342,7 @@ def _cmd_minimax(args) -> tuple[str, bool]:
     report = minimax_check(params, slice_spec, grid, mode=args.mode)
     if args.format == "json":
         doc = {"params": params.to_dict(), "minimax": report.to_dict()}
-        text = json.dumps(doc, indent=2)
+        text = _json_text(doc, indent=2)
     elif args.format == "csv":
         header = [
             "payoff_firm", "max_firm", "min_firm", "fixed_firm", "fixed_value",
@@ -387,7 +395,8 @@ def run_cli(argv=None) -> int:
         text, passed = commands[args.command](args)
     except (_CliError, ValueError, ConcavityViolation, FloatingPointError,
             DegenerateSlice) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # One line, even where the message echoes argument text that holds a line break.
+        print("error: " + str(exc).replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
         return 1
     except OverflowError as exc:
         print(f"error: a value lies outside the float range ({exc})", file=sys.stderr)

@@ -15,7 +15,8 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    apply it, hand the output numerators to the state as ints, and check on
    the state's integers that it reproduces every committed value.
    ``direct_demand``, the inverse of the demand system, is its all-price
-   case, applied without that check.
+   case, applied without that check, and ``direct_demand_numerators`` the
+   same map on ints.
 2. Each firm's free variable (its price, or its output) is affine in v, ints
    over q e, so its profit and its relative payoff psi_i = sum_k W_ik pi_k
    are exact quadratics in v. Differentiating psi_i in the own variable
@@ -29,7 +30,8 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    three 4-term sums of the gain rows with theta over its lcm, its
    first-order conditions checked on the same ints; a Fraction of the
    result is built only when a caller reads it. A payoff form's linear and
-   constant terms are 3-term sums over the pinning columns the same way.
+   constant terms are 3-term sums over the pinning columns the same way,
+   through the columns' cost-weighted sums, which every firm shares.
    The rows of items 1 and 2 come from a builder that uses only +, -, * on
    n and e, so it runs on any ring; the cached operator holds them as it
    returns them.
@@ -96,6 +98,7 @@ __all__ = [
     "committed_values",
     "resolve_market",
     "direct_demand",
+    "direct_demand_numerators",
     "ClosedFormOutputs",
     "closed_form_outputs",
     "IterationResult",
@@ -144,9 +147,10 @@ class _Operator:
     ``foc`` over 2 q e.
 
     These rows are the package's only copy of each map: the pinning map and
-    ``direct_demand`` apply ``pin``, ``payoff_terms`` reads ``free`` and the
-    columns of ``pin``, and the solve and its second-order flag read ``foc``.
-    Nothing outside this module reads them.
+    ``direct_demand_numerators`` apply ``pin``, the payoff terms
+    (``cost_sums``, ``linear_term``, ``payoff_terms``) read ``free`` and the
+    columns of ``pin``, and the solve and its second-order flag read
+    ``foc``. Nothing outside this module reads them.
     """
 
     assignment: StrategyAssignment
@@ -199,38 +203,57 @@ class _Operator:
 
         pi_k = v_k (F_k . v) / (q e) + ..., so psi_i = 3/2 pi_i - 1/2 sum(pi)
         has the matrix 3/2 sym(e_i F_i') + shared over q e, where shared is
-        -1/2 sum_k sym(e_k F_k'): row and column i are ``own[i]``, the rest
-        is ``shared``. Each entry is an int over 4 q e. Only ``payoff_form``
-        and ``own_payoff_slopes`` read it.
+        -1/2 sum_k sym(e_k F_k'): row and column i are firm i's own entries
+        (4 F_ii on the diagonal, 2 F_is - F_si off it), the rest is
+        ``shared`` (-2 F_rr on the diagonal, -F_rs - F_sr off it). Each entry
+        is an int over 4 q e. Only ``payoff_form`` and ``own_payoff_slopes``
+        read it.
         """
-        f = self.free
-        shared = [[-f[r][s] - f[s][r] for s in range(3)] for r in range(3)]
-        own = [[4 * f[i][i] if s == i else shared[i][s] + 3 * f[i][s] for s in range(3)]
-               for i in range(3)]
-        return tuple(tuple(tuple(own[i][s] if r == i else own[i][r] if s == i else shared[r][s]
-                                 for s in range(3)) for r in range(3)) for i in range(3))
+        (f00, f01, f02, _), (f10, f11, f12, _), (f20, f21, f22, _) = self.free
+        s00, s11, s22 = -2 * f00, -2 * f11, -2 * f22
+        s01, s02, s12 = -f01 - f10, -f02 - f20, -f12 - f21
+        o01, o02, o10 = 2 * f01 - f10, 2 * f02 - f20, 2 * f10 - f01
+        o12, o20, o21 = 2 * f12 - f21, 2 * f20 - f02, 2 * f21 - f12
+        return (((4 * f00, o01, o02), (o01, s11, s12), (o02, s12, s22)),
+                ((s00, o10, s02), (o10, 4 * f11, o12), (s02, o12, s22)),
+                ((s00, s01, o20), (s01, s11, o21), (o20, o21, 4 * f22)))
+
+    def cost_sums(self, params: ModelParams) -> list[int]:
+        """C_j = sum_k c_k [X | x0]_kj, ints over q t: the pinning columns weighted by the costs.
+
+        Firm i's payoff weights c_k [X | x0]_kj by T_ik = _TWICE_WEIGHTS[i][k],
+        and sum_k T_ik c_k [X | x0]_kj = 3 c_i [X | x0]_ij - C_j, so one pass
+        over the columns serves every firm.
+        """
+        _, _, (_, c0, c1, c2), _ = params._ints
+        return [c0 * x0 + c1 * x1 + c2 * x2 for x0, x1, x2 in zip(*self.pin)]
+
+    def linear_term(self, i: int, j: int, params: ModelParams, sums: Sequence[int]) -> int:
+        """The coefficient of v_j in firm i's payoff, an int over 4 q e t^2.
+
+        ``sums`` are :meth:`cost_sums`. Profit pi_k = (p_k - c_k) x_k has the
+        linear term a f0_k e_k - c_k X_k, and psi_i weights it by half of
+        _TWICE_WEIGHTS[i]: on ints over q e, f0_j from ``free[j]`` and the
+        cost part from column j of ``pin`` times e. With theta over its lcm
+        t, as params holds it, and the weights doubled, that is over
+        2 q e t, scaled here to 4 q e t^2, the denominator of ``psi_quad``
+        times t^2. This is the package's one formula for the linear term.
+        """
+        _, _, theta, t = params._ints
+        return 2 * t * (theta[0] * _TWICE_WEIGHTS[i][j] * self.free[j][3]
+                        - self.e * (3 * theta[i + 1] * self.pin[i][j] - sums[j]))
 
     def payoff_terms(self, i: int, params: ModelParams) -> tuple[list[int], int]:
         """(lin, const): firm i's payoff's linear and constant terms, ints over 4 q e t^2.
 
-        Profit pi_k = (p_k - c_k) x_k has the linear term a f0_k e_k - c_k X_k
-        and the constant -a c_k x0_k; psi_i weights them by half of
-        _TWICE_WEIGHTS[i]. Both are dot products on ints over q e: f0_j from
-        ``free[j]``, and column j of ``pin`` times e. With theta over its lcm
-        t, as params holds it, and the weights doubled, the linear part is
-        over 2 q e t and the constant over 2 q e t^2; both are scaled to
-        4 q e t^2, the denominator of ``psi_quad`` times t^2.
+        The linear terms are :meth:`linear_term`. Profit pi_k has the constant
+        -a c_k x0_k, weighted like the cost part of the linear terms: the same
+        sum, on column 3 of ``pin``, x0.
         """
-        e = self.e
-        (x00, x01, x02, x03), (x10, x11, x12, x13), (x20, x21, x22, x23) = self.pin
-        (_, _, _, f0), (_, _, _, f1), (_, _, _, f2) = self.free
-        _, _, (a, c0, c1, c2), t = params._ints
-        w0, w1, w2 = _TWICE_WEIGHTS[i]
-        s0, s1, s2 = w0 * c0, w1 * c1, w2 * c2
-        lin = [2 * t * (a * w0 * f0 - e * (s0 * x00 + s1 * x10 + s2 * x20)),
-               2 * t * (a * w1 * f1 - e * (s0 * x01 + s1 * x11 + s2 * x21)),
-               2 * t * (a * w2 * f2 - e * (s0 * x02 + s1 * x12 + s2 * x22))]
-        return lin, -2 * a * e * (s0 * x03 + s1 * x13 + s2 * x23)
+        sums = self.cost_sums(params)
+        _, _, theta, _ = params._ints
+        const = -2 * theta[0] * self.e * (3 * theta[i + 1] * self.pin[i][3] - sums[3])
+        return [self.linear_term(i, j, params, sums) for j in range(3)], const
 
     def payoff_form(self, i: int, params: ModelParams) -> QuadraticForm:
         """Firm i's relative payoff as a quadratic in v at the theta of params, on ints.
@@ -360,18 +383,20 @@ def own_payoff_slopes(params: ModelParams, assignment: AssignmentLike, nums: Seq
     three slopes' numerators over one int denominator, the payoff forms'
     unreduced one, 4 q e t^2, times ``den``. Firm i's is lin_i den +
     2 t^2 (row i of its matrix) . nums, the own component of its form's
-    gradient without the form: it reads the forms' matrices and terms, the
-    route of :func:`build_payoff_quadratic`, never the first-order rows the
-    solver reads, so at an equilibrium the slopes vanish by a route of
-    their own.
+    gradient without the form: it reads the forms' matrices and the one
+    formula of their linear terms, the route of
+    :func:`build_payoff_quadratic`, never the first-order rows the solver
+    reads, so at an equilibrium the slopes vanish by a route of their own.
+    The cost-weighted column sums are made once for the three firms.
     """
     op = _operator(*params._ints[:2], as_assignment(assignment))
     tt = params._ints[3] ** 2
+    sums = op.cost_sums(params)
     v0, v1, v2 = nums
     slopes = []
     for i, matrix in enumerate(op.psi_quad):
         q0, q1, q2 = matrix[i]
-        slopes.append(op.payoff_terms(i, params)[0][i] * den
+        slopes.append(op.linear_term(i, i, params, sums) * den
                       + 2 * tt * (q0 * v0 + q1 * v1 + q2 * v2))
     return slopes, 4 * op.q * op.e * tt * den
 
@@ -485,18 +510,34 @@ def resolve_market(params: ModelParams, assignment: AssignmentLike,
     return _operator(*params._ints[:2], asg).resolve(params, nums, a_num, den)
 
 
+def direct_demand_numerators(params: ModelParams, nums: Sequence[int],
+                             den: int) -> tuple[list[int], int]:
+    """Outputs demanded at the prices nums / den, on ints: the map of :func:`direct_demand`.
+
+    ``nums`` are three int numerators over the int ``den`` > 0. The prices
+    and a go over the lcm m of ``den`` and theta's denominator, and the PPP
+    operator's pinning rows give the outputs' numerators over q m, returned
+    with that denominator, unreduced.
+    """
+    n, e, theta, t = params._ints
+    op = _operator(n, e, PATTERNS[6])
+    m = math.lcm(den, t)
+    s = m // den
+    return op.output_numerators((nums[0] * s, nums[1] * s, nums[2] * s),
+                                theta[0] * (m // t)), op.q * m
+
+
 def direct_demand(params: ModelParams,
                   p: Sequence[RationalLike]) -> tuple[Fraction, Fraction, Fraction]:
     """Outputs demanded at the given prices, the exact inverse of ``inverse_demand``.
 
-    This is the all-price pinning map: the PPP operator's rows applied to the
-    prices and a over their lcm. Unlike :func:`resolve_market` it runs no
+    This is the all-price pinning map, :func:`direct_demand_numerators` on
+    the prices over their lcm. Unlike :func:`resolve_market` it runs no
     back-substitution check, so a round trip through ``inverse_demand``
     tests the pinning rows independently.
     """
-    (a_num, *nums), den = _over_lcm((params.a, *rational_vector(p, 3)))
-    op = _operator(*params._ints[:2], PATTERNS[6])
-    return tuple(Fraction(n, op.q * den) for n in op.output_numerators(nums, a_num))
+    nums, den = direct_demand_numerators(params, *_over_lcm(rational_vector(p, 3)))
+    return tuple(Fraction(v, den) for v in nums)
 
 
 @dataclass(frozen=True)

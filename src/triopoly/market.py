@@ -101,18 +101,20 @@ class ModelParams:
     def __post_init__(self):
         for name in ("a", "b", "c_a", "c_b", "c_c"):
             object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if not (0 < self.b < 1):
+        # Every check reads the integer form: b = n / e with e > 0, theta over t > 0.
+        n, e = self.b.as_integer_ratio()
+        if not (0 < n < e):
             raise ValueError(f"b must satisfy 0 < b < 1, got {self.b}")
-        for firm, cost in zip(FIRMS, self.costs):
-            if cost < 0:
+        (a, *costs), t = _over_lcm((self.a, *self.costs))
+        for firm, cost, cost_num in zip(FIRMS, self.costs, costs):
+            if cost_num < 0:
                 raise ValueError(f"marginal cost of firm {firm} must be nonnegative, got {cost}")
-        if self.a <= max(self.costs):
+        if a <= max(costs):
             raise ValueError(
                 f"a must exceed every marginal cost, got a={self.a} "
                 f"with costs ({', '.join(map(str, self.costs))})"
             )
-        theta_num, t = _over_lcm((self.a, *self.costs))
-        object.__setattr__(self, "_ints", (*self.b.as_integer_ratio(), tuple(theta_num), t))
+        object.__setattr__(self, "_ints", (n, e, (a, *costs), t))
 
     @property
     def costs(self) -> tuple[Fraction, Fraction, Fraction]:

@@ -28,10 +28,10 @@ from .market import (
     MarketState,
     ModelParams,
     StrategyAssignment,
+    _price_numerators,
     as_assignment,
     ensure_float_safe,
     firm_index,
-    inverse_demand,
     payoff_vector,
 )
 from .equilibrium import (
@@ -39,7 +39,7 @@ from .equilibrium import (
     build_payoff_quadratic,
     closed_form_outputs,
     committed_values,
-    direct_demand,
+    direct_demand_numerators,
     own_payoff_slopes,
     solve_equilibrium,
 )
@@ -643,12 +643,12 @@ def _sample_vector(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(rng.randint(-256, 1024), 16) for _ in range(3))
 
 
-# What each draw solves once: patterns 1-6 and the A/B mirrors of 5 and 3.
-_SUITE_ASSIGNMENTS = (*PATTERN_NUMBERS, "QPP", "PQQ")
+# What each draw solves once, by key: patterns 1-6 and the A/B mirrors of 5 and 3.
+_SUITE_ASSIGNMENTS = {key: as_assignment(key) for key in (*PATTERN_NUMBERS, "QPP", "PQQ")}
 
 
 def _solve_draw(params: ModelParams) -> dict:
-    return {key: solve_equilibrium(params, key) for key in _SUITE_ASSIGNMENTS}
+    return {key: solve_equilibrium(params, asg) for key, asg in _SUITE_ASSIGNMENTS.items()}
 
 
 @dataclass(frozen=True)
@@ -709,14 +709,17 @@ def _check_zero_sum(case: _SuiteCase, oracle: str):
 
 
 def _check_demand_round_trip(case: _SuiteCase, oracle: str):
-    for x in case.outputs:
-        back = direct_demand(case.params, inverse_demand(case.params, x))
-        if back != tuple(x):
-            return "fail", {"x": [format_rational(v) for v in x]}
-    for p in case.prices:
-        back = inverse_demand(case.params, direct_demand(case.params, p))
-        if back != tuple(p):
-            return "fail", {"p": [format_rational(v) for v in p]}
+    # Outputs -> prices -> outputs, and prices -> outputs -> prices, both maps on
+    # ints; each vector is compared with its image by cross-multiplication.
+    params = case.params
+    for key, vectors, there, back in (
+            ("x", case.outputs, _price_numerators, direct_demand_numerators),
+            ("p", case.prices, direct_demand_numerators, _price_numerators)):
+        for vector in vectors:
+            nums, den = _over_lcm(vector)
+            image, image_den = back(params, *there(params, nums, den))
+            if any(u * den != v * image_den for u, v in zip(image, nums)):
+                return "fail", {key: [format_rational(v) for v in vector]}
     return "ok", None
 
 

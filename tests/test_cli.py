@@ -5,10 +5,14 @@ import io
 import json
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from triopoly.cli import run_cli
 from triopoly.exact import format_rational
 from triopoly.verify import PropertyResult, SuiteReport
 
@@ -421,3 +425,75 @@ def test_minimax_failure_exits_2(cli, monkeypatch):
     code, out, _ = cli(["minimax", *SPOT_ARGS])
     assert code == 2
     assert "result: FAIL" in out
+
+
+# --- argv fuzz --------------------------------------------------------------------
+
+# Rationals: valid ones, malformed ones, values beyond the float range and the
+# int-string limit, and short junk from the characters rationals are made of.
+_RATIONAL_TEXTS = st.one_of(
+    st.sampled_from(["10", "1/2", "2", "0", "-1/2", "-1e3", "1/0", "x/y", "", " 3 ", "--",
+                     "nan", "inf", "1e400", "1e-5000", "2.5", "0x10", "1_0", "1/-2", "63/64"]),
+    st.tuples(st.integers(-1000, 1000), st.integers(-3, 1000)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.integers(4290, 4310).map(lambda n: "9" * n),
+    st.integers(4290, 4310).map(lambda n: "1/" + "7" * n),
+    st.text(alphabet="0123456789/.-+eE_x \n", max_size=10),
+)
+_JUNK = st.text(alphabet="QPqpABCxyz0123456789=/-. \n", max_size=8)
+_OPTIONS = {
+    "solve": {
+        "--pattern": st.one_of(st.sampled_from(["all", "1", "6", "0", "7", "QPP", "qpq", "QQX",
+                                                "QQQQ", "", "ALL", " 2 "]), _JUNK),
+        "--mode": st.sampled_from(["exact", "float", "Float", ""]),
+        "--format": st.sampled_from(["table", "json", "csv", "xml"]),
+    },
+    "verify": {
+        "--draws": st.sampled_from(["1", "2", "0", "-1", "x", "1.5", ""]),
+        "--seed": st.one_of(st.integers(-5, 10**6).map(str), _JUNK),
+        "--format": st.sampled_from(["table", "json", "csv", "xml"]),
+    },
+    "minimax": {
+        "--firm": st.sampled_from(["A", "B", "C", "D", "a"]),
+        "--fix": st.one_of(st.sampled_from(["xB=1", "xB=114/35", "pB=1", "xC=1", "xA=2",
+                                            "xB", "=1", "xB=", "xB=1/0", "xB=1e400",
+                                            "xB==1", "xB=-1/2"]), _JUNK),
+        "--grid-lo": _RATIONAL_TEXTS,
+        "--grid-hi": _RATIONAL_TEXTS,
+        "--grid-points": st.sampled_from(["3", "11", "101", "2", "0", "-3", "x", "1e3"]),
+        "--mode": st.sampled_from(["exact", "float", ""]),
+        "--format": st.sampled_from(["table", "json", "csv", "xml"]),
+    },
+    "frobnicate": {"--x": _JUNK},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for flag, good in zip(("--a", "--b", "--cA", "--cB", "--cC"), ("10", "1/2", "2", "2", "3")):
+        kind = draw(st.sampled_from(["good", "good", "fuzzed", "missing"]))
+        if kind != "missing":
+            argv += [flag, good if kind == "good" else draw(_RATIONAL_TEXTS)]
+    options = _OPTIONS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
+        argv += [flag, draw(options[flag])]
+    return argv + draw(st.lists(_JUNK, max_size=1))  # a stray token, now and then
+
+
+@given(_argv())
+@example(["solve", *SPOT_ARGS, "x\ny"])  # argparse echoes an unknown token as given
+@example(["minimax", *SPOT_ARGS, "--fix", "xB=1", "--fix", "xB=\r2"])
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_exits_0_1_or_2_with_one_error_line(argv):
+    # Bad input gives exit 1, one "error: " line on stderr and no stdout, whatever
+    # the argument; no input ends in a traceback or another exit code.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

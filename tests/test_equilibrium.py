@@ -25,6 +25,7 @@ from triopoly.equilibrium import (
     closed_form_outputs,
     committed_values,
     direct_demand,
+    direct_demand_numerators,
     own_payoff_slopes,
     resolve_market,
     solve_equilibrium,
@@ -305,6 +306,30 @@ def test_own_payoff_slopes_equal_the_payoff_forms_gradients(params, v):
         for i, firm in enumerate(FIRMS):
             gradient = build_payoff_quadratic(params, asg, firm).form.gradient(v)
             assert Fraction(slopes[i], slope_den) == gradient[i]
+
+
+_prices = st.fractions(min_value=-16, max_value=64, max_denominator=10**4)
+
+
+@given(st.builds(ModelParams, st.fractions(min_value=8, max_value=80,
+                                           max_denominator=997).filter(lambda a: a > 8),
+                 st.sampled_from([64, 1_000_003, 2**61 - 1]).flatmap(
+                     lambda den: st.integers(1, den - 1).map(lambda k: Fraction(k, den))),
+                 st.sampled_from([0, "1/8", "15/4"]), st.sampled_from([0, "7/3"]), st.just(8)),
+       st.tuples(_prices, _prices, _prices), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_direct_demand_numerators_over_their_denominator_are_direct_demand(params, p, scale):
+    # Prices may be negative or zero and are handed over a multiple of their lcm;
+    # a is fractional. The outputs, put through the textbook inverse demand, give
+    # the prices back.
+    den = math.lcm(*(v.denominator for v in p)) * scale
+    nums = [v.numerator * (den // v.denominator) for v in p]
+    x_nums, x_den = direct_demand_numerators(params, nums, den)
+    assert all(type(v) is int for v in (*x_nums, x_den)) and x_den > 0
+    x = tuple(Fraction(v, x_den) for v in x_nums)
+    assert x == direct_demand(params, p)
+    a, b = params.a, params.b
+    assert tuple(a - x[i] - b * (sum(x) - x[i]) for i in range(3)) == p
 
 
 def _count_fraction_arithmetic(monkeypatch) -> list:
@@ -740,6 +765,28 @@ def test_operator_rows_run_on_any_exact_ring(b):
         rows = tuple(_unwrap(tuple(tuple(v / den for v in row) for row in rows))
                      for rows, den in ((pin, q), (free, q), (foc, 2 * q)))
         assert _reference_rows(_reference_operator(b, asg)) == tuple(map(list, rows))
+
+
+def _comprehension_psi_quad(f) -> tuple:
+    """The payoff matrices from the free rows f as a nested comprehension: the reference.
+
+    Row and column i of firm i's matrix are its own entries, the rest ``shared``.
+    """
+    shared = [[-f[r][s] - f[s][r] for s in range(3)] for r in range(3)]
+    own = [[4 * f[i][i] if s == i else shared[i][s] + 3 * f[i][s] for s in range(3)]
+           for i in range(3)]
+    return tuple(tuple(tuple(own[i][s] if r == i else own[i][r] if s == i else shared[r][s]
+                             for s in range(3)) for r in range(3)) for i in range(3))
+
+
+@given(_b_values)
+@settings(max_examples=60, deadline=None)
+def test_straight_line_psi_quad_equals_the_comprehension(b):
+    n, e = b.as_integer_ratio()
+    for asg in ALL_ASSIGNMENTS:
+        op = _operator.__wrapped__(n, e, asg)
+        assert op.psi_quad == _comprehension_psi_quad(op.free)
+        assert all(type(v) is int for matrix in op.psi_quad for row in matrix for v in row)
 
 
 def test_solve_accepts_string_and_int():

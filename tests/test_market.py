@@ -62,6 +62,29 @@ def test_params_reject_small_intercept():
         ModelParams(10, "1/2", 2, 2, 10)
 
 
+# Invalid inputs and the messages they raise, checked in this order: b, each
+# cost in firm order, then a against the largest cost.
+_INVALID_PARAMS = [
+    ((10, 0, 2, 2, 3), "b must satisfy 0 < b < 1, got 0"),
+    ((10, 1, 2, 2, 3), "b must satisfy 0 < b < 1, got 1"),
+    (("5/2", 2, -1, 3, "9/4"), "b must satisfy 0 < b < 1, got 2"),
+    ((10, "1/2", 2, "-1/3", 3), "marginal cost of firm B must be nonnegative, got -1/3"),
+    ((10, "1/2", -2, "-1/3", 3), "marginal cost of firm A must be nonnegative, got -2"),
+    ((10, "1/2", 2, 2, 10), "a must exceed every marginal cost, got a=10 with costs (2, 2, 10)"),
+    (("7/2", "1/2", "7/2", 0, 0),
+     "a must exceed every marginal cost, got a=7/2 with costs (7/2, 0, 0)"),
+    (("5/2", "1/2", "1/8", 3, "9/4"),
+     "a must exceed every marginal cost, got a=5/2 with costs (1/8, 3, 9/4)"),
+]
+
+
+@pytest.mark.parametrize("values, message", _INVALID_PARAMS)
+def test_params_reject_invalid_input_with_its_message(values, message):
+    with pytest.raises(ValueError) as info:
+        ModelParams(*values)
+    assert str(info.value) == message
+
+
 _P61 = 2**61 - 1
 
 

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 import triopoly.verify
 from triopoly.equilibrium import build_payoff_quadratic, solve_equilibrium
 from triopoly.exact import QuadraticForm, as_rational, format_rational
-from triopoly.market import ALL_ASSIGNMENTS, FIRMS, MarketState, ModelParams, firm_index
+from triopoly.market import (
+    ALL_ASSIGNMENTS,
+    FIRMS,
+    MarketState,
+    ModelParams,
+    as_assignment,
+    firm_index,
+)
 from triopoly.verify import (
     DegenerateSlice,
     GridSpec,
@@ -616,6 +623,54 @@ def test_verify_command_builds_no_payoff_form_when_every_property_passes(monkeyp
     assert calls == []
 
 
+def test_verify_command_calls_no_fraction_demand_map_when_every_property_passes(
+        monkeypatch, capsys):
+    import triopoly
+    from triopoly.cli import run_cli
+
+    # The demand round trip runs on ints, both ways; the public Fraction maps are
+    # not called, wherever a module holds them.
+    calls = []
+    for name in ("direct_demand", "inverse_demand"):
+        for module in (triopoly, triopoly.market, triopoly.equilibrium, triopoly.verify,
+                       triopoly.cli):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(module, name,
+                                    lambda *args, _real=real, _name=name:
+                                    calls.append(_name) or _real(*args))
+    assert run_cli(["verify", "--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2",
+                    "--cC", "3", "--draws", "100"]) == 0
+    assert "verification: PASS" in capsys.readouterr().out
+    assert calls == []
+
+
+def test_demand_round_trip_fails_on_a_corrupted_pinning_row(monkeypatch):
+    # The outputs -> prices -> outputs and prices -> outputs -> prices directions
+    # each apply the all-price pinning rows once; shifting one row's intercept
+    # column must fail either, with the vector that failed as the counterexample.
+    from triopoly.equilibrium import _operator
+    from triopoly.market import PATTERNS
+    from triopoly.verify import _check_demand_round_trip, _SuiteCase
+
+    x = (Fraction(7, 3), Fraction(-2, 5), Fraction(0))
+    p = (Fraction(9, 2), Fraction(0), Fraction(-1, 16))
+    only_x = _SuiteCase(SPOT, (x,), (), {})
+    only_p = _SuiteCase(SPOT, (), (p,), {})
+    op = _operator.__wrapped__(*SPOT.b.as_integer_ratio(), PATTERNS[6])
+    monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: op)
+    assert _check_demand_round_trip(only_x, "corrected") == ("ok", None)
+    assert _check_demand_round_trip(only_p, "corrected") == ("ok", None)
+    for i in range(3):
+        pin = tuple((*row[:3], row[3] + 1) if k == i else row for k, row in enumerate(op.pin))
+        corrupted = dataclasses.replace(op, pin=pin)
+        monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: corrupted)
+        assert _check_demand_round_trip(only_x, "corrected") == (
+            "fail", {"x": ["7/3", "-2/5", "0/1"]})
+        assert _check_demand_round_trip(only_p, "corrected") == (
+            "fail", {"p": ["9/2", "0/1", "-1/16"]})
+
+
 def test_verify_command_rejects_draws_before_solving(solve_calls, capsys):
     from triopoly.cli import run_cli
 
@@ -631,7 +686,7 @@ def test_own_concavity_fails_on_a_solve_without_its_second_order_flag(monkeypatc
 
     def flagged(params, assignment):
         eq = real(params, assignment)
-        return dataclasses.replace(eq, soc_ok=False) if assignment == "QPP" else eq
+        return dataclasses.replace(eq, soc_ok=False) if str(assignment) == "QPP" else eq
 
     monkeypatch.setattr(triopoly.verify, "solve_equilibrium", flagged)
     outcome = {p.name: p for p in property_suite(SPOT, draws=1).properties}
@@ -661,7 +716,7 @@ def _replace_in_draw(monkeypatch, key, change):
 
     def patched(params, assignment):
         eq = real(params, assignment)
-        return change(eq) if assignment == key else eq
+        return change(eq) if as_assignment(assignment) == as_assignment(key) else eq
 
     monkeypatch.setattr(triopoly.verify, "solve_equilibrium", patched)
 
