@@ -48,15 +48,23 @@ class _CliError(Exception):
     pass
 
 
+class _CliExit(Exception):
+    """argparse ended the run itself, after printing the help; args[0] is the exit code."""
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # Read -1/2 and -1e3 as values, as argparse already reads -0.5.
         self._negative_number_matcher = re.compile(r"^-\.?\d[\d_./eE+-]*$")
 
-    # Route argparse's sys.exit through _CliError so run_cli controls the exit code.
+    # Route argparse's sys.exit through _CliError and _CliExit so run_cli
+    # controls the exit code.
     def error(self, message):
         raise _CliError(message)
+
+    def exit(self, status=0, message=None):
+        raise _CliExit(status)
 
 
 def _rational(text: str) -> Fraction:
@@ -393,6 +401,8 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
         # A command returns its whole output, so a failure leaves stdout empty.
         text, passed = commands[args.command](args)
+    except _CliExit as exc:
+        return exc.args[0]
     except (_CliError, ValueError, ConcavityViolation, FloatingPointError,
             DegenerateSlice) as exc:
         # One line, even where the message echoes argument text that holds a line break.

@@ -22,19 +22,19 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    are exact quadratics in v. Differentiating psi_i in the own variable
    gives the stacked first-order conditions M(b) v + L(b) theta = 0, ints
    over 2 q e; second-order conditions reduce to M_ii < 0, which is checked.
-3. The gain K(b) = -M^-1 L = N / D comes from a cofactor solve with no
-   pivoting, N = -adj(M) L and D = det M, on [M | L] as ints over 2 q e,
-   checked (M N + D L = 0) and reduced to N / D with gcd 1 and D > 0. The
-   model has three firms, so the cold build, the cofactor solve and every
-   per-call kernel are straight-line 3x3 integer arithmetic. A solve is
-   three 4-term sums of the gain rows with theta over its lcm, its
-   first-order conditions checked on the same ints; a Fraction of the
-   result is built only when a caller reads it. A payoff form's linear and
-   constant terms are 3-term sums over the pinning columns the same way,
-   through the columns' cost-weighted sums, which every firm shares.
-   The rows of items 1 and 2 come from a builder that uses only +, -, * on
-   n and e, so it runs on any ring; the cached operator holds them as it
-   returns them.
+3. The operator keeps the first-order rows [M | L], each divided by its
+   content, and adj M and det M of theirs, divided by their common factor
+   and signed so that det M > 0; no gain -M^-1 L is formed. The model has
+   three firms, so the cold build, the adjugate and every per-call kernel
+   are straight-line 3x3 integer arithmetic. A solve takes r = L theta with
+   theta over its lcm, v = -adj(M) r over det M, and checks its
+   first-order conditions on the same ints, M v + det(M) r = 0; a
+   Fraction of the result is built only when a caller reads it. A payoff
+   form's linear and constant terms are 3-term sums over the pinning
+   columns the same way, through the columns' cost-weighted sums, which
+   every firm shares. The rows of items 1 and 2 come from a builder that
+   uses only +, -, * on n and e, so it runs on any ring, as ``_adjugate``
+   does; the cached operator holds the rows as the builder returns them.
 
 Printed closed-form output tables exist for the six numbered patterns and
 are kept here in two variants: ``printed`` is the table as transcribed, and
@@ -114,25 +114,17 @@ class ConcavityViolation(Exception):
 _TWICE_WEIGHTS = tuple(tuple(2 if k == i else -1 for k in range(3)) for i in range(3))
 
 
-def _cofactor_solve(m, rhs, assignment: StrategyAssignment):
-    """N = -adj(M) R and D = det M for a 3x3 M on any exact ring, checked M N + D R = 0.
+def _adjugate(m) -> tuple:
+    """(adj M, det M) of a 3x3 M on any ring: only +, - and * touch the entries.
 
-    D = 0 raises SingularSystem. Only +, -, * and == 0 touch the entries.
+    adj(M) M = M adj(M) = det(M) I, so M v = r has v = adj(M) r / det M
+    whenever det M != 0.
     """
     (a, b, c), (d, e, f), (g, h, i) = m
     a00, a01, a02 = e * i - f * h, c * h - b * i, b * f - c * e
     a10, a11, a12 = f * g - d * i, a * i - c * g, c * d - a * f
     a20, a21, a22 = d * h - e * g, b * g - a * h, a * e - b * d
-    det = a * a00 + b * a10 + c * a20
-    if det == 0:
-        raise SingularSystem()
-    columns = [(-(a00 * r0 + a01 * r1 + a02 * r2), -(a10 * r0 + a11 * r1 + a12 * r2),
-                -(a20 * r0 + a21 * r1 + a22 * r2)) for r0, r1, r2 in zip(*rhs)]
-    for (m0, m1, m2), r in zip(m, rhs):
-        for (n0, n1, n2), r_t in zip(columns, r):
-            if m0 * n0 + m1 * n1 + m2 * n2 + det * r_t != 0:
-                raise ArithmeticError(f"gain of {assignment} fails its first-order conditions")
-    return tuple(zip(*columns)), det
+    return ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), a * a00 + b * a10 + c * a20
 
 
 @dataclass(frozen=True)
@@ -149,8 +141,9 @@ class _Operator:
     These rows are the package's only copy of each map: the pinning map and
     ``direct_demand_numerators`` apply ``pin``, the payoff terms
     (``cost_sums``, ``linear_term``, ``payoff_terms``) read ``free`` and the
-    columns of ``pin``, and the solve and its second-order flag read
-    ``foc``. Nothing outside this module reads them.
+    columns of ``pin``, the second-order flag reads ``foc``, and the solve
+    reads it as :attr:`adjugate` holds it, each row over its content.
+    Nothing outside this module reads them.
     """
 
     assignment: StrategyAssignment
@@ -161,16 +154,27 @@ class _Operator:
     foc: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def integer_solve(self) -> tuple:
-        """(N, D): the gain K = N / D on ints, gcd(N, D) = 1 and D > 0.
+    def adjugate(self) -> tuple:
+        """(rows, adj, det): the first-order rows on smaller ints, adj M and det M of theirs.
 
-        For theta = theta_n / t, the committed values are v = N theta_n / (D t).
+        Each row of ``foc`` is divided by its content, which keeps its
+        equation, and adj M and det M by their common factor, signed so that
+        det M > 0, which keeps adj(M) M = det(M) I. det M = 0 raises
+        SingularSystem. With r = L theta_n for theta = theta_n / t, the
+        committed values are v = -adj(M) r / (det(M) t).
         """
-        foc = self.foc
-        gain, det = _cofactor_solve([row[:3] for row in foc], [row[3:] for row in foc],
-                                    self.assignment)
-        g = math.gcd(det, *gain[0], *gain[1], *gain[2]) * (1 if det > 0 else -1)
-        return tuple(tuple(n // g for n in row) for row in gain), det // g
+        rows = []
+        for row in self.foc:
+            g = math.gcd(*row) or 1
+            rows.append(tuple([v // g for v in row]))
+        (m00, m01, m02, *_), (m10, m11, m12, *_), (m20, m21, m22, *_) = rows
+        ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), det = _adjugate(
+            ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22)))
+        if det == 0:
+            raise SingularSystem()
+        g = math.gcd(det, a00, a01, a02, a10, a11, a12, a20, a21, a22) * (1 if det > 0 else -1)
+        return tuple(rows), ((a00 // g, a01 // g, a02 // g), (a10 // g, a11 // g, a12 // g),
+                             (a20 // g, a21 // g, a22 // g)), det // g
 
     def output_numerators(self, nums: Sequence[int], a_num: int) -> list[int]:
         """Outputs x = [X | x0] . (nums, a_num) over q den, at v = nums / den, a = a_num / den."""
@@ -444,25 +448,35 @@ def _committed_numerators(params: ModelParams,
                           asg: StrategyAssignment) -> tuple[_Operator, tuple[int, ...], int]:
     """(op, nums, det): the committed values v = nums / (det t), checked, on ints.
 
-    With theta = theta_n / t, v = N theta_n / (D t) from the (b, assignment)
-    operator's gain N / D, and every firm's own first-order condition is
-    checked to vanish at v, M N theta_n + D L theta_n = 0.
+    With theta = theta_n / t, [M | L] the adjugate's rows and r = L theta_n,
+    v = -adj(M) r / (det(M) t) from the (b, assignment) operator, and every
+    firm's own first-order condition is checked to vanish at v,
+    M nums + det r = 0. The numerators are not reduced; det > 0.
     """
     n, e, (a, c0, c1, c2), _ = params._ints
     op = _operator(n, e, asg)
     try:
-        gain, det = op.integer_solve
+        rows, ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), det = op.adjugate
     except SingularSystem:
         raise SingularSystem(
             f"stacked first-order conditions for {asg} at {params.describe()}") from None
-    v0, v1, v2 = nums = tuple(k0 * a + k1 * c0 + k2 * c1 + k3 * c2 for k0, k1, k2, k3 in gain)
-    for i, (m0, m1, m2, l0, l1, l2, l3) in enumerate(op.foc):
-        if m0 * v0 + m1 * v1 + m2 * v2 + det * (l0 * a + l1 * c0 + l2 * c1 + l3 * c2) != 0:
+    ((m00, m01, m02, l00, l01, l02, l03), (m10, m11, m12, l10, l11, l12, l13),
+     (m20, m21, m22, l20, l21, l22, l23)) = rows
+    r0 = l00 * a + l01 * c0 + l02 * c1 + l03 * c2
+    r1 = l10 * a + l11 * c0 + l12 * c1 + l13 * c2
+    r2 = l20 * a + l21 * c0 + l22 * c1 + l23 * c2
+    v0 = -(a00 * r0 + a01 * r1 + a02 * r2)
+    v1 = -(a10 * r0 + a11 * r1 + a12 * r2)
+    v2 = -(a20 * r0 + a21 * r1 + a22 * r2)
+    for i, residual in enumerate((m00 * v0 + m01 * v1 + m02 * v2 + det * r0,
+                                  m10 * v0 + m11 * v1 + m12 * v2 + det * r1,
+                                  m20 * v0 + m21 * v1 + m22 * v2 + det * r2)):
+        if residual:
             raise ArithmeticError(
                 f"first-order condition of firm {FIRMS[i]} does not vanish "
                 f"for {asg} at {params.describe()}"
             )
-    return op, nums, det
+    return op, (v0, v1, v2), det
 
 
 def committed_values(params: ModelParams,
@@ -480,11 +494,12 @@ def committed_values(params: ModelParams,
 def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equilibrium:
     """Solve the stacked first-order conditions of one assignment exactly.
 
-    The committed values are v = K theta from the (b, assignment) operator,
-    on integer numerators, each firm's own first-order condition checked to
-    vanish at v (see :func:`committed_values`), before the operator's pinning
-    map resolves v into the checked state. Every check runs here, on
-    integers; the result's public Fractions are built on their first read.
+    The committed values are v = -M^-1 L theta from the (b, assignment)
+    operator's adjugate, on integer numerators, each firm's own first-order
+    condition checked to vanish at v (see :func:`committed_values`), before
+    the operator's pinning map resolves v into the checked state. Every
+    check runs here, on integers; the result's public Fractions are built on
+    their first read.
     """
     asg = as_assignment(assignment)
     op, nums, det = _committed_numerators(params, asg)
@@ -576,17 +591,23 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
     """
     if pattern not in PATTERNS:
         raise ValueError(f"pattern number must be 1..6, got {pattern}")
-    if params.c_a != params.c_b:
+    # theta is over one denominator t: c_A = c_B compares numerators, and
+    # (a, c_AB, c_C) is over t.
+    n, e, (a, c_ab, c_b, c_c), t = params._ints
+    if c_ab != c_b:
         raise ValueError(
             "closed-form output tables assume c_A = c_B, "
             f"got cA={params.c_a} cB={params.c_b}"
         )
-    # With c_A = c_B, (a, c_AB, c_C) is over theta's lcm t.
-    n, e, (a, c_ab, _, c_c), t = params._ints
-    rows, den = _printed_output_table(n, e)[pattern]
-    printed = tuple(Fraction(r0 * a + r1 * c_ab + r2 * c_c, den * t) for r0, r1, r2 in rows)
-    corrected = printed if pattern != 1 else (printed[0], printed[1], -printed[2])
-    return ClosedFormOutputs(pattern, printed, corrected)
+    ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), den = \
+        _printed_output_table(n, e)[pattern]
+    den *= t
+    x0 = Fraction(r00 * a + r01 * c_ab + r02 * c_c, den)
+    x1 = Fraction(r10 * a + r11 * c_ab + r12 * c_c, den)
+    x2 = Fraction(r20 * a + r21 * c_ab + r22 * c_c, den)
+    printed = x0, x1, x2
+    return _built(ClosedFormOutputs, pattern=pattern, printed=printed,
+                  corrected=(x0, x1, -x2) if pattern == 1 else printed)
 
 
 @lru_cache(maxsize=64)

@@ -427,6 +427,16 @@ def test_minimax_failure_exits_2(cli, monkeypatch):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("command", [[], ["solve"], ["verify"], ["minimax"]], ids=repr)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_returns_0_with_the_usage_on_stdout(cli, command, flag):
+    # argparse exits after printing the help; run_cli returns that exit code instead.
+    code, out, err = cli([*command, flag])
+    assert code == 0
+    assert out.startswith("usage: triopoly")
+    assert err == ""
+
+
 # --- argv fuzz --------------------------------------------------------------------
 
 # Rationals: valid ones, malformed ones, values beyond the float range and the
@@ -478,7 +488,9 @@ def _argv(draw):
     options = _OPTIONS[command]
     for flag in draw(st.lists(st.sampled_from(sorted(options)), max_size=3)):
         argv += [flag, draw(options[flag])]
-    return argv + draw(st.lists(_JUNK, max_size=1))  # a stray token, now and then
+    # A stray token, now and then, and sometimes a request for help.
+    return argv + draw(st.lists(st.one_of(_JUNK, st.sampled_from(["-h", "--help"])),
+                                max_size=1))
 
 
 @given(_argv())

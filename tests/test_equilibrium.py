@@ -15,7 +15,7 @@ import triopoly.verify
 from triopoly.equilibrium import (
     ConcavityViolation,
     QuadraticPayoff,
-    _cofactor_solve,
+    _adjugate,
     _operator,
     _operator_rows,
     _printed_output_table,
@@ -480,7 +480,7 @@ def test_cold_operator_does_no_fraction_arithmetic(monkeypatch):
     calls = _count_fraction_arithmetic(monkeypatch)
     for asg in ALL_ASSIGNMENTS:
         op = _operator(*b.as_integer_ratio(), asg)
-        op.integer_solve
+        op.adjugate
     assert calls == []
     # The solves and the payoff forms read the operators built above.
     for asg in ALL_ASSIGNMENTS:
@@ -549,16 +549,18 @@ def test_singular_gain_names_the_solve(monkeypatch):
             route(params, 1)
 
 
-def test_corrupted_gain_fails_its_first_order_conditions_on_every_route(monkeypatch):
+def test_corrupted_adjugate_fails_its_first_order_conditions_on_every_route(monkeypatch):
     # The first-order conditions are checked on the committed numerators that
     # the solve, committed_values and so the minimax check's pinned value read.
+    # Adding 1 to adj[i][i] moves v_i by -r_i, r = L theta, off the solution.
     params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "11/5", 3)
     for asg in ALL_ASSIGNMENTS:
         op = _operator(*params.b.as_integer_ratio(), asg)
-        (gain, det), corrupted = op.integer_solve, dataclasses.replace(op)
+        (rows, adj, det), corrupted = op.adjugate, dataclasses.replace(op)
         for i in range(3):
-            bad = tuple((*row[:3], row[3] + 1) if k == i else row for k, row in enumerate(gain))
-            corrupted.__dict__["integer_solve"] = (bad, det)
+            bad = tuple(tuple(v + (k == j == i) for j, v in enumerate(row))
+                        for k, row in enumerate(adj))
+            corrupted.__dict__["adjugate"] = (rows, bad, det)
             monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: corrupted)
             for route in (lambda: solve_equilibrium(params, asg),
                           lambda: committed_values(params, asg),
@@ -576,10 +578,65 @@ def test_corrupted_gain_fails_its_first_order_conditions_on_every_route(monkeypa
 ])
 def test_cofactor_solve_reports_the_elimination_pivot_step(step, matrix):
     # ``step`` only labels the case: the step at which Gaussian elimination with
-    # partial pivoting would find no pivot. The cofactor solve reports det M = 0.
-    rows = [[Fraction(v) for v in row] for row in matrix]
+    # partial pivoting would find no pivot. The adjugate gives det M = 0, on ints
+    # and on Fractions, and an operator whose M it is reports a singular system.
+    assert _adjugate(matrix)[1] == 0
+    assert _adjugate([[Fraction(v) for v in row] for row in matrix])[1] == 0
+    op = _operator(1, 3, PATTERNS[1])
+    singular = dataclasses.replace(op, foc=tuple((*m, *row[3:])
+                                                 for m, row in zip(matrix, op.foc)))
     with pytest.raises(SingularSystem):
-        _cofactor_solve(rows, [(Fraction(1),)] * 3, PATTERNS[1])
+        singular.adjugate
+
+
+def _adj_times(adj, m) -> tuple:
+    """adj . m for 3x3 rows, on any ring."""
+    return tuple(tuple(a0 * c0 + a1 * c1 + a2 * c2 for c0, c1, c2 in zip(*m))
+                 for a0, a1, a2 in adj)
+
+
+@given(_b_values)
+@settings(max_examples=40, deadline=None)
+def test_adjugate_times_matrix_is_the_determinant_times_identity(b):
+    # On the operator's ints and on the reference's M in a field that is not
+    # Fraction. The operator holds its first-order rows over their contents,
+    # and an adjugate of their M with det M > 0.
+    n, e = b.as_integer_ratio()
+    for asg in ALL_ASSIGNMENTS:
+        op = _operator(n, e, asg)
+        rows, held_adj, held_det = op.adjugate
+        assert rows == tuple(tuple(v // math.gcd(*row) for v in row) for row in op.foc)
+        ints = tuple(row[:3] for row in op.foc)
+        for m, adj, det in ((ints, *_adjugate(ints)), (tuple(row[:3] for row in rows),
+                                                       held_adj, held_det)):
+            identity = tuple(tuple(det if r == s else 0 for s in range(3)) for r in range(3))
+            assert _adj_times(adj, m) == _adj_times(m, adj) == identity
+        assert held_det > 0
+        field = _reference_operator(_Exact(b), asg).foc
+        adj, det = _adjugate(field)
+        det = _unwrap(det)
+        identity = tuple(tuple(det if r == s else 0 for s in range(3)) for r in range(3))
+        assert _unwrap(_adj_times(adj, field)) == _unwrap(_adj_times(field, adj)) == identity
+
+
+@pytest.mark.parametrize("asg", ALL_ASSIGNMENTS, ids=str)
+def test_operator_with_positive_determinant_gives_the_same_solve(monkeypatch, asg):
+    # det M < 0 on the cached operators, so the adjugate is negated there.
+    # Negating [M | L] keeps the equations and gives det M > 0 as built; the
+    # rows' contents are positive, so they keep the sign.
+    params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "11/5", 3)
+    op = _operator(*params.b.as_integer_ratio(), asg)
+    expected = solve_equilibrium(params, asg)
+    flipped = dataclasses.replace(op, foc=tuple(tuple(-v for v in row) for row in op.foc))
+    assert _adjugate([row[:3] for row in op.foc])[1] < 0
+    assert _adjugate([row[:3] for row in flipped.foc])[1] > 0
+    monkeypatch.setattr("triopoly.equilibrium._operator", lambda n, e, asg: flipped)
+    solved = solve_equilibrium(params, asg)
+    # soc_ok reads the diagonal of M, negated here, so it is not compared.
+    assert solved._ints == expected._ints
+    assert (solved.chosen, solved.state, solved.payoffs, solved.interior) == \
+        (expected.chosen, expected.state, expected.payoffs, expected.interior)
+    assert committed_values(params, asg) == expected.chosen
 
 
 def test_operator_cache_is_bounded_and_holds_the_sampler():
@@ -702,10 +759,26 @@ def _reference_rows(ref) -> tuple:
             [(*m, *l) for m, l in zip(ref.foc, ref.foc_rhs)])
 
 
+def _minus_adj_times(adj, rhs) -> tuple:
+    """-adj(M) R on any ring: over det M, the gain -M^-1 R."""
+    return tuple(tuple(-(a0 * r0 + a1 * r1 + a2 * r2) for r0, r1, r2 in zip(*rhs))
+                 for a0, a1, a2 in adj)
+
+
+def _reference_gain(ref) -> tuple:
+    """(N, D): the reference's gain -M^-1 L as N / D, from the adjugate on its field."""
+    adj, det = _adjugate(ref.foc)
+    return _minus_adj_times(adj, ref.foc_rhs), det
+
+
 def _assert_operator_matches(op, ref, psi_quad, gain, det):
-    """The integer operator holds the reference's maps, and its gain is N / D reduced."""
-    int_gain, int_det = op.integer_solve
-    assert int_det > 0 and math.gcd(int_det, *(n for row in int_gain for n in row)) == 1
+    """The integer operator holds the reference's maps, and its adjugate gives the gain N / D.
+
+    The held adjugate and determinant share no factor, and det > 0.
+    """
+    rows, adj, int_det = op.adjugate
+    assert int_det > 0 and math.gcd(int_det, *(v for row in adj for v in row)) == 1
+    int_gain = _minus_adj_times(adj, [row[3:] for row in rows])
     assert [[n / det for n in row] for row in gain] == \
         [[Fraction(n, int_det) for n in row] for row in int_gain]
     assert _reference_rows(ref) == (_over(op.pin, op.q), _over(op.free, op.q * op.e),
@@ -719,7 +792,7 @@ def test_gain_and_tables_run_on_any_exact_field(b):
     # operator must hold the same maps as the reference built on that field.
     for asg in ALL_ASSIGNMENTS:
         ref = _reference_operator(_Exact(b), asg)
-        gain, det = _unwrap(_cofactor_solve(ref.foc, ref.foc_rhs, asg))
+        gain, det = _unwrap(_reference_gain(ref))
         _assert_operator_matches(_operator(*b.as_integer_ratio(), asg), ref,
                                  _unwrap(ref.psi_quad), gain, det)
     table = _unwrap(_transcribed_output_table(_Exact(b)))
@@ -735,7 +808,7 @@ def test_unrolled_operator_matches_fraction_reference_at_drawn_b(b):
     # primes up to 2^61 - 1, against the Fraction reference and its own gain.
     for asg in ALL_ASSIGNMENTS:
         ref = _reference_operator(b, asg)
-        gain, det = _cofactor_solve(ref.foc, ref.foc_rhs, asg)
+        gain, det = _reference_gain(ref)
         _assert_operator_matches(_operator(*b.as_integer_ratio(), asg), ref, ref.psi_quad,
                                  gain, det)
 
@@ -880,6 +953,12 @@ def test_cold_caches_never_compare_values_of_b(monkeypatch):
 def test_closed_forms_validation():
     with pytest.raises(ValueError, match="c_A = c_B"):
         closed_form_outputs(ModelParams(10, "1/2", 2, 3, 3), 1)
+    for costs, text in ((("7/2", "11/5"), "cA=7/2 cB=11/5"),
+                        ((2, "2/1000001"), "cA=2 cB=2/1000001")):
+        params = ModelParams("37/3", Fraction(5, 1_000_003), *costs, 3)
+        with pytest.raises(ValueError) as raised:
+            closed_form_outputs(params, 2)
+        assert str(raised.value) == f"closed-form output tables assume c_A = c_B, got {text}"
     with pytest.raises(ValueError, match="pattern"):
         closed_form_outputs(SPOT, 0)
 

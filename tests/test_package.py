@@ -37,7 +37,7 @@ def test_cache_inventory():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(map(cached, node.decorator_list))
     )
-    assert found == ["_operator", "_printed_output_table", "integer_solve", "psi_quad"]
+    assert found == ["_operator", "_printed_output_table", "adjugate", "psi_quad"]
 
 
 def test_lazy_field_inventory():
