@@ -80,6 +80,7 @@ from .market import (
     StrategyAssignment,
     _built,
     _interior,
+    _pattern_number,
     _view,
     as_assignment,
     ensure_float_safe,
@@ -589,8 +590,7 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
     The formulas contain only the shared cost of firms A and B plus firm C's
     cost, so parameter sets with c_A != c_B are rejected.
     """
-    if pattern not in PATTERNS:
-        raise ValueError(f"pattern number must be 1..6, got {pattern}")
+    _pattern_number(pattern)
     # theta is over one denominator t: c_A = c_B compares numerators, and
     # (a, c_AB, c_C) is over t.
     n, e, (a, c_ab, c_b, c_c), t = params._ints

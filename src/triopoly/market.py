@@ -24,12 +24,15 @@ state (``resolve_market``) and its all-price case, the demand inversion
 (``direct_demand``).
 
 Every :class:`ModelParams` and :class:`MarketState` holds its integer form,
-made once at construction. The pinning map hands a state integer outputs,
-and its prices come from the integer kernel of :func:`inverse_demand`. The
-state -> payoff path (:func:`profit`, :func:`payoff_vector`) and the
-interior flag read those integers. A state, a payoff vector or an
-equilibrium made from integers builds each public ``Fraction`` once, on
-its first read.
+made once at construction. A state's integer form has one builder, which
+takes reduced output numerators and adds the prices from the integer
+kernel of :func:`inverse_demand`. The pinning map reduces its outputs
+before it calls the builder. :meth:`MarketState.from_outputs` needs no
+second reduction: reduced Fractions over the lcm of their denominators
+share no factor with it. The state -> payoff path (:func:`profit`,
+:func:`payoff_vector`) and the interior flag read those integers. A
+state, a payoff vector or an equilibrium made from integers builds each
+public ``Fraction`` once, on its first read.
 """
 
 from __future__ import annotations
@@ -241,15 +244,20 @@ def as_assignment(value: AssignmentLike) -> StrategyAssignment:
     if isinstance(value, StrategyAssignment):
         return value
     if isinstance(value, int):
-        if value not in PATTERNS:
-            raise ValueError(f"pattern number must be 1..6, got {value}")
-        return PATTERNS[value]
+        return PATTERNS[_pattern_number(value)]
     if isinstance(value, str):
         text = value.strip()
         if text.isdigit():
             return as_assignment(int(text))
         return StrategyAssignment.from_string(text)
     raise TypeError(f"cannot interpret {value!r} as a strategy assignment")
+
+
+def _pattern_number(value) -> int:
+    """``value`` if it is a pattern number: an int, not a bool, in 1..6."""
+    if isinstance(value, bool) or not isinstance(value, int) or value not in PATTERNS:
+        raise ValueError(f"pattern number must be 1..6, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -285,7 +293,15 @@ class MarketState:
 
     @classmethod
     def from_outputs(cls, params: ModelParams, x: Sequence[RationalLike]) -> "MarketState":
-        return cls._from_numerators(params, *_over_lcm(rational_vector(x, 3)))
+        x0, x1, x2 = rational_vector(x, 3)
+        n0, d0 = x0.as_integer_ratio()
+        n1, d1 = x1.as_integer_ratio()
+        n2, d2 = x2.as_integer_ratio()
+        # No second reduction: for each prime p of the lcm, the output whose
+        # denominator d holds p's full power has a numerator prime to p, and its
+        # scale lcm / d is prime to p, so the numerators share no factor with the lcm.
+        den = lcm(d0, d1, d2)
+        return _state(cls, params, (n0 * (den // d0), n1 * (den // d1), n2 * (den // d2)), den)
 
     @classmethod
     def _from_numerators(cls, params: ModelParams, n: Sequence[int], xd: int) -> "MarketState":
@@ -294,9 +310,7 @@ class MarketState:
         Nothing is coerced: the state keeps the reduced integers, and builds
         each field from them on its first read.
         """
-        x_num, x_den = _reduced(n, xd)
-        p_num, p_den = _reduced(*_price_numerators(params, x_num, x_den))
-        return _built(cls, _ints=(x_num, x_den, p_num, p_den))
+        return _state(cls, params, *_reduced(n, xd))
 
     def swap_ab(self) -> "MarketState":
         return MarketState((self.x[1], self.x[0], self.x[2]), (self.p[1], self.p[0], self.p[2]))
@@ -327,6 +341,15 @@ class PayoffVector:
         object.__setattr__(self, "psi", rational_vector(self.psi, 3))
 
 
+def _state(cls, params: ModelParams, x_num: tuple[int, int, int], x_den: int) -> MarketState:
+    """The ``cls`` state at reduced outputs x_num / x_den, x_den > 0, and its reduced prices.
+
+    The one builder of a state's integer form from outputs, for
+    :meth:`MarketState.from_outputs` and the pinning map alike.
+    """
+    return _built(cls, _ints=(x_num, x_den, *_reduced(*_price_numerators(params, x_num, x_den))))
+
+
 def _built(cls, **attributes):
     """An instance of the frozen dataclass ``cls`` holding ``attributes`` as given.
 
@@ -349,7 +372,8 @@ def _view(obj, name: str, names: tuple[str, ...]):
     if ints is None or name not in names:
         raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
     i = 2 * names.index(name)
-    value = obj.__dict__[name] = _fractions(ints[i], ints[i + 1])
+    (n0, n1, n2), den = ints[i], ints[i + 1]
+    value = obj.__dict__[name] = Fraction(n0, den), Fraction(n1, den), Fraction(n2, den)
     return value
 
 
@@ -376,9 +400,10 @@ def _price_numerators(params: ModelParams, n: Sequence[int],
 
     p_i = a - b sum(x) - (1 - b) x_i. With b = bn / bd and a = an / ad, den = lcm(xd bd, ad).
     """
-    bn, bd, (an, *_), ad = params._ints
-    den = lcm(xd * bd, ad)
-    b_scale = bn * (den // (xd * bd))
+    bn, bd, (an, _, _, _), ad = params._ints
+    xbd = xd * bd
+    den = lcm(xbd, ad)
+    b_scale = bn * (den // xbd)
     shared = an * (den // ad) - b_scale * (n[0] + n[1] + n[2])
     own = den // xd - b_scale
     return (shared - own * n[0], shared - own * n[1], shared - own * n[2]), den
@@ -401,12 +426,12 @@ def _profit_numerators(params: ModelParams,
     The state holds its prices over pd and its outputs over xd. With the
     costs over theta's lcm cd and m = lcm(pd, cd), d = m xd.
     """
-    x_num, x_den, p_num, p_den = state._ints
-    _, _, (_, *c_num), c_den = params._ints
+    (x0, x1, x2), x_den, (p0, p1, p2), p_den = state._ints
+    _, _, (_, c0, c1, c2), c_den = params._ints
     m = lcm(p_den, c_den)
-    p_scale, c_scale = m // p_den, m // c_den
-    return tuple([(p * p_scale - c * c_scale) * x
-                  for p, c, x in zip(p_num, c_num, x_num)]), m * x_den
+    ps, cs = m // p_den, m // c_den
+    return ((p0 * ps - c0 * cs) * x0, (p1 * ps - c1 * cs) * x1,
+            (p2 * ps - c2 * cs) * x2), m * x_den
 
 
 def profit(params: ModelParams, firm: str, state: MarketState) -> Fraction:
@@ -423,8 +448,9 @@ def payoff_vector(params: ModelParams, state: MarketState) -> PayoffVector:
     so the zero-sum check runs on integer numerators.
     """
     nums, den = _profit_numerators(params, state)
-    total = nums[0] + nums[1] + nums[2]
-    psi = (3 * nums[0] - total, 3 * nums[1] - total, 3 * nums[2] - total)
+    n0, n1, n2 = nums
+    total = n0 + n1 + n2
+    psi = (3 * n0 - total, 3 * n1 - total, 3 * n2 - total)
     if psi[0] + psi[1] + psi[2] != 0:
         raise ArithmeticError(
             f"relative payoffs with numerators {psi} over {2 * den} do not sum to zero"

@@ -963,6 +963,14 @@ def test_closed_forms_validation():
         closed_form_outputs(SPOT, 0)
 
 
+@pytest.mark.parametrize("pattern", [True, False, 1.0, Fraction(1), 0, 7, "1"])
+def test_closed_forms_take_only_an_int_pattern_number(pattern):
+    # True, 1.0 and Fraction(1) compare equal to 1, and must not stand for pattern 1.
+    with pytest.raises(ValueError) as raised:
+        closed_form_outputs(SPOT, pattern)
+    assert str(raised.value) == f"pattern number must be 1..6, got {pattern!r}"
+
+
 # --- best-response iteration ----------------------------------------------------------
 
 

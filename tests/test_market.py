@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,13 @@ def test_assignment_parsing():
         as_assignment(7)
     with pytest.raises(TypeError):
         as_assignment(None)
+
+
+@pytest.mark.parametrize("value", [True, False, 0, 7])
+def test_assignment_rejects_bools_as_pattern_numbers(value):
+    # bool is an int, but True must not stand for pattern 1.
+    with pytest.raises(ValueError, match=f"^pattern number must be 1..6, got {value}$"):
+        as_assignment(value)
 
 
 def test_assignment_helpers():
@@ -512,6 +520,55 @@ def test_vectors_reject_floats_bad_strings_and_wrong_lengths(cls):
         cls(good[:2], good)
     with pytest.raises(ValueError, match="length 3"):
         cls(good, good + (Fraction(4),))
+
+
+# Denominators over a few small primes, so that a triple's denominators share
+# some prime powers and are coprime in others, and up to Python's hash modulus.
+_prime_powers = st.builds(lambda i, j, k: 2**i * 3**j * 5**k,
+                          st.integers(0, 12), st.integers(0, 8), st.integers(0, 6))
+_reduction_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.builds(Fraction, st.integers(-2**70, 2**70),
+              st.one_of(_prime_powers, st.just(2**61 - 1), st.integers(1, 2**61 - 1))),
+)
+
+
+@given(_market_params(), st.tuples(*[_reduction_entries] * 3))
+@settings(max_examples=200, deadline=None)
+def test_from_outputs_needs_no_second_reduction(params, x):
+    # Reduced Fractions over the lcm of their denominators share no factor with it,
+    # so from_outputs keeps those numerators as they are.
+    state = MarketState.from_outputs(params, x)
+    x_num, x_den, p_num, p_den = state._ints
+    assert x_den > 0 and gcd(x_den, *x_num) == 1
+    assert p_den > 0 and gcd(p_den, *p_num) == 1
+    assert tuple(Fraction(n, x_den) for n in x_num) == x
+    assert state.p == inverse_demand(params, x)
+
+
+def test_state_to_payoff_path_builds_fractions_only_on_read():
+    params = ModelParams("37/3", Fraction(5, 1_000_003), "7/2", "11/5", 3)
+    x = (Fraction(7, 3), Fraction(-5, 16), Fraction(0))
+    real = Fraction.__dict__["__new__"]
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        assert Fraction(1, 2) and len(built) == 1  # the counter sees constructions
+        built.clear()
+        payoffs = payoff_vector(params, MarketState.from_outputs(params, x))
+        assert built == []
+        psi = payoffs.psi
+        assert len(built) == 3
+        assert payoffs.psi is psi and len(built) == 3
+    finally:
+        Fraction.__new__ = real
+    assert sum(psi, start=Fraction(0)) == 0
 
 
 def test_state_to_payoff_path_does_no_fraction_arithmetic(monkeypatch):
