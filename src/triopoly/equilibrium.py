@@ -141,7 +141,7 @@ class _Operator:
 
     These rows are the package's only copy of each map: the pinning map and
     ``direct_demand_numerators`` apply ``pin``, the payoff terms
-    (``cost_sums``, ``linear_term``, ``payoff_terms``) read ``free`` and the
+    (``cost_sums``, ``linear_term``, ``payoff_form``) read ``free`` and the
     columns of ``pin``, the second-order flag reads ``foc``, and the solve
     reads it as :attr:`adjugate` holds it, each row over its content.
     Nothing outside this module reads them.
@@ -248,26 +248,19 @@ class _Operator:
         return 2 * t * (theta[0] * _TWICE_WEIGHTS[i][j] * self.free[j][3]
                         - self.e * (3 * theta[i + 1] * self.pin[i][j] - sums[j]))
 
-    def payoff_terms(self, i: int, params: ModelParams) -> tuple[list[int], int]:
-        """(lin, const): firm i's payoff's linear and constant terms, ints over 4 q e t^2.
-
-        The linear terms are :meth:`linear_term`. Profit pi_k has the constant
-        -a c_k x0_k, weighted like the cost part of the linear terms: the same
-        sum, on column 3 of ``pin``, x0.
-        """
-        sums = self.cost_sums(params)
-        _, _, theta, _ = params._ints
-        const = -2 * theta[0] * self.e * (3 * theta[i + 1] * self.pin[i][3] - sums[3])
-        return [self.linear_term(i, j, params, sums) for j in range(3)], const
-
     def payoff_form(self, i: int, params: ModelParams) -> QuadraticForm:
         """Firm i's relative payoff as a quadratic in v at the theta of params, on ints.
 
-        The matrix is ``psi_quad[i]`` and the rest :meth:`payoff_terms`; with
+        The matrix is ``psi_quad[i]`` and the linear terms :meth:`linear_term`.
+        Profit pi_k has the constant -a c_k x0_k, weighted like the cost part
+        of the linear terms: the same sum, on column 3 of ``pin``, x0. With
         theta over its lcm t, the form is over 4 q e t^2.
         """
-        lin, const = self.payoff_terms(i, params)
-        tt = params._ints[3] ** 2
+        sums = self.cost_sums(params)
+        _, _, theta, t = params._ints
+        lin = [self.linear_term(i, j, params, sums) for j in range(3)]
+        const = -2 * theta[0] * self.e * (3 * theta[i + 1] * self.pin[i][3] - sums[3])
+        tt = t * t
         quad = [[v * tt for v in row] for row in self.psi_quad[i]]
         return QuadraticForm.from_numerators(quad, lin, const, 4 * self.q * self.e * tt)
 

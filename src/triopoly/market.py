@@ -247,7 +247,7 @@ def as_assignment(value: AssignmentLike) -> StrategyAssignment:
         return PATTERNS[_pattern_number(value)]
     if isinstance(value, str):
         text = value.strip()
-        if text.isdigit():
+        if text.isascii() and text.isdigit():
             return as_assignment(int(text))
         return StrategyAssignment.from_string(text)
     raise TypeError(f"cannot interpret {value!r} as a strategy assignment")

@@ -306,7 +306,7 @@ def _float_error_bound(coefs, lo: float, hi: float) -> float:
 
 
 # Float mode refuses a chain whose window holds more grid indices than this
-# (each is one float evaluation); exact mode never evaluates more than 14.
+# (each is one float evaluation); exact mode never evaluates more than 10.
 _MAX_FLOAT_EVALUATIONS = 10**7
 
 
@@ -318,14 +318,21 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     without scanning. The inner extreme at t is taken over lo, hi and the
     vertex when it lies inside, so as a function of the index it is the
     extreme of three quadratics A (w = lo), B (w = hi) and V (the vertex,
-    only where it lies in [lo, hi]). V meets A only where the vertex
-    crosses lo, V meets B only where it crosses hi, and A - B is linear, so
-    the winning piece changes at no more than three breakpoints. Taking
-    floor and floor + 1 of each breakpoint and of each piece's vertex,
-    plus both grid ends, as candidates, the chain value between two
-    consecutive candidates is one quadratic without its vertex inside: it
-    is monotone there, so its grid extreme is among the candidates. They
-    are evaluated exactly, on integer numerators over one scale per chain.
+    only where it lies in [lo, hi]). V is picked only when the inner
+    variable is maximized with q_ii < 0 or minimized with q_ii > 0. There
+    the chain hands over between V and A exactly where the vertex crosses
+    lo, and there V = A and V' = A', since d/dt of the inner extreme is
+    df/dt taken at w = lo (the envelope theorem); likewise between V and B
+    at hi. So the chain is C^1 at both. In every other case, q_ii = 0
+    included, V is never picked: the chain is the max or min of A and B,
+    with one kink where the linear A - B vanishes. The candidates are both
+    grid ends and floor and floor + 1 of that switch and of the vertices
+    of A, B and V. Between consecutive candidates the chain's derivative
+    is continuous and piecewise linear, and does not change sign: it could
+    only do so at a piece's vertex, which no index separates from its two
+    candidates. So the chain is monotone there, and its grid extreme is
+    among the candidates. They are evaluated exactly, on integer
+    numerators over one scale per chain.
 
     Float mode returns what the full float scan returns. Each float value
     lies within ``eps`` (:func:`_float_error_bound`) of the exact value at
@@ -366,10 +373,9 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
             return inner_pick(*ends, gamma - sign * beta * beta)
         return inner_pick(ends)
 
-    # As index fractions: the breakpoints (beta at -q_ii (lo + hi), -2 q_ii lo
-    # and -2 q_ii hi) and the vertices of A, B and V.
-    points = [(-q_ii * (w_lo + w_hi) - b0, b1), (-2 * q_ii * w_lo - b0, b1),
-              (-2 * q_ii * w_hi - b0, b1), (-(b1 * w_lo + g1), 2 * g2),
+    # As index fractions: the A = B switch (beta at -q_ii (lo + hi)) and the
+    # vertices of A, B and V.
+    points = [(-q_ii * (w_lo + w_hi) - b0, b1), (-(b1 * w_lo + g1), 2 * g2),
               (-(b1 * w_hi + g1), 2 * g2),
               (2 * sign * b1 * b0 - m * g1, 2 * (m * g2 - sign * b1 * b1))]
     cands = sorted({0, n}.union(*((num // den, num // den + 1) for num, den in points if den)))

@@ -161,6 +161,17 @@ def test_assignment_rejects_bools_as_pattern_numbers(value):
         as_assignment(value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("٣", "assignment string must have exactly 3 letters"),  # Arabic-Indic 3
+    ("１", "assignment string must have exactly 3 letters"),  # fullwidth 1
+    ("²", "assignment string must have exactly 3 letters"),  # superscript 2
+    ("³³³", "choices must be three letters from"),
+], ids=["arabic_indic_3", "fullwidth_1", "superscript_2", "superscript_333"])
+def test_assignment_takes_only_ascii_digits_as_pattern_numbers(text, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        as_assignment(text)
+
+
 def test_assignment_helpers():
     asg = PATTERNS[2]
     assert asg.choice("C") == "P"

@@ -249,7 +249,7 @@ def _chains(draw, points):
     kind = draw(st.sampled_from(
         ("general", "alpha_zero", "q_io_zero", "flat_vertex", "flat_constant_vertex",
          "nearly_flat_vertex", "nearly_constant", "bilinear_saddle", "small_integers",
-         "narrow_saddle_box")))
+         "narrow_saddle_box", "vertex_crossing")))
 
     def tiny():
         return Fraction(rng.choice((1, -1)), 10 ** rng.randint(12, 18))
@@ -277,10 +277,6 @@ def _chains(draw, points):
     elif kind == "small_integers":
         alpha, q_io, q_oo, l_i, l_o, k = (Fraction(rng.randint(-2, 2)) for _ in range(6))
     outer = draw(st.integers(0, 1))
-    quad = [[q_oo, q_io], [q_io, q_oo]]
-    quad[1 - outer][1 - outer] = alpha
-    lin = [l_o, l_o]
-    lin[1 - outer] = l_i
     lo = rational()
     den = rng.choice(_DENOMINATORS)
     width = Fraction(rng.randint(1, 20 * den), den)
@@ -291,6 +287,17 @@ def _chains(draw, points):
         l_o, l_i = -2 * (q_oo + q_io) * lo, -2 * (q_io + alpha) * lo
         width /= 10 ** rng.randint(3, 9)
         lo -= width * Fraction(rng.randint(1, 999), 1000)
+    elif kind == "vertex_crossing":
+        # The inner vertex -(2 q_io t + l_i) / (2 alpha) reaches lo or hi at an
+        # outer value t inside the grid: the chain hands over between the
+        # vertex piece and an end piece there.
+        alpha, q_io = alpha or Fraction(-1), q_io or Fraction(1)
+        t = lo + width * Fraction(rng.randint(1, 999), 1000)
+        l_i = -2 * (alpha * rng.choice((lo, lo + width)) + q_io * t)
+    quad = [[q_oo, q_io], [q_io, q_oo]]
+    quad[1 - outer][1 - outer] = alpha
+    lin = [l_o, l_o]
+    lin[1 - outer] = l_i
     grid = GridSpec(lo, lo + width, draw(st.sampled_from(points)))
     shape = {"outer": outer, "inner_maximize": draw(st.booleans()),
              "outer_pick_max": draw(st.booleans())}
@@ -345,6 +352,28 @@ def test_chain_value_exact_equals_full_scan_on_default_grid():
                  "outer_pick_max": not inner_maximize}
         got = triopoly.verify._chain_value(sliced, grid, mode="exact", **shape)
         assert got == _full_scan_chain(sliced, grid, mode="exact", **shape)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("form, grid, shape", [
+    pytest.param(QuadraticForm(((-1, 1), (1, -3)), (3, 1), 2), GridSpec(-4, 1, 11),
+                 {"outer": 0, "inner_maximize": False, "outer_pick_max": True},
+                 id="vertex_of_A"),
+    pytest.param(QuadraticForm(((-3, 2), (2, 1)), (-3, 1), 1), GridSpec(-1, 5, 11),
+                 {"outer": 0, "inner_maximize": True, "outer_pick_max": True},
+                 id="vertex_of_B"),
+    pytest.param(QuadraticForm(((-3, 3), (3, -1)), (0, -1), -2), GridSpec(-1, 5, 7),
+                 {"outer": 1, "inner_maximize": False, "outer_pick_max": True},
+                 id="A_B_switch"),
+    pytest.param(QuadraticForm(((0, 3), (3, 3)), (0, 1), -3), GridSpec(-1, 4, 9),
+                 {"outer": 0, "inner_maximize": False, "outer_pick_max": True},
+                 id="vertex_of_V"),
+])
+def test_chain_value_needs_each_candidate(form, grid, shape, mode):
+    # Each chain's grid optimum sits next to one candidate point and at no
+    # other candidate: the chain value is wrong without that point.
+    got = triopoly.verify._chain_value(form, grid, mode=mode, **shape)
+    assert repr(got) == repr(_full_scan_chain(form, grid, mode=mode, **shape))
 
 
 def test_chain_evaluates_few_float_indices_on_the_default_grid(monkeypatch):
