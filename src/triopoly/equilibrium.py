@@ -47,8 +47,8 @@ linear factors in b; scaled by e to the denominator's degree, both are
 integer polynomials in n and e, so each pattern's rows are ints over its
 transcribed denominator, and the table's body, like the operator's rows,
 runs on any ring. An output is its row dotted with (a, c_AB, c_C) over
-their lcm. The solver is ground truth; the tables are cross-checks and
-documentation.
+their lcm, on ints; the property suite compares these integers. The
+solver is ground truth; the tables are cross-checks and documentation.
 """
 
 from __future__ import annotations
@@ -564,6 +564,28 @@ class ClosedFormOutputs:
     printed: tuple[Fraction, Fraction, Fraction]
     corrected: tuple[Fraction, Fraction, Fraction]
 
+    @staticmethod
+    def _numerators(params: ModelParams, pattern: int) -> tuple[tuple, tuple, int]:
+        """(printed, corrected, den): a numbered pattern's two variants as ints over den > 0.
+
+        Each printed numerator is a transcribed row dotted with (a, c_AB, c_C)
+        over their lcm t, and den is the row denominator times t, unreduced.
+        Here, and only here, pattern 1's x_C gets its sign corrected. The
+        pattern is not checked; c_A != c_B is rejected.
+        """
+        # theta is over one denominator t: c_A = c_B compares numerators.
+        n, e, (a, c_ab, c_b, c_c), t = params._ints
+        if c_ab != c_b:
+            raise ValueError(
+                "closed-form output tables assume c_A = c_B, "
+                f"got cA={params.c_a} cB={params.c_b}"
+            )
+        ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), den = \
+            _printed_output_table(n, e)[pattern]
+        x = (r00 * a + r01 * c_ab + r02 * c_c, r10 * a + r11 * c_ab + r12 * c_c,
+             r20 * a + r21 * c_ab + r22 * c_c)
+        return x, (x[0], x[1], -x[2]) if pattern == 1 else x, den * t
+
     @property
     def printed_matches_corrected(self) -> bool:
         return self.printed == self.corrected
@@ -584,23 +606,11 @@ def closed_form_outputs(params: ModelParams, pattern: int) -> ClosedFormOutputs:
     cost, so parameter sets with c_A != c_B are rejected.
     """
     _pattern_number(pattern)
-    # theta is over one denominator t: c_A = c_B compares numerators, and
-    # (a, c_AB, c_C) is over t.
-    n, e, (a, c_ab, c_b, c_c), t = params._ints
-    if c_ab != c_b:
-        raise ValueError(
-            "closed-form output tables assume c_A = c_B, "
-            f"got cA={params.c_a} cB={params.c_b}"
-        )
-    ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), den = \
-        _printed_output_table(n, e)[pattern]
-    den *= t
-    x0 = Fraction(r00 * a + r01 * c_ab + r02 * c_c, den)
-    x1 = Fraction(r10 * a + r11 * c_ab + r12 * c_c, den)
-    x2 = Fraction(r20 * a + r21 * c_ab + r22 * c_c, den)
-    printed = x0, x1, x2
-    return _built(ClosedFormOutputs, pattern=pattern, printed=printed,
-                  corrected=(x0, x1, -x2) if pattern == 1 else printed)
+    (x0, x1, x2), (_, _, y2), den = ClosedFormOutputs._numerators(params, pattern)
+    printed = Fraction(x0, den), Fraction(x1, den), Fraction(x2, den)
+    # The variants can differ only in x_C.
+    corrected = printed if y2 == x2 else (printed[0], printed[1], Fraction(y2, den))
+    return _built(ClosedFormOutputs, pattern=pattern, printed=printed, corrected=corrected)
 
 
 @lru_cache(maxsize=64)

@@ -9,7 +9,9 @@ Three layers, in increasing breadth:
   exact bound on the outer derivative;
 * a seeded property suite that re-runs the structural identities of the
   model on randomly drawn parameter sets; each draw's eight assignments are
-  solved once, and every property reads those solved states.
+  solved once, and every property reads those solved states. All but the
+  zero-sum check, which tests the public Fraction functions, compare the
+  solver's integer forms, and build Fractions only to report a failure.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .market import (
     payoff_vector,
 )
 from .equilibrium import (
+    ClosedFormOutputs,
     Equilibrium,
     build_payoff_quadratic,
     closed_form_outputs,
@@ -210,7 +213,7 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "lo", as_rational(self.lo))
         object.__setattr__(self, "hi", as_rational(self.hi))
-        if not isinstance(self.points, int):
+        if isinstance(self.points, bool) or not isinstance(self.points, int):
             raise ValueError(f"points must be an integer, got {self.points!r}")
         if self.lo >= self.hi:
             raise ValueError(f"grid bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
@@ -759,18 +762,15 @@ def _check_closed_form_agreement(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b:
         return "vacuous", None
     for pattern in PATTERN_NUMBERS:
-        table = closed_form_outputs(case.params, pattern)
-        target = table.corrected if oracle == "corrected" else table.printed
-        # The solved outputs on the state's integers, against the table by cross-multiplication.
+        printed, corrected, den = ClosedFormOutputs._numerators(case.params, pattern)
+        target = corrected if oracle == "corrected" else printed
+        # The solved outputs on the state's integers, against the table's by cross-multiplication.
         x_num, x_den, _, _ = case.solved[pattern].state._ints
         for name, num, value in zip(("xA", "xB", "xC"), x_num, target):
-            if num * value.denominator != value.numerator * x_den:
-                return "fail", {
-                    "pattern": pattern,
-                    "component": name,
-                    "solver": format_rational(Fraction(num, x_den)),
-                    "oracle": format_rational(value),
-                }
+            if num * den != value * x_den:
+                return "fail", {"pattern": pattern, "component": name,
+                                "solver": format_rational(Fraction(num, x_den)),
+                                "oracle": format_rational(Fraction(value, den))}
     return "ok", None
 
 
@@ -800,10 +800,10 @@ def _check_ab_swap_covariance(case: _SuiteCase, oracle: str):
 def _check_quantity_price_c_equivalence(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b:
         return "vacuous", None
-    for left, right in ((1, 2), (6, 4)):
-        report = _compare(left, right, case.solved[left], case.solved[right])
-        if not report.equal:
-            return "fail", report.to_dict()
+    for left, right in ((1, 2), (6, 4)):  # on canonical integer forms, as _compare
+        el, er = case.solved[left], case.solved[right]
+        if el.state._ints != er.state._ints:
+            return "fail", _compare(left, right, el, er).to_dict()
     return "ok", None
 
 
@@ -811,9 +811,9 @@ def _check_non_equivalence(case: _SuiteCase, oracle: str):
     if case.params.c_a != case.params.c_b or case.params.c_c == case.params.c_a:
         return "vacuous", None
     for left, right in NON_EQUIVALENT_PAIRS:
-        if _compare(left, right, case.solved[left], case.solved[right]).equal:
-            return "fail", {"left": left, "right": right,
-                            "state": case.solved[left].state.to_dict()}
+        state = case.solved[left].state
+        if state._ints == case.solved[right].state._ints:
+            return "fail", {"left": left, "right": right, "state": state.to_dict()}
     return "ok", None
 
 
@@ -821,12 +821,17 @@ def _check_full_symmetry_collapse(case: _SuiteCase, oracle: str):
     p = case.params
     if not (p.c_a == p.c_b == p.c_c):
         return "vacuous", None
-    expected = (p.a - p.c_a) / (2 + p.b)
-    states = [case.solved[pattern].state for pattern in PATTERN_NUMBERS]
-    for pattern, state in zip(PATTERN_NUMBERS, states):
-        if state != states[0] or any(x != expected for x in state.x):
+    # Every state's integer form is pattern 1's, and each output x / x_den is
+    # (a - c)/(2 + b) = (a - c) e / (t (n + 2 e)), by cross-multiplication.
+    n, e, (a, c, _, _), t = p._ints
+    scale, target = t * (n + 2 * e), (a - c) * e
+    first = case.solved[1].state._ints
+    for pattern in PATTERN_NUMBERS:
+        state = case.solved[pattern].state
+        x_num, x_den, _, _ = ints = state._ints
+        if ints != first or any(x * scale != target * x_den for x in x_num):
             return "fail", {"pattern": pattern, "state": state.to_dict(),
-                            "expected_x": format_rational(expected)}
+                            "expected_x": format_rational((p.a - p.c_a) / (2 + p.b))}
     return "ok", None
 
 
@@ -865,6 +870,8 @@ def property_suite(params: ModelParams, draws: int = 100, seed: int = 0, *,
 
 
 def _validate_draws(draws: int) -> None:
+    if isinstance(draws, bool) or not isinstance(draws, int):
+        raise ValueError(f"draws must be an integer, got {draws!r}")
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import triopoly.verify
 from triopoly.equilibrium import (
+    ClosedFormOutputs,
     ConcavityViolation,
     QuadraticPayoff,
     _adjugate,
@@ -911,6 +912,31 @@ def test_closed_forms_random_draws_match_solver():
         for pattern in sorted(PATTERNS):
             table = closed_form_outputs(params, pattern)
             assert table.corrected == solve_equilibrium(params, pattern).state.x
+
+
+@st.composite
+def _table_params(draw):
+    """c_A = c_B, b over 64, 10^6 + 3 or 2^61 - 1, and a and the costs over small ints."""
+    den = draw(st.sampled_from((64, 10**6 + 3, 2**61 - 1)))
+    b = Fraction(draw(st.integers(1, den - 1)), den)
+    c_ab, c_c, margin = (Fraction(draw(st.integers(lo, 10**6)), draw(st.integers(1, 999)))
+                         for lo in (0, 0, 1))
+    return ModelParams(max(c_ab, c_c) + margin, b, c_ab, c_ab, c_c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_params(), st.sampled_from(sorted(PATTERNS)))
+def test_table_numerators_are_the_tables_outputs(params, pattern):
+    # The property suite compares the integers; closed_form_outputs builds its
+    # Fractions from them, and the corrected ones are the solver's outputs.
+    printed, corrected, den = ClosedFormOutputs._numerators(params, pattern)
+    assert den > 0
+    table = closed_form_outputs(params, pattern)
+    assert tuple(Fraction(v, den) for v in printed) == table.printed
+    assert tuple(Fraction(v, den) for v in corrected) == table.corrected
+    assert table.corrected == solve_equilibrium(params, pattern).state.x
+    flipped = (table.printed[0], table.printed[1], -table.printed[2])
+    assert table.corrected == (flipped if pattern == 1 else table.printed)
 
 
 def test_table_cache_is_keyed_on_b():

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -181,6 +182,12 @@ def test_grid_spec_validation():
         GridSpec(0, 1, 2)
     with pytest.raises(ValueError, match="integer"):
         GridSpec(0, 1, "5")
+
+
+@pytest.mark.parametrize("points", [True, False, 5.0, "5", Fraction(5)])
+def test_grid_points_must_be_an_int_not_a_bool(points):
+    with pytest.raises(ValueError, match=f"^points must be an integer, got {re.escape(repr(points))}$"):
+        GridSpec(0, 1, points)
 
 
 # --- minimax ----------------------------------------------------------------------
@@ -580,6 +587,12 @@ def test_suite_validation():
         property_suite(SPOT, draws=1, oracle="guess")
 
 
+@pytest.mark.parametrize("draws", [True, False, 2.5, "3", Fraction(3), None])
+def test_suite_draws_must_be_an_int_not_a_bool(draws):
+    with pytest.raises(ValueError, match=f"^draws must be an integer, got {re.escape(repr(draws))}$"):
+        property_suite(SPOT, draws=draws)
+
+
 def test_suite_deterministic():
     left = property_suite(SPOT, draws=10, seed=9).to_dict()
     right = property_suite(SPOT, draws=10, seed=9).to_dict()
@@ -805,3 +818,72 @@ def test_ab_checks_pass_on_equal_states_from_the_public_constructor(monkeypatch)
             eq, state=MarketState(eq.state.x, eq.state.p)))
         outcome = {p.name: p.status for p in property_suite(SPOT, draws=3).properties}
         assert outcome["ab_symmetry"] == outcome["ab_swap_covariance"] == "pass"
+
+
+def test_quantity_price_c_equivalence_fails_on_a_pattern_2_state_unlike_pattern_1s(monkeypatch):
+    left = solve_equilibrium(SPOT, 1).state
+    right = _state_with(solve_equilibrium(SPOT, 2).state, 1)
+    _replace_in_draw(monkeypatch, 2, lambda eq: dataclasses.replace(eq, state=right))
+    outcome = {p.name: p for p in property_suite(SPOT, draws=1).properties}
+    equivalence = outcome["quantity_price_c_equivalence"]
+    assert (equivalence.status, equivalence.checked) == ("fail", 1)
+    assert equivalence.counterexample == {
+        "draw": 0, "params": SPOT.to_dict(), "left": "1", "right": "2", "equal": False,
+        "max_abs_diff": format_rational(abs(left.x[0] - 1)),
+        "witness": {"left": left.to_dict(), "right": right.to_dict()}}
+
+
+def test_non_equivalence_fails_on_a_pattern_3_state_equal_to_pattern_1s(monkeypatch):
+    state = solve_equilibrium(SPOT, 1).state
+    _replace_in_draw(monkeypatch, 3, lambda eq: dataclasses.replace(eq, state=state))
+    outcome = {p.name: p for p in property_suite(SPOT, draws=1).properties}
+    non_equivalence = outcome["cross_pattern_non_equivalence"]
+    assert (non_equivalence.status, non_equivalence.checked) == ("fail", 1)
+    assert non_equivalence.counterexample == {"draw": 0, "params": SPOT.to_dict(), "left": 1,
+                                              "right": 3, "state": state.to_dict()}
+
+
+@pytest.mark.parametrize("pattern, moved", [
+    # An output off (a - c)/(2 + b) on the first state, which no other state is compared with.
+    (1, lambda state: _state_with(state, state.x[0] + Fraction(1, 3))),
+    # Outputs kept, one price moved: the state differs from pattern 1's, its outputs do not.
+    (4, lambda state: MarketState(state.x, (state.p[0] + 1, *state.p[1:]))),
+])
+def test_full_symmetry_collapse_fails_on_a_moved_state(monkeypatch, pattern, moved):
+    state = moved(solve_equilibrium(SYMMETRIC, pattern).state)
+    _replace_in_draw(monkeypatch, pattern, lambda eq: dataclasses.replace(eq, state=state))
+    outcome = {p.name: p for p in property_suite(SYMMETRIC, draws=1).properties}
+    collapse = outcome["full_symmetry_collapse"]
+    assert (collapse.status, collapse.checked) == ("fail", 1)
+    assert collapse.counterexample == {"draw": 0, "params": SYMMETRIC.to_dict(),
+                                       "pattern": pattern, "state": state.to_dict(),
+                                       "expected_x": "16/5"}  # (10 - 2)/(2 + 1/2)
+
+
+@pytest.mark.parametrize("params", [SPOT, SYMMETRIC, ModelParams("37/3", "5/64", "7/2", "7/2", 3)])
+def test_table_and_equivalence_checks_build_no_fraction_on_a_passing_draw(params):
+    # Each compares the solver's and the table's integer forms; a Fraction, a
+    # report or a table is built only for a failing draw.
+    from triopoly.verify import (_check_closed_form_agreement, _check_full_symmetry_collapse,
+                                 _check_non_equivalence, _check_quantity_price_c_equivalence,
+                                 _solve_draw, _SuiteCase)
+
+    case = _SuiteCase(params, (), (), _solve_draw(params))
+    checks = (_check_closed_form_agreement, _check_quantity_price_c_equivalence,
+              _check_non_equivalence, _check_full_symmetry_collapse)
+    real = Fraction.__dict__["__new__"]
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        assert Fraction(1, 2) and len(built) == 1  # the counter sees constructions
+        built.clear()
+        statuses = [check(case, "corrected")[0] for check in checks]
+    finally:
+        Fraction.__new__ = real
+    assert built == []
+    assert set(statuses) <= {"ok", "vacuous"} and statuses.count("ok") == 3
