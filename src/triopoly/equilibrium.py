@@ -6,17 +6,17 @@ does not depend on theta in one operator, cached on the ints n, e of
 b = n / e and the assignment, and built without Fraction arithmetic:
 
 1. The pinning map x = X(b) v + x0(b) a from the committed values
-   v = (v_A, v_B, v_C) to the outputs, in closed form: a quantity chooser's
-   output is its committed value, and the price choosers' outputs solve a
-   demand block (1 - b) I + b J whose inverse is explicit. With m price
-   choosers, d = 1 + (m - 1) b = g / e and 1 - b = h / e, and [X | x0] is
-   ints over q = g h. It is the package's one route from committed values
-   to a market state: ``solve_equilibrium`` and ``resolve_market`` both
-   apply it, hand the output numerators to the state as ints, and check on
-   the state's integers that it reproduces every committed value.
-   ``direct_demand``, the inverse of the demand system, is its all-price
-   case, applied without that check, and ``direct_demand_numerators`` the
-   same map on ints.
+   v = (v_A, v_B, v_C) to the outputs. The committed values fix the outputs
+   through a 3x3 system S x = r: a quantity chooser's row pins its output,
+   and a price chooser's is its demand equation. So [X | x0] is adj(S)
+   times the map from (v, a) to r, ints over q = det S. It is the
+   package's one route from committed values to a market state:
+   ``solve_equilibrium`` and ``resolve_market`` both apply it, hand the
+   output numerators to the state as ints, and check on the state's
+   integers that it reproduces every committed value. ``direct_demand``,
+   the inverse of the demand system, is its all-price case, applied
+   without that check, and ``direct_demand_numerators`` the same map on
+   ints.
 2. Each firm's free variable (its price, or its output) is affine in v, ints
    over q e, so its profit and its relative payoff psi_i = sum_k W_ik pi_k
    are exact quadratics in v. Differentiating psi_i in the own variable
@@ -132,12 +132,12 @@ def _adjugate(m) -> tuple:
 class _Operator:
     """Everything about one (b, assignment) game that does not depend on theta, on ints.
 
-    With b = n / e, the rows of ``pin``, [X | x0] over ``q``, are the pinning
-    map x = X v + x0 a. Firm i's free variable, its price when it commits a
-    quantity and its output when it commits a price, is [F | f0]_i . (v, a)
-    over q e, from the rows of ``free``. The stacked own-variable
-    first-order conditions read [M | L] . (v, theta) = 0, from the rows of
-    ``foc`` over 2 q e.
+    With b = n / e, the rows of ``pin``, [X | x0] over ``q`` = det S > 0, are
+    the pinning map x = X v + x0 a. Firm i's free variable, its price when
+    it commits a quantity and its output when it commits a price, is
+    [F | f0]_i . (v, a) over q e, from the rows of ``free``. The stacked
+    own-variable first-order conditions read [M | L] . (v, theta) = 0, from
+    the rows of ``foc`` over 2 q e.
 
     These rows are the package's only copy of each map: the pinning map and
     ``direct_demand_numerators`` apply ``pin``, the payoff terms
@@ -271,25 +271,19 @@ def _operator_rows(n, e, assignment: StrategyAssignment) -> tuple:
     Only +, -, * touch n and e, so the rows are polynomials in them; with
     e = 1 they are the maps at b = n on any exact field.
 
-    The m price choosers' outputs solve ((1 - b) I + b J) x_P = a - v_P -
-    b sum(v_Q), and that block's inverse is (I - b J / d) / (1 - b) with
-    d = 1 + (m - 1) b, so no elimination is needed. With d = g / e and
-    1 - b = h / e, every entry of [X | x0] is over q = g h.
+    The committed values fix the outputs through S x = r: a quantity chooser's
+    row of S is e_i, with r_i = v_i, and a price chooser's its demand row
+    (n, .., e, .., n), with r_i = e (a - v_i). With r_i = k_i v_i + w_i a,
+    [X | x0] is adj(S) [diag(k) | w] over q = det S > 0.
     """
     price = tuple(choice == PRICE for choice in assignment.choices)
-    g, h = e + (sum(price) - 1) * n, e - n
-    q = g * h
-    own, cross_price, cross_quantity, eh = (n - g) * e, n * e, -n * h, e * h
-    pin = []
-    for i in range(3):
-        if price[i]:
-            row = [cross_price if p else cross_quantity for p in price]
-            row[i] = own
-            row.append(eh)
-        else:
-            row = [0, 0, 0, 0]
-            row[i] = q
-        pin.append(tuple(row))
+    zero = n - n  # a ring zero, so every entry stays in the ring of n
+    s = [[n, n, n] if p else [zero, zero, zero] for p in price]
+    for i, p in enumerate(price):
+        s[i][i] = e if p else 1
+    adj, q = _adjugate(s)
+    (k0, w0), (k1, w1), (k2, w2) = [(-e, e) if p else (1, zero) for p in price]
+    pin = [(s0 * k0, s1 * k1, s2 * k2, s0 * w0 + s1 * w1 + s2 * w2) for s0, s1, s2 in adj]
 
     # Over q e: a price chooser's free variable is its output, and a quantity
     # chooser's is its price p_i = a - x_i - b (x_j + x_k).
@@ -377,16 +371,18 @@ def own_payoff_slopes(params: ModelParams, assignment: AssignmentLike, nums: Seq
                       den: int) -> tuple[list[int], int]:
     """Each firm's own payoff slope d psi_i / d v_i at v = nums / den, on ints.
 
-    ``nums`` are three int numerators over the int ``den`` > 0. Returns the
-    three slopes' numerators over one int denominator, the payoff forms'
-    unreduced one, 4 q e t^2, times ``den``. Firm i's is lin_i den +
-    2 t^2 (row i of its matrix) . nums, the own component of its form's
-    gradient without the form: it reads the forms' matrices and the one
-    formula of their linear terms, the route of
+    ``nums`` are three int numerators over the int ``den`` > 0, else
+    ValueError. Returns the slopes' numerators over one int denominator,
+    the payoff forms' unreduced one, 4 q e t^2 (q = det S), times ``den``.
+    Firm i's is lin_i den + 2 t^2 (row i of its matrix) . nums, the own
+    component of its form's gradient without the form: it reads the forms'
+    matrices and the one formula of their linear terms, the route of
     :func:`build_payoff_quadratic`, never the first-order rows the solver
     reads, so at an equilibrium the slopes vanish by a route of their own.
     The cost-weighted column sums are made once for the three firms.
     """
+    if den <= 0:
+        raise ValueError(f"den must be positive, got {den}")
     op = _operator(*params._ints[:2], as_assignment(assignment))
     tt = params._ints[3] ** 2
     sums = op.cost_sums(params)
@@ -523,11 +519,13 @@ def direct_demand_numerators(params: ModelParams, nums: Sequence[int],
                              den: int) -> tuple[list[int], int]:
     """Outputs demanded at the prices nums / den, on ints: the map of :func:`direct_demand`.
 
-    ``nums`` are three int numerators over the int ``den`` > 0. The prices
-    and a go over the lcm m of ``den`` and theta's denominator, and the PPP
-    operator's pinning rows give the outputs' numerators over q m, returned
-    with that denominator, unreduced.
+    ``nums`` are three int numerators over the int ``den`` > 0, else
+    ValueError. The prices and a go over the lcm m of ``den`` and theta's
+    denominator; the PPP pinning rows give the outputs' numerators over q m,
+    returned unreduced with it: q = det S = (e - n)^2 (e + 2 n), b = n / e.
     """
+    if den <= 0:
+        raise ValueError(f"den must be positive, got {den}")
     n, e, theta, t = params._ints
     op = _operator(n, e, PATTERNS[6])
     m = math.lcm(den, t)
@@ -702,8 +700,8 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if init is None:
         current = [0.0, 0.0, 0.0]
     else:

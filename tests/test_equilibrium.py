@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 from operator import mul
 from types import SimpleNamespace
@@ -331,6 +332,15 @@ def test_direct_demand_numerators_over_their_denominator_are_direct_demand(param
     assert x == direct_demand(params, p)
     a, b = params.a, params.b
     assert tuple(a - x[i] - b * (sum(x) - x[i]) for i in range(3)) == p
+
+
+@pytest.mark.parametrize("den", [0, -1, -64])
+def test_integer_maps_reject_a_nonpositive_denominator(den):
+    message = f"den must be positive, got {den}$"
+    with pytest.raises(ValueError, match=message):
+        own_payoff_slopes(SPOT, 1, (1, 2, 3), den)
+    with pytest.raises(ValueError, match=message):
+        direct_demand_numerators(SPOT, (1, 2, 3), den)
 
 
 def _count_fraction_arithmetic(monkeypatch) -> list:
@@ -841,6 +851,20 @@ def test_operator_rows_run_on_any_exact_ring(b):
         assert _reference_rows(_reference_operator(b, asg)) == tuple(map(list, rows))
 
 
+@given(_b_values)
+@settings(max_examples=60, deadline=None)
+def test_pinning_denominator_is_the_committed_systems_determinant(b):
+    # S has the row e_i for a quantity chooser and the demand row (n, .., e, .., n)
+    # for a price chooser, so det S depends only on how many choose a price. The
+    # state needs q > 0. Rows scaled by a common factor give the same maps, so
+    # only q tells such a build apart.
+    n, e = b.as_integer_ratio()
+    by_prices = (1, e, (e - n) * (e + n), (e - n) ** 2 * (e + 2 * n))
+    for asg in ALL_ASSIGNMENTS:
+        q = _operator(n, e, asg).q
+        assert q == by_prices[asg.choices.count(PRICE)] and q > 0
+
+
 def _comprehension_psi_quad(f) -> tuple:
     """The payoff matrices from the free rows f as a nested comprehension: the reference.
 
@@ -1071,3 +1095,10 @@ def test_iteration_validation():
     near_one = ModelParams(10, Fraction(10**7 - 1, 10**7), 2, 2, 3)
     with pytest.raises(ValueError, match="float mode"):
         best_response_iteration(near_one, 1)
+
+
+@pytest.mark.parametrize("max_iter", [True, False, 2.5, "3", None, Fraction(3)], ids=repr)
+def test_iteration_budget_must_be_an_int_not_a_bool(max_iter):
+    with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer >= 0, "
+                                                   f"got {max_iter!r}")):
+        best_response_iteration(SPOT, 1, max_iter=max_iter)
