@@ -8,6 +8,8 @@ known closed-form solutions, compares equilibria across assignments, and
 certifies the minimax equalities on a grid.
 """
 
+import sys
+
 from .exact import (
     QuadraticForm,
     Rational,
@@ -128,10 +130,13 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # The CLI pulls in argparse; import it only when asked for.
-    if name in ("main", "run_cli"):
-        from . import cli
+# The CLI pulls in argparse: import it only when a command line runs.
+def run_cli(argv=None) -> int:
+    """Run the ``triopoly`` command line on ``argv`` and return its exit code."""
+    from .cli import run_cli
+    return run_cli(argv)
 
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def main() -> None:
+    """Run the ``triopoly`` command line on ``sys.argv`` and exit with its code."""
+    sys.exit(run_cli())

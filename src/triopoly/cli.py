@@ -41,7 +41,7 @@ from .verify import (
     minimax_check,
 )
 
-__all__ = ["run_cli", "main"]
+__all__ = ["run_cli"]
 
 
 class _CliError(Exception):
@@ -413,7 +413,3 @@ def run_cli(argv=None) -> int:
         return 1
     print(text)
     return 0 if passed else 2
-
-
-def main() -> None:
-    sys.exit(run_cli())

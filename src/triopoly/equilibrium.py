@@ -79,9 +79,10 @@ from .market import (
     PayoffVector,
     StrategyAssignment,
     _built,
+    _fractions,
     _interior,
+    _Lazy,
     _pattern_number,
-    _view,
     as_assignment,
     ensure_float_safe,
     firm_index,
@@ -367,6 +368,17 @@ def build_payoff_quadratic(params: ModelParams, assignment: AssignmentLike,
     return QuadraticPayoff(firm, asg, op.payoff_form(firm_index(firm), params))
 
 
+def _int_numerators(nums: Sequence[int], den: int) -> tuple[int, int, int]:
+    """``nums`` if they are three ints (no bool) over an int ``den`` > 0, else ValueError."""
+    if type(den) is not int:
+        raise ValueError(f"den must be an int, got {den!r}")
+    if den <= 0:
+        raise ValueError(f"den must be positive, got {den}")
+    if len(nums) != 3 or not (type(nums[0]) is type(nums[1]) is type(nums[2]) is int):
+        raise ValueError(f"nums must be three ints, got {nums!r}")
+    return nums[0], nums[1], nums[2]
+
+
 def own_payoff_slopes(params: ModelParams, assignment: AssignmentLike, nums: Sequence[int],
                       den: int) -> tuple[list[int], int]:
     """Each firm's own payoff slope d psi_i / d v_i at v = nums / den, on ints.
@@ -381,12 +393,10 @@ def own_payoff_slopes(params: ModelParams, assignment: AssignmentLike, nums: Seq
     reads, so at an equilibrium the slopes vanish by a route of their own.
     The cost-weighted column sums are made once for the three firms.
     """
-    if den <= 0:
-        raise ValueError(f"den must be positive, got {den}")
+    v0, v1, v2 = _int_numerators(nums, den)
     op = _operator(*params._ints[:2], as_assignment(assignment))
     tt = params._ints[3] ** 2
     sums = op.cost_sums(params)
-    v0, v1, v2 = nums
     slopes = []
     for i, matrix in enumerate(op.psi_quad):
         q0, q1, q2 = matrix[i]
@@ -414,14 +424,11 @@ class Equilibrium:
 
     params: ModelParams
     assignment: StrategyAssignment
-    chosen: tuple[Fraction, Fraction, Fraction]
+    chosen: tuple[Fraction, Fraction, Fraction] = _Lazy(0)
     state: MarketState
     payoffs: PayoffVector
     interior: bool
     soc_ok: bool
-
-    def __getattr__(self, name: str):
-        return _view(self, name, ("chosen",))
 
     def to_dict(self) -> dict:
         doc = {"assignment": str(self.assignment), "pattern": self.assignment.pattern,
@@ -477,8 +484,7 @@ def committed_values(params: ModelParams,
     first-order conditions verified, but no market state or payoff is built.
     """
     _, nums, det = _committed_numerators(params, as_assignment(assignment))
-    den = det * params._ints[3]
-    return tuple(Fraction(n, den) for n in nums)
+    return _fractions(nums, det * params._ints[3])
 
 
 def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equilibrium:
@@ -524,13 +530,12 @@ def direct_demand_numerators(params: ModelParams, nums: Sequence[int],
     denominator; the PPP pinning rows give the outputs' numerators over q m,
     returned unreduced with it: q = det S = (e - n)^2 (e + 2 n), b = n / e.
     """
-    if den <= 0:
-        raise ValueError(f"den must be positive, got {den}")
+    v0, v1, v2 = _int_numerators(nums, den)
     n, e, theta, t = params._ints
     op = _operator(n, e, PATTERNS[6])
     m = math.lcm(den, t)
     s = m // den
-    return op.output_numerators((nums[0] * s, nums[1] * s, nums[2] * s),
+    return op.output_numerators((v0 * s, v1 * s, v2 * s),
                                 theta[0] * (m // t)), op.q * m
 
 
@@ -543,8 +548,7 @@ def direct_demand(params: ModelParams,
     back-substitution check, so a round trip through ``inverse_demand``
     tests the pinning rows independently.
     """
-    nums, den = direct_demand_numerators(params, *_over_lcm(rational_vector(p, 3)))
-    return tuple(Fraction(v, den) for v in nums)
+    return _fractions(*direct_demand_numerators(params, *_over_lcm(rational_vector(p, 3))))
 
 
 @dataclass(frozen=True)

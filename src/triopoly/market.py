@@ -32,7 +32,8 @@ second reduction: reduced Fractions over the lcm of their denominators
 share no factor with it. The state -> payoff path (:func:`profit`,
 :func:`payoff_vector`) and the interior flag read those integers. A
 state, a payoff vector or an equilibrium made from integers builds each
-public ``Fraction`` once, on its first read.
+public ``Fraction`` once, on its first read, by the :class:`_Lazy`
+descriptor declared at the field.
 """
 
 from __future__ import annotations
@@ -260,6 +261,29 @@ def _pattern_number(value) -> int:
     return value
 
 
+class _Lazy:
+    """A field ``= _Lazy(at)``: the Fractions ``_ints[at]`` / ``_ints[at + 1]``, on first read.
+
+    They are stored in the instance, which then hides the descriptor. Read
+    on the class it raises AttributeError: the field has no default.
+    """
+
+    def __init__(self, at: int):
+        self.at = at
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner):
+        try:
+            ints = obj._ints
+        except AttributeError:
+            message = f"{owner.__name__!r} object has no attribute {self.name!r}"
+            raise AttributeError(message) from None
+        value = obj.__dict__[self.name] = _fractions(ints[self.at], ints[self.at + 1])
+        return value
+
+
 @dataclass(frozen=True)
 class MarketState:
     """A full market outcome: all three quantities and all three prices.
@@ -278,11 +302,8 @@ class MarketState:
     so far.
     """
 
-    x: tuple[Fraction, Fraction, Fraction]
-    p: tuple[Fraction, Fraction, Fraction]
-
-    def __getattr__(self, name: str):
-        return _view(self, name, ("x", "p"))
+    x: tuple[Fraction, Fraction, Fraction] = _Lazy(0)
+    p: tuple[Fraction, Fraction, Fraction] = _Lazy(2)
 
     def __post_init__(self):
         x, p = rational_vector(self.x, 3), rational_vector(self.p, 3)
@@ -330,11 +351,8 @@ class PayoffVector:
     over one denominator each, and builds each field on its first read.
     """
 
-    pi: tuple[Fraction, Fraction, Fraction]
-    psi: tuple[Fraction, Fraction, Fraction]
-
-    def __getattr__(self, name: str):
-        return _view(self, name, ("pi", "psi"))
+    pi: tuple[Fraction, Fraction, Fraction] = _Lazy(0)
+    psi: tuple[Fraction, Fraction, Fraction] = _Lazy(2)
 
     def __post_init__(self):
         object.__setattr__(self, "pi", rational_vector(self.pi, 3))
@@ -358,23 +376,6 @@ def _built(cls, **attributes):
     obj = object.__new__(cls)
     obj.__dict__.update(attributes)
     return obj
-
-
-def _view(obj, name: str, names: tuple[str, ...]):
-    """Field ``name`` of ``obj``, one of ``names``, built from ``obj._ints`` on its first read.
-
-    The i-th of ``names`` is held in ``_ints`` as three numerators at 2 i
-    over the denominator at 2 i + 1. Its Fractions are stored in the
-    instance, so later reads do not come here. Any other name, or an object
-    without ``_ints``, raises AttributeError, as a missing attribute does.
-    """
-    ints = obj.__dict__.get("_ints")
-    if ints is None or name not in names:
-        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
-    i = 2 * names.index(name)
-    (n0, n1, n2), den = ints[i], ints[i + 1]
-    value = obj.__dict__[name] = Fraction(n0, den), Fraction(n1, den), Fraction(n2, den)
-    return value
 
 
 def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, int, int], int]:

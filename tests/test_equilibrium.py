@@ -343,6 +343,29 @@ def test_integer_maps_reject_a_nonpositive_denominator(den):
         direct_demand_numerators(SPOT, (1, 2, 3), den)
 
 
+_NOT_INTS = "nums must be three ints, got"
+
+
+@pytest.mark.parametrize("nums, den, message", [
+    ((1, 2, 3), 2.5, "den must be an int, got 2.5$"),
+    ((1, 2, 3), 2.0, "den must be an int, got 2.0$"),
+    ((1, 2, 3), True, "den must be an int, got True$"),
+    ((1, 2, 3), Fraction(2), r"den must be an int, got Fraction\(2, 1\)$"),
+    ((1.5, 2, 3), 1, _NOT_INTS),
+    ((1, 2, 3.0), 1, _NOT_INTS),
+    ((True, 2, 3), 1, _NOT_INTS),
+    ((1, Fraction(2), 3), 1, _NOT_INTS),
+    ((1, 2), 1, _NOT_INTS),
+    ((1, 2, 3, 4), 1, _NOT_INTS),
+])
+def test_integer_maps_take_only_ints(nums, den, message):
+    # A float, a bool or a Fraction is no int here, even where it equals one.
+    with pytest.raises(ValueError, match=message):
+        own_payoff_slopes(SPOT, 1, nums, den)
+    with pytest.raises(ValueError, match=message):
+        direct_demand_numerators(SPOT, nums, den)
+
+
 def _count_fraction_arithmetic(monkeypatch) -> list:
     """Record every Fraction add/sub/mul/truediv from now on."""
     calls = []
