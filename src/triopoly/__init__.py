@@ -49,6 +49,7 @@ from .equilibrium import (
     direct_demand,
     direct_demand_numerators,
     own_payoff_slopes,
+    payoff_slice,
     resolve_market,
     solve_equilibrium,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "closed_form_outputs",
     "committed_values",
     "own_payoff_slopes",
+    "payoff_slice",
     "solve_equilibrium",
     "DegenerateSlice",
     "EquivalenceReport",

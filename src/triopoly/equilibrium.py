@@ -65,6 +65,7 @@ from .exact import (
     RationalLike,
     SingularSystem,
     _over_lcm,
+    as_rational,
     decimal_string,
     format_rational,
     rational_vector,
@@ -93,6 +94,7 @@ __all__ = [
     "ConcavityViolation",
     "QuadraticPayoff",
     "build_payoff_quadratic",
+    "payoff_slice",
     "own_payoff_slopes",
     "best_response",
     "Equilibrium",
@@ -142,10 +144,11 @@ class _Operator:
 
     These rows are the package's only copy of each map: the pinning map and
     ``direct_demand_numerators`` apply ``pin``, the payoff terms
-    (``cost_sums``, ``linear_term``, ``payoff_form``) read ``free`` and the
-    columns of ``pin``, the second-order flag reads ``foc``, and the solve
-    reads it as :attr:`adjugate` holds it, each row over its content.
-    Nothing outside this module reads them.
+    (``cost_sums``, ``linear_term`` and ``constant_term``, and through them
+    ``payoff_form``, ``payoff_slice`` and ``own_payoff_slopes``) read
+    ``free`` and the columns of ``pin``, the second-order flag reads
+    ``foc``, and the solve reads it as :attr:`adjugate` holds it, each row
+    over its content. Nothing outside this module reads them.
     """
 
     assignment: StrategyAssignment
@@ -212,8 +215,8 @@ class _Operator:
         -1/2 sum_k sym(e_k F_k'): row and column i are firm i's own entries
         (4 F_ii on the diagonal, 2 F_is - F_si off it), the rest is
         ``shared`` (-2 F_rr on the diagonal, -F_rs - F_sr off it). Each entry
-        is an int over 4 q e. Only ``payoff_form`` and ``own_payoff_slopes``
-        read it.
+        is an int over 4 q e. Only ``payoff_form``, ``payoff_slice`` and
+        ``own_payoff_slopes`` read it.
         """
         (f00, f01, f02, _), (f10, f11, f12, _), (f20, f21, f22, _) = self.free
         s00, s11, s22 = -2 * f00, -2 * f11, -2 * f22
@@ -249,21 +252,29 @@ class _Operator:
         return 2 * t * (theta[0] * _TWICE_WEIGHTS[i][j] * self.free[j][3]
                         - self.e * (3 * theta[i + 1] * self.pin[i][j] - sums[j]))
 
+    def constant_term(self, i: int, params: ModelParams, sums: Sequence[int]) -> int:
+        """Firm i's payoff at v = 0, an int over 4 q e t^2, like :meth:`linear_term`.
+
+        Profit pi_k has the constant -a c_k x0_k, weighted like the cost part
+        of the linear terms: the same sum, on column 3 of ``pin``, x0. This is
+        the package's one formula for the constant term.
+        """
+        _, _, theta, _ = params._ints
+        return -2 * theta[0] * self.e * (3 * theta[i + 1] * self.pin[i][3] - sums[3])
+
     def payoff_form(self, i: int, params: ModelParams) -> QuadraticForm:
         """Firm i's relative payoff as a quadratic in v at the theta of params, on ints.
 
-        The matrix is ``psi_quad[i]`` and the linear terms :meth:`linear_term`.
-        Profit pi_k has the constant -a c_k x0_k, weighted like the cost part
-        of the linear terms: the same sum, on column 3 of ``pin``, x0. With
-        theta over its lcm t, the form is over 4 q e t^2.
+        The matrix is ``psi_quad[i]``, the linear terms :meth:`linear_term`
+        and the constant :meth:`constant_term`. With theta over its lcm t,
+        the form is over 4 q e t^2.
         """
         sums = self.cost_sums(params)
-        _, _, theta, t = params._ints
         lin = [self.linear_term(i, j, params, sums) for j in range(3)]
-        const = -2 * theta[0] * self.e * (3 * theta[i + 1] * self.pin[i][3] - sums[3])
-        tt = t * t
+        tt = params._ints[3] ** 2
         quad = [[v * tt for v in row] for row in self.psi_quad[i]]
-        return QuadraticForm.from_numerators(quad, lin, const, 4 * self.q * self.e * tt)
+        return QuadraticForm.from_numerators(quad, lin, self.constant_term(i, params, sums),
+                                             4 * self.q * self.e * tt)
 
 
 def _operator_rows(n, e, assignment: StrategyAssignment) -> tuple:
@@ -366,6 +377,39 @@ def build_payoff_quadratic(params: ModelParams, assignment: AssignmentLike,
     asg = as_assignment(assignment)
     op = _operator(*params._ints[:2], asg)
     return QuadraticPayoff(firm, asg, op.payoff_form(firm_index(firm), params))
+
+
+def payoff_slice(params: ModelParams, assignment: AssignmentLike, firm: str,
+                 keep: Sequence[int], value: RationalLike) -> QuadraticForm:
+    """One firm's relative payoff in the coordinates ``keep``, the third pinned at ``value``.
+
+    ``keep`` is two distinct indices in 0..2, else ValueError; the result's
+    coordinate 0 is ``keep[0]``. It equals
+    ``build_payoff_quadratic(params, assignment, firm).form.slice(keep,
+    {f: value})`` for the remaining index f, built in one pass on the
+    operator's ints: with value = n / d, the matrix ``psi_quad`` times
+    t^2 d^2, the linear terms (lin_k d + 2 t^2 Q_kf n) d and the constant
+    (const d + lin_f n) d + t^2 Q_ff n^2, all over 4 q e t^2 d^2, and
+    reduced once.
+    """
+    keep = tuple(keep)
+    if (len(keep) != 2 or keep[0] == keep[1]
+            or not all(type(k) is int and 0 <= k < 3 for k in keep)):
+        raise ValueError(f"keep must be two distinct indices in 0..2, got {keep!r}")
+    f = 3 - keep[0] - keep[1]
+    i = firm_index(firm)
+    n, d = as_rational(value).as_integer_ratio()
+    op = _operator(*params._ints[:2], as_assignment(assignment))
+    sums = op.cost_sums(params)
+    tt = params._ints[3] ** 2
+    quad = op.psi_quad[i]
+    q_f, lin_f = quad[f], op.linear_term(i, f, params, sums)
+    scale = tt * d * d
+    return QuadraticForm.from_numerators(
+        [[quad[r][c] * scale for c in keep] for r in keep],
+        [(op.linear_term(i, r, params, sums) * d + 2 * tt * q_f[r] * n) * d for r in keep],
+        (op.constant_term(i, params, sums) * d + lin_f * n) * d + tt * q_f[f] * n * n,
+        4 * op.q * op.e * scale)
 
 
 def _int_numerators(nums: Sequence[int], den: int) -> tuple[int, int, int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Sequence, Union
@@ -89,6 +90,9 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
+_INT_ONLY = {int}
+
+
 class SingularSystem(Exception):
     """A linear system has no unique solution; ``detail`` names the system."""
 
@@ -127,7 +131,11 @@ class QuadraticForm:
     @classmethod
     def from_numerators(cls, quad: Sequence[Sequence[int]], lin: Sequence[int], const: int,
                         den: int) -> "QuadraticForm":
-        """The form ``(quad, lin, const) / den`` from integer numerators over ``den`` > 0."""
+        """The form ``(quad, lin, const) / den`` from integer numerators over ``den`` > 0.
+
+        Every value must be an ``int`` (a ``bool``, ``float`` or ``Fraction``
+        raises ValueError, even where it equals an integer).
+        """
         form = object.__new__(cls)
         form._fill(quad, lin, const, den)
         return form
@@ -140,11 +148,15 @@ class QuadraticForm:
             for j in range(i):
                 if quad[i][j] != quad[j][i]:
                     raise ValueError("quadratic coefficient matrix must be symmetric")
+        flat = (den, const, *lin, *chain.from_iterable(quad))
+        if not _INT_ONLY.issuperset(map(type, flat)):
+            raise ValueError(f"form numerators and den must be ints, got "
+                             f"{next(v for v in flat if type(v) is not int)!r}")
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
-        g = gcd(den, const, *lin, *(v for row in quad for v in row))
-        object.__setattr__(self, "quad_num", tuple(tuple(v // g for v in row) for row in quad))
-        object.__setattr__(self, "lin_num", tuple(v // g for v in lin))
+        g = gcd(*flat)
+        object.__setattr__(self, "quad_num", tuple([tuple([v // g for v in row]) for row in quad]))
+        object.__setattr__(self, "lin_num", tuple([v // g for v in lin]))
         object.__setattr__(self, "const_num", const // g)
         object.__setattr__(self, "den", den // g)
 

@@ -44,6 +44,7 @@ from .equilibrium import (
     committed_values,
     direct_demand_numerators,
     own_payoff_slopes,
+    payoff_slice,
     solve_equilibrium,
 )
 
@@ -488,6 +489,7 @@ class MinimaxSlice:
                 f"transform must be 'direct', 'via_other_variable' or 'both', "
                 f"got {self.transform!r}"
             )
+        self.resolve_firms()
 
     def resolve_firms(self) -> tuple[str, str, str]:
         """Concrete (max_firm, min_firm, fixed_firm) with defaults filled in."""
@@ -550,9 +552,10 @@ def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
     """Scan the minimax equalities of one payoff slice and certify the spread.
 
     The payoff owner's relative payoff is restricted to the (max_firm,
-    min_firm) plane with the third firm pinned, by default at its committed
-    value in the base assignment's equilibrium (:func:`committed_values`,
-    checked on its first-order conditions; no market state is built). For a
+    min_firm) plane with the third firm pinned (:func:`payoff_slice`, one
+    pass on the operator's ints), by default at its committed value in the
+    base assignment's equilibrium (:func:`committed_values`, checked on its
+    first-order conditions; no market state is built). For a
     zero-sum-game payoff with an interior saddle on the box, min-max and
     max-min coincide, in the base variables and equally after flipping the
     minimizer's variable; the scan checks that all requested chain
@@ -569,23 +572,19 @@ def minimax_check(params: ModelParams, slice_spec: MinimaxSlice,
     if grid is None:
         grid = GridSpec(Fraction(0), params.a, 1001)
 
-    fixed_idx = firm_index(fixed_firm)
     if slice_spec.fixed_value is not None:
         fixed_value = slice_spec.fixed_value
     else:
-        fixed_value = committed_values(params, base)[fixed_idx]
+        fixed_value = committed_values(params, base)[firm_index(fixed_firm)]
 
     keep = (firm_index(max_firm), firm_index(min_firm))
-    fixed = {fixed_idx: fixed_value}
-
     scans: list[tuple[str, QuadraticForm]] = []
     if slice_spec.transform in ("direct", "both"):
-        direct = build_payoff_quadratic(params, base, slice_spec.payoff_firm).form
-        scans.append(("direct", direct.slice(keep, fixed)))
+        scans.append(("direct", payoff_slice(params, base, slice_spec.payoff_firm, keep,
+                                             fixed_value)))
     if slice_spec.transform in ("via_other_variable", "both"):
-        flipped = base.flip(min_firm)
-        trans = build_payoff_quadratic(params, flipped, slice_spec.payoff_firm).form
-        scans.append(("transformed", trans.slice(keep, fixed)))
+        scans.append(("transformed", payoff_slice(params, base.flip(min_firm),
+                                                  slice_spec.payoff_firm, keep, fixed_value)))
 
     # The box lies in [-m/s, m/s]^2 and the grid step is h = dt / s.
     s, w_lo, w_hi, dt = grid._ints
@@ -648,8 +647,9 @@ def sample_model_params(rng: random.Random) -> ModelParams:
     return ModelParams(Fraction(a), b, c_ab, c_ab, c_c)
 
 
-def _sample_vector(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
-    return tuple(Fraction(rng.randint(-256, 1024), 16) for _ in range(3))
+def _sample_vector(rng: random.Random) -> tuple[tuple[int, int, int], int]:
+    """A vector in [-16, 64]^3 as three int numerators over 16, and that 16."""
+    return (rng.randint(-256, 1024), rng.randint(-256, 1024), rng.randint(-256, 1024)), 16
 
 
 # What each draw solves once, by key: patterns 1-6 and the A/B mirrors of 5 and 3.
@@ -663,8 +663,8 @@ def _solve_draw(params: ModelParams) -> dict:
 @dataclass(frozen=True)
 class _SuiteCase:
     params: ModelParams
-    outputs: tuple
-    prices: tuple
+    outputs: tuple  # of (nums, den): three int numerators over one int den > 0
+    prices: tuple  # likewise
     solved: dict  # key of _SUITE_ASSIGNMENTS -> Equilibrium
 
 
@@ -708,7 +708,9 @@ class SuiteReport:
 
 
 def _check_zero_sum(case: _SuiteCase, oracle: str):
-    for x in case.outputs:
+    # On the public Fraction path, which it tests.
+    for nums, den in case.outputs:
+        x = Fraction(nums[0], den), Fraction(nums[1], den), Fraction(nums[2], den)
         state = MarketState.from_outputs(case.params, x)
         pv = payoff_vector(case.params, state)
         total = sum(pv.psi, start=Fraction(0))
@@ -724,11 +726,10 @@ def _check_demand_round_trip(case: _SuiteCase, oracle: str):
     for key, vectors, there, back in (
             ("x", case.outputs, _price_numerators, direct_demand_numerators),
             ("p", case.prices, direct_demand_numerators, _price_numerators)):
-        for vector in vectors:
-            nums, den = _over_lcm(vector)
+        for nums, den in vectors:
             image, image_den = back(params, *there(params, nums, den))
             if any(u * den != v * image_den for u, v in zip(image, nums)):
-                return "fail", {key: [format_rational(v) for v in vector]}
+                return "fail", {key: [format_rational(Fraction(v, den)) for v in nums]}
     return "ok", None
 
 

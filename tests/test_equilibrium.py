@@ -1,6 +1,7 @@
 """Equilibrium solver tests: payoff quadratics, best responses, FOC solve, oracles."""
 
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -29,6 +30,7 @@ from triopoly.equilibrium import (
     direct_demand,
     direct_demand_numerators,
     own_payoff_slopes,
+    payoff_slice,
     resolve_market,
     solve_equilibrium,
 )
@@ -310,6 +312,35 @@ def test_own_payoff_slopes_equal_the_payoff_forms_gradients(params, v):
             assert Fraction(slopes[i], slope_den) == gradient[i]
 
 
+_pinned_values = st.tuples(
+    st.just(Fraction(0)),
+    st.fractions(max_value=Fraction(-1, 10**6), min_value=-10**6, max_denominator=10**6),
+    st.integers(-10**30, 10**30).map(lambda k: Fraction(k, 2**61 - 1)))
+
+
+@given(_mixed_params(), _pinned_values)
+@settings(max_examples=40, deadline=None)
+def test_payoff_slice_equals_the_sliced_payoff_form(params, values):
+    # The one-pass pin against the generic route, compared on the integer forms.
+    for asg in ALL_ASSIGNMENTS:
+        for firm in FIRMS:
+            form = build_payoff_quadratic(params, asg, firm).form
+            for keep in itertools.permutations(range(3), 2):
+                pinned = 3 - sum(keep)
+                for value in values:
+                    sliced = payoff_slice(params, asg, firm, keep, value)
+                    expected = form.slice(keep, {pinned: value})
+                    assert (sliced.quad_num, sliced.lin_num, sliced.const_num, sliced.den) == (
+                        expected.quad_num, expected.lin_num, expected.const_num, expected.den)
+
+
+@pytest.mark.parametrize("keep", [(0, 0), (2, 2), (0, 3), (-1, 1), (0,), (0, 1, 2), (),
+                                  (True, 0), (0.0, 1), (Fraction(1), 2)])
+def test_payoff_slice_takes_two_distinct_indices(keep):
+    with pytest.raises(ValueError, match="keep must be two distinct indices in 0..2"):
+        payoff_slice(SPOT, 1, "A", keep, 1)
+
+
 _prices = st.fractions(min_value=-16, max_value=64, max_denominator=10**4)
 
 
@@ -477,10 +508,10 @@ def test_no_kernel_rederives_parameter_integers(monkeypatch):
 
 
 def test_warm_minimax_chains_do_no_fraction_arithmetic(monkeypatch):
-    # From a warm operator to the chain values: the payoff form, its slice, both
-    # chains in either mode and the outer-derivative bound all run on ints. So
-    # does a whole minimax check: its pinned value, tolerance and verdict, with
-    # no solve of the market.
+    # From a warm operator to the chain values: the payoff form, its slice, the
+    # one-pass slice of payoff_slice, both chains in either mode and the
+    # outer-derivative bound all run on ints. So does a whole minimax check: its
+    # pinned value, tolerance and verdict, with no solve of the market.
     b = Fraction(5, 1_000_003)
     params = ModelParams("37/3", b, "7/2", "11/5", 3)
     grid = GridSpec(Fraction(-1, 3), params.a, 1001)
@@ -497,10 +528,11 @@ def test_warm_minimax_chains_do_no_fraction_arithmetic(monkeypatch):
         for firm in FIRMS:
             form = build_payoff_quadratic(params, asg, firm).form
             for keep, pinned in (((0, 2), 1), ((1, 0), 2)):
-                sliced = form.slice(keep, {pinned: fixed})
-                for mode in ("exact", "float"):
-                    grid_minimax_pair(sliced, grid, mode=mode)
-                _outer_derivative_bound(sliced, m, s)
+                for sliced in (form.slice(keep, {pinned: fixed}),
+                               payoff_slice(params, asg, firm, keep, fixed)):
+                    for mode in ("exact", "float"):
+                        grid_minimax_pair(sliced, grid, mode=mode)
+                    _outer_derivative_bound(sliced, m, s)
             for mode in ("exact", "float"):
                 minimax_check(params, MinimaxSlice(firm, base_assignment=asg), grid, mode=mode)
     assert calls == []

@@ -1,5 +1,6 @@
 """Kernel tests: rational parsing and formatting, quadratic forms."""
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -223,3 +224,18 @@ def test_slice_requires_partition():
     with pytest.raises(ValueError):
         form.slice((0,), {1: 0})
 
+
+
+@pytest.mark.parametrize("quad, lin, const, den, bad", [
+    (((1, 0), (0, True)), (0, 0), 0, 1, "True"),
+    (((1, 0), (0, 1)), (0, 0), 0, True, "True"),
+    (((1, 0), (0, 1)), (0, 2.0), 0, 1, "2.0"),
+    (((1, 0), (0, 1)), (0, 0), 0, 2.5, "2.5"),
+    (((1, 0), (0, 1)), (0, 0), Fraction(3), 1, "Fraction(3, 1)"),
+    (((1, 0), (0, 1)), (0, 0), 0, Fraction(2), "Fraction(2, 1)"),
+], ids=["bool_entry", "bool_den", "float_entry", "float_den", "fraction_const",
+        "fraction_den"])
+def test_from_numerators_takes_only_ints(quad, lin, const, den, bad):
+    # A bool, float or Fraction is no int here, even where it equals one.
+    with pytest.raises(ValueError, match=f"must be ints, got {re.escape(bad)}$"):
+        QuadraticForm.from_numerators(quad, lin, const, den)

@@ -52,3 +52,28 @@ def test_unpaired_runs_are_refused():
         verdict(BASE, BASE[:9], "higher", 0.25)
     with pytest.raises(ValueError):
         verdict([], [], "higher", 0.25)
+
+
+
+# Runs that range over 40% of their median, 25, with quartiles 21.75 and 28.25.
+WIDE = [20.0, 21.0, 22.0, 23.0, 24.0, 26.0, 27.0, 28.0, 29.0, 30.0]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # Every pair won, but by less than the IQR, and the runs overlap.
+    result = verdict(WIDE, [w + 1 for w in WIDE], "higher", 0.25)
+    assert (result["wins"], result["spread"]) == (10, pytest.approx(0.4))
+    assert result["verdict"] == "unresolved"
+    assert verdict(WIDE, [w - 1 for w in WIDE], "lower", 0.25)["verdict"] == "unresolved"
+    assert verdict(WIDE, [w + 1 for w in WIDE], "higher", 0.5)["verdict"] == "no claim"
+
+
+def test_the_same_spread_with_every_change_run_better_is_resolved():
+    # The base's runs spread as wide, but every change run beats every base run.
+    ahead = [30.5 + 0.1 * k for k in range(10)]
+    result = verdict(WIDE, ahead, "higher", 0.25)
+    assert result["spread"] == pytest.approx(0.4) and result["wins"] == 10
+    assert sorted(ahead)[4] - 25 < result["base_iqr"]  # and yet no gain
+    assert result["verdict"] == "no claim"
+    behind = [19.5 - 0.1 * k for k in range(10)]
+    assert verdict(WIDE, behind, "lower", 0.25)["verdict"] == "no claim"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triopoly.equilibrium
 import triopoly.verify
 from triopoly.equilibrium import build_payoff_quadratic, solve_equilibrium
 from triopoly.exact import QuadraticForm, as_rational, format_rational
@@ -457,6 +458,32 @@ def test_minimax_slice_validation():
         MinimaxSlice("Z")
 
 
+@pytest.mark.parametrize("firms", [{"min_firm": "A"}, {"max_firm": "B", "min_firm": "B"},
+                                   {"payoff_firm": "C", "min_firm": "C"}])
+def test_minimax_slice_refuses_equal_max_and_min_firms_at_construction(firms):
+    with pytest.raises(ValueError, match="max_firm and min_firm must differ"):
+        MinimaxSlice(**{"payoff_firm": "A", **firms})
+
+
+def test_minimax_check_pins_with_payoff_slice_alone(monkeypatch):
+    # The slices come from the operator in one pass: no 3-variable payoff form
+    # is built and none is sliced.
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimax_check built or sliced a 3-variable payoff form")
+
+    specs = [MinimaxSlice(firm, base_assignment=asg, transform=transform)
+             for firm in FIRMS for asg in ("QQQ", "PQP")
+             for transform in ("direct", "via_other_variable", "both")]
+    specs.append(MinimaxSlice("B", max_firm="C", min_firm="A", fixed_value=Fraction(-7, 3)))
+    expected = [[minimax_check(SPOT, spec, mode=mode).to_dict() for spec in specs]
+                for mode in ("float", "exact")]
+    monkeypatch.setattr(triopoly.verify, "build_payoff_quadratic", refuse)
+    monkeypatch.setattr(triopoly.equilibrium, "build_payoff_quadratic", refuse)
+    monkeypatch.setattr(QuadraticForm, "slice", refuse)
+    assert [[minimax_check(SPOT, spec, mode=mode).to_dict() for spec in specs]
+            for mode in ("float", "exact")] == expected
+
+
 def test_minimax_report_serialization():
     doc = minimax_check(SPOT, MinimaxSlice("A")).to_dict()
     assert doc["pass"] is True
@@ -695,8 +722,8 @@ def test_demand_round_trip_fails_on_a_corrupted_pinning_row(monkeypatch):
     from triopoly.market import PATTERNS
     from triopoly.verify import _check_demand_round_trip, _SuiteCase
 
-    x = (Fraction(7, 3), Fraction(-2, 5), Fraction(0))
-    p = (Fraction(9, 2), Fraction(0), Fraction(-1, 16))
+    x = (35, -6, 0), 15  # (7/3, -2/5, 0), as the suite holds a vector: ints over a den
+    p = (72, 0, -1), 16  # (9/2, 0, -1/16)
     only_x = _SuiteCase(SPOT, (x,), (), {})
     only_p = _SuiteCase(SPOT, (), (p,), {})
     op = _operator.__wrapped__(*SPOT.b.as_integer_ratio(), PATTERNS[6])

@@ -19,7 +19,9 @@ side's median and quartiles, the pairs the change won (ties count for
 neither) and the verdict. A gain holds when the change wins at least 9 in 10
 pairs and its median beats the base's by more than the base's interquartile
 range; a loss is a median worse than the base's by more than the metric's
-bound. Every record is appended to ``--out``, a JSON list with one entry per
+bound. Otherwise a metric whose runs spread wider than its bound is
+unresolved, not unchanged, unless every change run beats every base run.
+Every record is appended to ``--out``, a JSON list with one entry per
 invocation. Stdlib only.
 """
 
@@ -78,7 +80,10 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     ``better`` is "higher" or "lower"; ``bound`` the relative worsening the
     benchmark allows. "gain" needs at least 9 in 10 pairs won and a median
     gain above the base's interquartile range; "worse" is a median worse than
-    the base's by more than ``bound``; anything else is "no claim".
+    the base's by more than ``bound``. Failing both, "unresolved" is a
+    spread, the wider side's range of runs over the base's median, above
+    ``bound``, unless every change run beats every base run; anything else
+    is "no claim".
     """
     if len(base) != len(change) or not base:
         raise ValueError("need the same positive number of base and change runs")
@@ -86,14 +91,19 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     b_q, c_q = quartiles(base), quartiles(change)
     gain = sign * (c_q[1] - b_q[1])
+    spread = max(max(base) - min(base), max(change) - min(change))
+    ahead = min(sign * c for c in change) > max(sign * b for b in base)
     if 10 * wins >= 9 * len(base) and gain > b_q[2] - b_q[0]:
         outcome = "gain"
     elif -gain > bound * abs(b_q[1]):
         outcome = "worse"
+    elif spread > bound * abs(b_q[1]) and not ahead:
+        outcome = "unresolved"
     else:
         outcome = "no claim"
     return {"pairs": len(base), "wins": wins, "base_quartiles": list(b_q),
             "change_quartiles": list(c_q), "base_iqr": b_q[2] - b_q[0],
+            "spread": spread / abs(b_q[1]) if b_q[1] else None,
             "median_change": (c_q[1] - b_q[1]) / b_q[1] if b_q[1] else None,
             "verdict": outcome}
 
