@@ -263,10 +263,14 @@ def _cmd_verify(args) -> tuple[str, bool]:
     _validate_draws(args.draws)  # before the solves below
     # The suite's draw 0 is the given set: its solves also build the matrix.
     solved = _solve_draw(params)
+    suite = _property_suite(params, args.draws, args.seed, "corrected", solved)
+    if args.format == "csv":
+        rows = [[p.name, p.status, str(p.checked)] for p in suite.properties]
+        return _csv_text(["property", "status", "checked"], rows), suite.passed
+    # CSV prints the suite alone; the table and JSON also print these.
     matrix = _matrix(solved)
     pairs = _equal_pairs(matrix)
     ledger = closed_form_discrepancies(params)
-    suite = _property_suite(params, args.draws, args.seed, "corrected", solved)
     if args.format == "json":
         doc = {
             "params": params.to_dict(),
@@ -276,9 +280,6 @@ def _cmd_verify(args) -> tuple[str, bool]:
             "suite": suite.to_dict(),
         }
         text = _json_text(doc, indent=2)
-    elif args.format == "csv":
-        rows = [[p.name, p.status, str(p.checked)] for p in suite.properties]
-        text = _csv_text(["property", "status", "checked"], rows)
     else:
         lines = [f"params: {params.describe()}"]
         lines.append("equivalence matrix (patterns 1..6, '=' equal, '.' different):")

@@ -169,12 +169,12 @@ class _Operator:
         committed values are v = -adj(M) r / (det(M) t).
         """
         rows = []
-        for row in self.foc:
-            g = math.gcd(*row) or 1
-            rows.append(tuple([v // g for v in row]))
-        (m00, m01, m02, *_), (m10, m11, m12, *_), (m20, m21, m22, *_) = rows
+        for m0, m1, m2, l0, l1, l2, l3 in self.foc:
+            g = math.gcd(m0, m1, m2, l0, l1, l2, l3) or 1
+            rows.append((m0 // g, m1 // g, m2 // g, l0 // g, l1 // g, l2 // g, l3 // g))
+        r0, r1, r2 = rows
         ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), det = _adjugate(
-            ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22)))
+            (r0[:3], r1[:3], r2[:3]))
         if det == 0:
             raise SingularSystem()
         g = math.gcd(det, a00, a01, a02, a10, a11, a12, a20, a21, a22) * (1 if det > 0 else -1)
@@ -288,35 +288,40 @@ def _operator_rows(n, e, assignment: StrategyAssignment) -> tuple:
     (n, .., e, .., n), with r_i = e (a - v_i). With r_i = k_i v_i + w_i a,
     [X | x0] is adj(S) [diag(k) | w] over q = det S > 0.
     """
-    price = tuple(choice == PRICE for choice in assignment.choices)
+    c0, c1, c2 = assignment.choices
+    p0, p1, p2 = c0 == PRICE, c1 == PRICE, c2 == PRICE
     zero = n - n  # a ring zero, so every entry stays in the ring of n
-    s = [[n, n, n] if p else [zero, zero, zero] for p in price]
-    for i, p in enumerate(price):
-        s[i][i] = e if p else 1
-    adj, q = _adjugate(s)
-    (k0, w0), (k1, w1), (k2, w2) = [(-e, e) if p else (1, zero) for p in price]
-    pin = [(s0 * k0, s1 * k1, s2 * k2, s0 * w0 + s1 * w1 + s2 * w2) for s0, s1, s2 in adj]
+    ((s00, s01, s02), (s10, s11, s12), (s20, s21, s22)), q = _adjugate(
+        ((e, n, n) if p0 else (1, zero, zero),
+         (n, e, n) if p1 else (zero, 1, zero),
+         (n, n, e) if p2 else (zero, zero, 1)))
+    k0, w0 = (-e, e) if p0 else (1, zero)
+    k1, w1 = (-e, e) if p1 else (1, zero)
+    k2, w2 = (-e, e) if p2 else (1, zero)
+    pin = ((x00, x01, x02, _), (x10, x11, x12, _), (x20, x21, x22, _)) = (
+        (s00 * k0, s01 * k1, s02 * k2, s00 * w0 + s01 * w1 + s02 * w2),
+        (s10 * k0, s11 * k1, s12 * k2, s10 * w0 + s11 * w1 + s12 * w2),
+        (s20 * k0, s21 * k1, s22 * k2, s20 * w0 + s21 * w1 + s22 * w2))
 
     # Over q e: a price chooser's free variable is its output, and a quantity
-    # chooser's is its price p_i = a - x_i - b (x_j + x_k).
+    # chooser's is its price p_i = a - x_i - b (x_j + x_k), from its pinning
+    # row y and its rivals' z and u.
+    r0, r1, r2 = pin
     free = []
-    for i, (x0, x1, x2, x3) in enumerate(pin):
-        if price[i]:
-            free.append((e * x0, e * x1, e * x2, e * x3))
-        else:
-            (y0, y1, y2, y3), (z0, z1, z2, z3) = pin[(i + 1) % 3], pin[(i + 2) % 3]
-            free.append((-e * x0 - n * (y0 + z0), -e * x1 - n * (y1 + z1),
-                         -e * x2 - n * (y2 + z2), q * e - e * x3 - n * (y3 + z3)))
+    for p, (y0, y1, y2, y3), (z0, z1, z2, z3), (u0, u1, u2, u3) in (
+            (p0, r0, r1, r2), (p1, r1, r2, r0), (p2, r2, r0, r1)):
+        free.append((e * y0, e * y1, e * y2, e * y3) if p else
+                    (-e * y0 - n * (z0 + u0), -e * y1 - n * (z1 + u1),
+                     -e * y2 - n * (z2 + u2), q * e - e * y3 - n * (z3 + u3)))
 
     # psi_i = sum_k W_ik pi_k, pi_k = v_k (F_k . v + f0_k a) - c_k x_k: in d psi_i / d v_i,
     # v_j has the coefficient F_ij + W_ij F_ji. With W = T / 2 and T = _TWICE_WEIGHTS,
     # [M | L] is over 2 q e: M_ij = 2 F_ij + T_ij F_ji and L_i = (2 f0_i, -T_ik e X_ki).
     (f00, f01, f02, f03), (f10, f11, f12, f13), (f20, f21, f22, f23) = free
-    (x00, x01, x02, _), (x10, x11, x12, _), (x20, x21, x22, _) = pin
     foc = ((4 * f00, 2 * f01 - f10, 2 * f02 - f20, 2 * f03, -2 * e * x00, e * x10, e * x20),
            (2 * f10 - f01, 4 * f11, 2 * f12 - f21, 2 * f13, e * x01, -2 * e * x11, e * x21),
            (2 * f20 - f02, 2 * f21 - f12, 4 * f22, 2 * f23, e * x02, e * x12, -2 * e * x22))
-    return q, tuple(pin), tuple(free), foc
+    return q, pin, tuple(free), foc
 
 
 @lru_cache(maxsize=1024)
@@ -666,56 +671,65 @@ def _printed_output_table(n: int, e: int) -> dict:
     An output is its row dotted with (a, c_AB, c_C), over that denominator.
     Every transcribed numerator is a polynomial in b, and every denominator
     a product of linear factors in b; scaled by e to the pattern
-    denominator's degree, both are polynomials in n and e. Only +, -, *
-    touch n and e, so, like ``_operator_rows``, the body runs on any ring,
-    and on ints the rows are ints over a positive int. Keyed by the ints of
-    b alone, as ``_operator`` is: one verify run meets at most 64 distinct
-    b, the given one and the sampler's.
+    denominator's degree k, both are polynomials in n and e. Each scaled
+    numerator is written out as one integer expression over the monomials
+    n^j e^(k - j), made once per call; the comments give each in b. Only
+    +, -, * touch n and e, so, like ``_operator_rows``, the body runs on
+    any ring, and on ints the rows are ints over a positive int. Keyed by
+    the ints of b alone, as ``_operator`` is: one verify run meets at most
+    64 distinct b, the given one and the sampler's.
     """
-    monomials = {degree: [n**k * e**(degree - k) for k in range(degree + 1)]
-                 for degree in (2, 3, 4)}
-
-    def row(degree: int, *polynomials: tuple[int, ...]) -> tuple:
-        # e^degree p(n / e) for each p, given by its coefficients in b, highest power first.
-        return tuple(sum(map(mul, reversed(p), monomials[degree])) for p in polynomials)
+    # The monomials n^j e^(k - j) of degrees k = 2, 3, 4 that the entries use.
+    e2, ne = e * e, n * e
+    e3, ne2, n2e = e2 * e, ne * e, n * ne
+    e4, ne3, n2e2, n3e = e3 * e, ne2 * e, ne * ne, n * n2e
 
     # e (4 - b), e (b + 2), e (1 - b), e (3 b + 4), e (5 b + 4) and e (b + 4).
     u, v, h = 4 * e - n, n + 2 * e, e - n
     w3, w5, w4 = 3 * n + 4 * e, 5 * n + 4 * e, n + 4 * e
 
-    # Over (4 - b)(b + 2). Pattern 1's x_C is transcribed over (4 - b)(b + 2)
-    # and pattern 2's over (b - 4)(b + 2), with one numerator: the sign slip
-    # of pattern 1.
+    # Each row's entries are the coefficients of (a, c_AB, c_C).
+    # Over (4 - b)(b + 2): x_AB (4 - b, -4, b) and pattern 1's x_C
+    # (b - 4, -2 b, b + 4). Pattern 2's x_C is transcribed with the same
+    # numerator over (b - 4)(b + 2): the sign slip of pattern 1.
     d12 = u * v
-    x12_ab = row(2, (-1, 4), (-4,), (1, 0))
-    x12_c = row(2, (1, -4), (-2, 0), (1, 4))
+    x12_ab = (4 * e2 - ne, -4 * e2, ne)
+    x1_c = (ne - 4 * e2, -2 * ne, ne + 4 * e2)
 
-    # Over (4 - b)(1 - b)(b + 2)(3 b + 4).
-    d3 = d12 * h * w3
-    a3 = (3, -11, -8, 16)
-    x3_a = row(4, a3, (-3, 6, 4, -16), (5, 4, 0))
-    x3_c = row(4, a3, (-3, 4, 8, 0), (7, 0, -16))
+    # Over (4 - b)(1 - b)(b + 2)(3 b + 4), with a3 = 3 b^3 - 11 b^2 - 8 b + 16:
+    # x_A (a3, -3 b^3 + 6 b^2 + 4 b - 16, 5 b^2 + 4 b) and
+    # x_C (a3, -3 b^3 + 4 b^2 + 8 b, 7 b^2 - 16); x_B is x_AB over (4 - b)(b + 2).
+    hw3 = h * w3
+    d3 = d12 * hw3
+    a3 = 3 * n3e - 11 * n2e2 - 8 * ne3 + 16 * e4
+    x3_a = (a3, -3 * n3e + 6 * n2e2 + 4 * ne3 - 16 * e4, 5 * n2e2 + 4 * ne3)
+    x3_c = (a3, -3 * n3e + 4 * n2e2 + 8 * ne3, 7 * n2e2 - 16 * e4)
 
-    # Over (1 - b)(b + 2)(5 b + 4).
+    # Over (1 - b)(b + 2)(5 b + 4), with a46 = -5 b^2 + b + 4:
+    # x_AB (a46, 3 b^2 - 2 b - 4, 2 b^2 + b) and x_C (a46, 4 b^2 + 2 b, b^2 - 3 b - 4).
     d46 = h * v * w5
-    a46 = (-5, 1, 4)
-    x46_ab = row(3, a46, (3, -2, -4), (2, 1, 0))
-    x46_c = row(3, a46, (4, 2, 0), (1, -3, -4))
+    a46 = -5 * n2e + ne2 + 4 * e3
+    x46_ab = (a46, 3 * n2e - 2 * ne2 - 4 * e3, 2 * n2e + ne2)
+    x46_c = (a46, 4 * n2e + 2 * ne2, n2e - 3 * ne2 - 4 * e3)
 
-    # Over (1 - b)(b + 2)(b + 4)(5 b + 4).
+    # Over (1 - b)(b + 2)(b + 4)(5 b + 4), with a5 = -5 b^3 - 19 b^2 + 8 b + 16:
+    # x_A (a5, 6 b^3 + 16 b^2 - 12 b - 16, -b^3 + 3 b^2 + 4 b) and
+    # x_C (a5, b^3 + 12 b^2 + 8 b, 4 b^3 + 7 b^2 - 16 b - 16); x_B is pattern 4's
+    # x_AB over (1 - b)(b + 2)(5 b + 4).
     d5 = d46 * w4
-    a5 = (-5, -19, 8, 16)
-    x5_a = row(4, a5, (6, 16, -12, -16), (-1, 3, 4, 0))
-    x5_c = row(4, a5, (1, 12, 8, 0), (4, 7, -16, -16))
+    a5 = -5 * n3e - 19 * n2e2 + 8 * ne3 + 16 * e4
+    x5_a = (a5, 6 * n3e + 16 * n2e2 - 12 * ne3 - 16 * e4, -n3e + 3 * n2e2 + 4 * ne3)
+    x5_c = (a5, n3e + 12 * n2e2 + 8 * ne3, 4 * n3e + 7 * n2e2 - 16 * ne3 - 16 * e4)
 
     # Patterns 4 and 6 are transcribed with the same rows.
     pattern46 = ((x46_ab, x46_ab, x46_c), d46)
+    (c0, c1, c2), (y0, y1, y2) = x12_ab, x46_ab
     return {
-        1: ((x12_ab, x12_ab, x12_c), d12),
-        2: ((x12_ab, x12_ab, tuple(-c for c in x12_c)), d12),
-        3: ((x3_a, tuple(c * h * w3 for c in x12_ab), x3_c), d3),
+        1: ((x12_ab, x12_ab, x1_c), d12),
+        2: ((x12_ab, x12_ab, (-x1_c[0], -x1_c[1], -x1_c[2])), d12),
+        3: ((x3_a, (c0 * hw3, c1 * hw3, c2 * hw3), x3_c), d3),
         4: pattern46,
-        5: ((x5_a, tuple(c * w4 for c in x46_ab), x5_c), d5),
+        5: ((x5_a, (y0 * w4, y1 * w4, y2 * w4), x5_c), d5),
         6: pattern46,
     }
 
@@ -744,9 +758,9 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
     """
     asg = as_assignment(assignment)
     ensure_float_safe(params)
-    if not 0 < damping <= 1:
+    if isinstance(damping, bool) or not 0 < damping <= 1:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    if not tol > 0:
+    if isinstance(tol, bool) or not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")

@@ -39,10 +39,11 @@ def as_rational(value: RationalLike) -> Fraction:
     ``"-3/4"``, or a decimal literal like ``"2.5"`` (converted exactly).
     Floats are rejected: binary floats carry representation error that would
     silently poison exact results, so callers must pass a string instead.
+    Bools are rejected too: ``True`` is an int, but never meant as 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -294,6 +294,25 @@ def test_verify_csv(cli):
     assert any(r["property"] == "zero_sum" and r["status"] == "pass" for r in rows)
 
 
+def test_verify_csv_builds_only_the_suite(cli, monkeypatch):
+    # CSV prints the suite alone: the equivalence matrix, its equal pairs and
+    # the typo ledger are never built for it.
+    import triopoly.cli as cli_module
+
+    argv = ["verify", *SPOT_ARGS, "--draws", "5", "--seed", "1", "--format", "csv"]
+    expected = cli(argv)
+
+    def unused(*args):
+        raise AssertionError("built for CSV output")
+
+    for name in ("_matrix", "_equal_pairs", "closed_form_discrepancies"):
+        monkeypatch.setattr(cli_module, name, unused)
+    assert cli(argv) == expected
+    for fmt in ("table", "json"):
+        with pytest.raises(AssertionError, match="built for CSV"):
+            cli([*argv[:-1], fmt])
+
+
 def test_verify_failure_exits_2(cli, monkeypatch):
     import triopoly.cli as cli_module
 

@@ -818,6 +818,59 @@ def _transcribed_output_table(b) -> dict:
     }
 
 
+def _coefficient_output_table(n, e) -> dict:
+    """The integer tables of ``_printed_output_table`` from coefficient tuples: the reference.
+
+    Each transcribed entry is its coefficients in b, highest power first,
+    dotted with the monomials n^j e^(k - j) of its denominator's degree k.
+    """
+    monomials = {degree: [n**k * e**(degree - k) for k in range(degree + 1)]
+                 for degree in (2, 3, 4)}
+
+    def row(degree: int, *polynomials: tuple[int, ...]) -> tuple:
+        # e^degree p(n / e) for each p, given by its coefficients in b, highest power first.
+        return tuple(sum(map(mul, reversed(p), monomials[degree])) for p in polynomials)
+
+    u, v, h = 4 * e - n, n + 2 * e, e - n
+    w3, w5, w4 = 3 * n + 4 * e, 5 * n + 4 * e, n + 4 * e
+    d12 = u * v
+    x12_ab = row(2, (-1, 4), (-4,), (1, 0))
+    x12_c = row(2, (1, -4), (-2, 0), (1, 4))
+    d3 = d12 * h * w3
+    a3 = (3, -11, -8, 16)
+    x3_a = row(4, a3, (-3, 6, 4, -16), (5, 4, 0))
+    x3_c = row(4, a3, (-3, 4, 8, 0), (7, 0, -16))
+    d46 = h * v * w5
+    a46 = (-5, 1, 4)
+    x46_ab = row(3, a46, (3, -2, -4), (2, 1, 0))
+    x46_c = row(3, a46, (4, 2, 0), (1, -3, -4))
+    d5 = d46 * w4
+    a5 = (-5, -19, 8, 16)
+    x5_a = row(4, a5, (6, 16, -12, -16), (-1, 3, 4, 0))
+    x5_c = row(4, a5, (1, 12, 8, 0), (4, 7, -16, -16))
+    pattern46 = ((x46_ab, x46_ab, x46_c), d46)
+    return {
+        1: ((x12_ab, x12_ab, x12_c), d12),
+        2: ((x12_ab, x12_ab, tuple(-c for c in x12_c)), d12),
+        3: ((x3_a, tuple(c * h * w3 for c in x12_ab), x3_c), d3),
+        4: pattern46,
+        5: ((x5_a, tuple(c * w4 for c in x46_ab), x5_c), d5),
+        6: pattern46,
+    }
+
+
+def test_table_integers_are_the_coefficient_evaluation():
+    # Every integer row and denominator, at the sampler's 63 values of b and
+    # at b over a Mersenne prime and over 10^6 + 3.
+    for b in [Fraction(k, 64) for k in range(1, 64)] + [Fraction(5, 2**61 - 1),
+                                                        Fraction(123457, 1000003)]:
+        n, e = b.as_integer_ratio()
+        table = _printed_output_table.__wrapped__(n, e)
+        assert table == _coefficient_output_table(n, e)
+        assert all(type(v) is int for rows, den in table.values()
+                   for v in (den, *(v for row in rows for v in row)))
+
+
 def _reference_rows(ref) -> tuple:
     """The reference's pinning, free and first-order rows, each row ending in its constants."""
     return ([(*x, c) for x, c in zip(ref.x_map, ref.x_const)],
@@ -1157,3 +1210,10 @@ def test_iteration_budget_must_be_an_int_not_a_bool(max_iter):
     with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer >= 0, "
                                                    f"got {max_iter!r}")):
         best_response_iteration(SPOT, 1, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("option", ["tol", "damping"])
+def test_iteration_tolerance_and_damping_are_no_bools(option):
+    # tol=True would stop at the second iterate and report it converged.
+    with pytest.raises(ValueError, match=f"^{option} must .*, got True$"):
+        best_response_iteration(SPOT, 1, **{option: True})

@@ -56,6 +56,13 @@ def test_parse_rejects_garbage_and_floats():
         as_rational(0.5)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rejects_bools(value):
+    # bool is an int, but True is no rational 1.
+    with pytest.raises(TypeError, match="cannot convert bool"):
+        as_rational(value)
+
+
 @given(rationals)
 def test_format_parse_round_trip(value):
     assert as_rational(format_rational(value)) == value

@@ -51,6 +51,12 @@ def test_params_reject_bad_b(bad_b):
         ModelParams(10, bad_b, 2, 2, 3)
 
 
+def test_params_reject_bools():
+    # True is an int, but costs of 1 and 0 are not what it says.
+    with pytest.raises(TypeError, match="cannot convert bool"):
+        ModelParams(10, "1/2", True, False, 3)
+
+
 def test_params_reject_negative_cost():
     with pytest.raises(ValueError, match="nonnegative"):
         ModelParams(10, "1/2", 2, "-1", 3)

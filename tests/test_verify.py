@@ -185,6 +185,12 @@ def test_grid_spec_validation():
         GridSpec(0, 1, "5")
 
 
+def test_grid_bounds_are_no_bools():
+    # Not the grid [0, 1].
+    with pytest.raises(TypeError, match="cannot convert bool"):
+        GridSpec(False, True, 3)
+
+
 @pytest.mark.parametrize("points", [True, False, 5.0, "5", Fraction(5)])
 def test_grid_points_must_be_an_int_not_a_bool(points):
     with pytest.raises(ValueError, match=f"^points must be an integer, got {re.escape(repr(points))}$"):
