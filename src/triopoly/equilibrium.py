@@ -760,8 +760,8 @@ def best_response_iteration(params: ModelParams, assignment: AssignmentLike,
     ensure_float_safe(params)
     if isinstance(damping, bool) or not 0 < damping <= 1:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    if isinstance(tol, bool) or not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if init is None:

@@ -272,7 +272,10 @@ def _check_not_degenerate(form: QuadraticForm) -> None:
 
 
 def _last_true(pred, lo: int, hi: int) -> int:
-    """Largest j in [lo, hi) with pred(j), given pred(lo) and not pred(hi) on a monotone pred."""
+    """Largest j in [lo, hi) with pred(j), given pred(lo) and not pred(hi) on a monotone pred.
+
+    pred(hi) is never evaluated, so hi may lie one past the grid.
+    """
     step = 1
     while lo + step < hi and pred(lo + step):
         lo, step = lo + step, 2 * step
@@ -314,43 +317,85 @@ def _float_error_bound(coefs, lo: float, hi: float) -> float:
 _MAX_FLOAT_EVALUATIONS = 10**7
 
 
+def _saddle_floor(coefs, grid: GridSpec, *, inner_maximize: bool,
+                  outer_pick_max: bool) -> int | None:
+    """floor(i*) for the index i* of the chain's saddle, or None when it has none.
+
+    ``coefs`` start with the integer (q_ii, q_io, q_oo, l_i, l_o) of the
+    chain. The saddle (w*, t*) is its one stationary point, and it counts
+    only when the two roles are opposite, the inner curvature q_ii is
+    strictly of the inner player's sign (< 0 for a maximizer), the outer
+    q_oo weakly of the outer player's (>= 0 for a minimizer), D = q_ii q_oo
+    - q_io^2 < 0 and w* lies in [lo, hi]. With -2D > 0, w* = (q_oo l_i -
+    q_io l_o) / (-2D) and t* = (q_ii l_o - q_io l_i) / (-2D), so i* = (t* s
+    - w_lo) / dt is compared and floored on integers.
+    """
+    q_ii, q_io, q_oo, l_i, l_o = coefs[:5]
+    neg_2d = 2 * (q_io * q_io - q_ii * q_oo)
+    if (inner_maximize == outer_pick_max or neg_2d <= 0
+            or (q_ii >= 0 if inner_maximize else q_ii <= 0)
+            or (q_oo > 0 if outer_pick_max else q_oo < 0)):
+        return None
+    s, w_lo, w_hi, dt = grid._ints
+    if not w_lo * neg_2d <= (q_oo * l_i - q_io * l_o) * s <= w_hi * neg_2d:
+        return None
+    return ((q_ii * l_o - q_io * l_i) * s - w_lo * neg_2d) // (neg_2d * dt)
+
+
 def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
                  inner_maximize: bool, outer_pick_max: bool, mode: str):
     """Outer extreme over the grid of the inner extreme over [lo, hi].
 
     Equals the scan of every grid index ``i`` (outer value t_i = lo + i h)
-    without scanning. The inner extreme at t is taken over lo, hi and the
-    vertex when it lies inside, so as a function of the index it is the
-    extreme of three quadratics A (w = lo), B (w = hi) and V (the vertex,
-    only where it lies in [lo, hi]). V is picked only when the inner
-    variable is maximized with q_ii < 0 or minimized with q_ii > 0. There
-    the chain hands over between V and A exactly where the vertex crosses
-    lo, and there V = A and V' = A', since d/dt of the inner extreme is
-    df/dt taken at w = lo (the envelope theorem); likewise between V and B
-    at hi. So the chain is C^1 at both. In every other case, q_ii = 0
-    included, V is never picked: the chain is the max or min of A and B,
-    with one kink where the linear A - B vanishes. The candidates are both
-    grid ends and floor and floor + 1 of that switch and of the vertices
-    of A, B and V. Between consecutive candidates the chain's derivative
-    is continuous and piecewise linear, and does not change sign: it could
-    only do so at a piece's vertex, which no index separates from its two
-    candidates. So the chain is monotone there, and its grid extreme is
-    among the candidates. They are evaluated exactly, on integer
-    numerators over one scale per chain.
+    without scanning. Write f(t, w) for the form with t the outer and w the
+    inner variable, and h(t) for the inner extreme at t, taken over lo, hi
+    and the vertex when it lies inside.
+
+    A saddle chain (:func:`_saddle_floor`) has two candidates. Take the
+    min-max case: q_ii < 0, q_oo >= 0, w maximized and t minimized (the
+    max-min case is its mirror). h is the max over w of functions convex in
+    t, so h is convex. With w* in [lo, hi], h(t) >= f(t, w*) >= f(t*, w*) =
+    h(t*), since f(., w*) is convex with zero slope at t* and f(t*, .) is
+    concave with zero slope at w*. So t* minimizes h, and h's grid minimum
+    lies at floor(i*) or floor(i*) + 1, clipped to [0, n]. Both roles
+    must be opposite: when both minimize, h is concave and its optimum sits
+    at a grid end.
+
+    Every other chain falls back to more candidates. As a function of the
+    index, h is the extreme of three quadratics A (w = lo), B (w = hi) and V
+    (the vertex, only where it lies in [lo, hi]). V is picked only when the
+    inner variable is maximized with q_ii < 0 or minimized with q_ii > 0.
+    There the chain hands over between V and A exactly where the vertex
+    crosses lo, and there V = A and V' = A', since d/dt of the inner
+    extreme is df/dt taken at w = lo (the envelope theorem); likewise
+    between V and B at hi. So the chain is C^1 at both. In every other
+    case, q_ii = 0 included, V is never picked: the chain is the max or min
+    of A and B, with one kink where the linear A - B vanishes. The
+    candidates are both grid ends and floor and floor + 1 of that switch
+    and of the vertices of A, B and V. Between consecutive candidates the
+    chain's derivative is continuous and piecewise linear, and does not
+    change sign: it could only do so at a piece's vertex, which no index
+    separates from its two candidates. So the chain is monotone there, and
+    its grid extreme is among the candidates. Either way the candidates are
+    evaluated exactly, on integer numerators over one scale per chain: 2 on
+    a saddle chain, at most 10 otherwise.
 
     Float mode returns what the full float scan returns. Each float value
     lies within ``eps`` (:func:`_float_error_bound`) of the exact value at
     the same index, so the float pick, and every index that ties with it,
     has an exact value within 2 eps of the exact optimum. Between
     consecutive candidates such indices form a prefix or a suffix, since
-    the chain is monotone there; a gallop from the candidate finds it. The
-    scan's own float expression and comparison then run on these indices
-    alone, in index order. A flat piece, whose indices all tie, widens the
-    window to that piece only: the float evaluations never outnumber the
-    full scan's, and the exact set-up is a constant number of evaluations
-    plus searches of logarithmic length. A window of more than
-    ``_MAX_FLOAT_EVALUATIONS`` indices raises ValueError before any float
-    evaluation.
+    the chain is monotone there; a gallop from the candidate finds it.
+    Before the first candidate and after the last they run outward from it:
+    on a saddle chain they form one interval around the optimum, as h is
+    convex (concave for a max-min), and otherwise the candidates hold 0 and
+    n, so those gallops find nothing more. The scan's own float expression
+    and comparison then run on these indices alone, in index order. A flat
+    piece, whose indices all tie, widens the window to that piece only: the
+    float evaluations never outnumber the full scan's, and the exact set-up
+    is a constant number of evaluations plus searches of logarithmic length.
+    A window of more than ``_MAX_FLOAT_EVALUATIONS`` indices raises
+    ValueError before any float evaluation.
     """
     inner = 1 - outer
     quad, lin, d = form.quad_num, form.lin_num, form.den
@@ -377,13 +422,19 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
             return inner_pick(*ends, gamma - sign * beta * beta)
         return inner_pick(ends)
 
-    # As index fractions: the A = B switch (beta at -q_ii (lo + hi)) and the
-    # vertices of A, B and V.
-    points = [(-q_ii * (w_lo + w_hi) - b0, b1), (-(b1 * w_lo + g1), 2 * g2),
-              (-(b1 * w_hi + g1), 2 * g2),
-              (2 * sign * b1 * b0 - m * g1, 2 * (m * g2 - sign * b1 * b1))]
-    cands = sorted({0, n}.union(*((num // den, num // den + 1) for num, den in points if den)))
-    cands = [i for i in cands if 0 <= i <= n]
+    i0 = _saddle_floor(coefs, grid, inner_maximize=inner_maximize,
+                       outer_pick_max=outer_pick_max)
+    if i0 is not None:
+        cands = sorted({min(max(i, 0), n) for i in (i0, i0 + 1)})
+    else:
+        # As index fractions: the A = B switch (beta at -q_ii (lo + hi)) and
+        # the vertices of A, B and V.
+        points = [(-q_ii * (w_lo + w_hi) - b0, b1), (-(b1 * w_lo + g1), 2 * g2),
+                  (-(b1 * w_hi + g1), 2 * g2),
+                  (2 * sign * b1 * b0 - m * g1, 2 * (m * g2 - sign * b1 * b1))]
+        cands = sorted({0, n}.union(*((num // den, num // den + 1)
+                                      for num, den in points if den)))
+        cands = [i for i in cands if 0 <= i <= n]
     values = {i: exact(i) for i in cands}
     best = (max if outer_pick_max else min)(values.values())
     if mode == "exact":
@@ -401,12 +452,17 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
         def near(i: int) -> bool:
             return abs((values[i] if i in values else exact(i)) - best) <= reach
 
+        # Left of the first candidate, between each pair, right of the last.
         window = []
+        if near(cands[0]):
+            window.append((-_last_true(lambda j: near(-j), -cands[0], 1), cands[0]))
         for left, right in zip(cands, cands[1:]):
             if near(left):
                 window.append((left, right if near(right) else _last_true(near, left, right)))
             elif near(right):
                 window.append((-_last_true(lambda j: near(-j), -right, -left), right))
+        if near(cands[-1]):
+            window.append((cands[-1], _last_true(near, cands[-1], n + 1)))
 
     spans, start = [], 0  # the window's indices, each once, in index order
     for first, last in window:

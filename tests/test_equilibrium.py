@@ -1194,6 +1194,9 @@ def test_iteration_validation():
         best_response_iteration(SPOT, 1, damping=0)
     with pytest.raises(ValueError, match="tol"):
         best_response_iteration(SPOT, 1, tol=0)
+    # tol=inf would stop at the first iterate and report it converged.
+    with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+        best_response_iteration(SPOT, 1, tol=math.inf)
     with pytest.raises(ValueError, match="max_iter"):
         best_response_iteration(SPOT, 1, max_iter=-1)
     with pytest.raises(ValueError, match="init"):

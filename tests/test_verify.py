@@ -263,7 +263,8 @@ def _chains(draw, points):
     kind = draw(st.sampled_from(
         ("general", "alpha_zero", "q_io_zero", "flat_vertex", "flat_constant_vertex",
          "nearly_flat_vertex", "nearly_constant", "bilinear_saddle", "small_integers",
-         "narrow_saddle_box", "vertex_crossing")))
+         "narrow_saddle_box", "vertex_crossing", "concave_convex")))
+    inner_maximize, outer_pick_max = draw(st.booleans()), draw(st.booleans())
 
     def tiny():
         return Fraction(rng.choice((1, -1)), 10 ** rng.randint(12, 18))
@@ -308,13 +309,30 @@ def _chains(draw, points):
         alpha, q_io = alpha or Fraction(-1), q_io or Fraction(1)
         t = lo + width * Fraction(rng.randint(1, 999), 1000)
         l_i = -2 * (alpha * rng.choice((lo, lo + width)) + q_io * t)
+    elif kind == "concave_convex":
+        # A saddle: the inner curvature strictly of the inner player's sign
+        # (negative for a maximizer), the outer one weakly of the outer
+        # player's, and the stationary point (w, t) placed by the linear
+        # terms. w lies strictly inside [lo, hi], on lo, on hi or outside; t
+        # inside the grid or off it, where its index is clipped to 0 or n.
+        # Half the draws give both players the same role, which is no saddle.
+        alpha = abs(alpha or 1) * (-1 if inner_maximize else 1)
+        q_oo = abs(q_oo) * (-1 if outer_pick_max else 1)
+
+        def place():  # strictly inside the side [lo, lo + width], on an end or outside
+            share = rng.choice((Fraction(rng.randint(1, 999), 1000), 0, 1,
+                                Fraction(-rng.randint(1, 2000), 1000),
+                                Fraction(rng.randint(1001, 3000), 1000)))
+            return lo + width * share
+
+        w, t = place(), place()
+        l_i, l_o = -2 * (alpha * w + q_io * t), -2 * (q_io * w + q_oo * t)
     quad = [[q_oo, q_io], [q_io, q_oo]]
     quad[1 - outer][1 - outer] = alpha
     lin = [l_o, l_o]
     lin[1 - outer] = l_i
     grid = GridSpec(lo, lo + width, draw(st.sampled_from(points)))
-    shape = {"outer": outer, "inner_maximize": draw(st.booleans()),
-             "outer_pick_max": draw(st.booleans())}
+    shape = {"outer": outer, "inner_maximize": inner_maximize, "outer_pick_max": outer_pick_max}
     return QuadraticForm(tuple(map(tuple, quad)), tuple(lin), k), grid, shape
 
 
@@ -388,6 +406,63 @@ def test_chain_value_needs_each_candidate(form, grid, shape, mode):
     # other candidate: the chain value is wrong without that point.
     got = triopoly.verify._chain_value(form, grid, mode=mode, **shape)
     assert repr(got) == repr(_full_scan_chain(form, grid, mode=mode, **shape))
+
+
+_BOTH_MINIMIZE = {"outer": 0, "inner_maximize": False, "outer_pick_max": False}
+_MIN_MAX = {"outer": 1, "inner_maximize": True, "outer_pick_max": False}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("form, grid, shape, saddle", [
+    # q_ii = 0 with D = -q_io^2 < 0, and both players minimizing.
+    pytest.param(QuadraticForm.from_numerators(((2, -1), (-1, 0)), (0, 1), 1, 1),
+                 GridSpec(-4, Fraction(19, 7), 11), _BOTH_MINIMIZE, False,
+                 id="inner_curvature_zero"),
+    # q_ii > 0, q_oo > 0 and D < 0 with both players minimizing: the chain is
+    # concave, and its optimum sits at a grid end, not next to the saddle.
+    pytest.param(QuadraticForm.from_numerators(
+        ((89269587807960, -103998543994696), (-103998543994696, 111998431994288)),
+        (-90214856643758, 48999313997501), -176678340417152, 55999215997144),
+        GridSpec(Fraction(-1225003, 400000), Fraction(-1224943, 400000), 3), _BOTH_MINIMIZE,
+        False, id="both_minimize"),
+    # Boxes so narrow that every index lies within the float reach of the
+    # optimum: the window runs from the one candidate to the far grid end.
+    # Here the saddle lies above the grid, so the candidate is n, and the
+    # float scan picks index 0 ...
+    pytest.param(QuadraticForm.from_numerators(((-500, -12250), (-12250, 0)), (57161, 42679),
+                                               -10500, 1750),
+                 GridSpec(Fraction(17419999989, 10**10), Fraction(17420000089, 10**10), 3),
+                 _MIN_MAX, True, id="pick_at_0"),
+    # ... and here below it, with the candidate 0 and the pick at n.
+    pytest.param(QuadraticForm.from_numerators(((-7000, 2500), (2500, 0)), (37071, -11120),
+                                               -24500, 3500),
+                 GridSpec(Fraction(5559999999843, 2500000000000),
+                          Fraction(5560000000093, 2500000000000), 3),
+                 _MIN_MAX, True, id="pick_at_n"),
+])
+def test_chain_value_saddle_selection(form, grid, shape, saddle, mode):
+    inner, outer = 1 - shape["outer"], shape["outer"]
+    q, lin = form.quad_num, form.lin_num
+    coefs = (q[inner][inner], q[inner][outer], q[outer][outer], lin[inner], lin[outer])
+    floor = triopoly.verify._saddle_floor(coefs, grid, inner_maximize=shape["inner_maximize"],
+                                          outer_pick_max=shape["outer_pick_max"])
+    assert (floor is not None) == saddle
+    got = triopoly.verify._chain_value(form, grid, mode=mode, **shape)
+    assert repr(got) == repr(_full_scan_chain(form, grid, mode=mode, **shape))
+
+
+def test_every_readme_chain_is_a_saddle_chain(monkeypatch):
+    floors = []
+    real = triopoly.verify._saddle_floor
+
+    def recorded(*args, **kwargs):
+        floors.append(real(*args, **kwargs))
+        return floors[-1]
+
+    monkeypatch.setattr(triopoly.verify, "_saddle_floor", recorded)
+    for firm in ("A", "B", "C"):
+        assert minimax_check(SPOT, MinimaxSlice(firm)).passed
+    assert len(floors) == 12 and None not in floors
 
 
 def test_chain_evaluates_few_float_indices_on_the_default_grid(monkeypatch):
