@@ -272,9 +272,11 @@ def _check_not_degenerate(form: QuadraticForm) -> None:
 
 
 def _last_true(pred, lo: int, hi: int) -> int:
-    """Largest j in [lo, hi) with pred(j), given pred(lo) and not pred(hi) on a monotone pred.
+    """A j in [lo, hi) with pred(j), and j + 1 == hi or not pred(j + 1), given pred(lo).
 
-    pred(hi) is never evaluated, so hi may lie one past the grid.
+    pred needs no monotonicity: on one that holds on a prefix of [lo, hi), j
+    ends that prefix. It is called at most 2 ceil(log2(hi - lo)) times, never
+    at lo or at hi, so hi may lie one past the grid.
     """
     step = 1
     while lo + step < hi and pred(lo + step):
@@ -376,26 +378,33 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     chain's derivative is continuous and piecewise linear, and does not
     change sign: it could only do so at a piece's vertex, which no index
     separates from its two candidates. So the chain is monotone there, and
-    its grid extreme is among the candidates. Either way the candidates are
-    evaluated exactly, on integer numerators over one scale per chain: 2 on
-    a saddle chain, at most 10 otherwise.
+    its grid extreme is among the candidates: 2 on a saddle chain, at most
+    10 otherwise. Exact mode evaluates them on integer numerators over one
+    scale per chain.
 
-    Float mode returns what the full float scan returns. Each float value
-    lies within ``eps`` (:func:`_float_error_bound`) of the exact value at
-    the same index, so the float pick, and every index that ties with it,
-    has an exact value within 2 eps of the exact optimum. Between
-    consecutive candidates such indices form a prefix or a suffix, since
-    the chain is monotone there; a gallop from the candidate finds it.
-    Before the first candidate and after the last they run outward from it:
-    on a saddle chain they form one interval around the optimum, as h is
-    convex (concave for a max-min), and otherwise the candidates hold 0 and
-    n, so those gallops find nothing more. The scan's own float expression
-    and comparison then run on these indices alone, in index order. A flat
-    piece, whose indices all tie, widens the window to that piece only: the
-    float evaluations never outnumber the full scan's, and the exact set-up
-    is a constant number of evaluations plus searches of logarithmic length.
-    A window of more than ``_MAX_FLOAT_EVALUATIONS`` indices raises
-    ValueError before any float evaluation.
+    Float mode returns what the full float scan returns, and evaluates no
+    exact value. Write F for the scan's float expression, eps for
+    :func:`_float_error_bound`, so |F - h| <= eps at every index, and ref
+    for the outer pick of F over the candidates. The window is searched
+    with near(i): |F(i) - ref| <= 2 eps, every F kept for the scan. Take a
+    min (a max is the mirror). h's grid optimum h* is at a candidate, so
+    |ref - h*| <= eps, and the full scan's pick j* is near: F(j*) <= ref
+    and F(j*) >= h* - eps >= ref - 2 eps. An index f that is not near has
+    F(f) > ref + 2 eps, so h(f) > ref + eps; rounding is monotone, so a
+    computed difference above 2 eps is one in truth. Between consecutive
+    candidates h is monotone, so past such a fence, and inside a piece
+    neither of whose ends is near, every index has h > ref + eps and so F
+    > ref >= F(j*): it is neither the pick nor ties with it. A gallop
+    (:func:`_last_true`, correct for any predicate) from each near
+    candidate finds the fence. Before the first candidate and after the
+    last, h is monotone too: on a saddle chain it is convex (concave for a
+    max-min) around h*, and otherwise the candidates hold 0 and n, so
+    those gallops find nothing. The scan's comparison then runs on the
+    window alone, in index order. A flat piece, whose indices all tie,
+    widens the window to that piece only; no index is evaluated twice, so
+    the float evaluations never outnumber the full scan's. A window of more
+    than ``_MAX_FLOAT_EVALUATIONS`` indices raises ValueError before it is
+    scanned.
     """
     inner = 1 - outer
     quad, lin, d = form.quad_num, form.lin_num, form.den
@@ -406,27 +415,18 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     n = grid.points - 1
     s, w_lo, w_hi, dt = grid._ints
     t0 = w_lo
-    # d s^2 f(t_i, W / s) = q_ii W^2 + beta_i W + gamma_i with beta_i = b0 + b1 i
-    # and gamma_i = (g2 i + g1) i + g0; m puts the vertex value on integers.
-    b1, b0 = 2 * q_io * dt, 2 * q_io * t0 + l_i * s
-    g2, g1 = q_oo * dt * dt, (2 * q_oo * t0 + l_o * s) * dt
-    g0 = (q_oo * t0 + l_o * s) * t0 + k * s * s
-    m, sign = (4 * abs(q_ii), 1 if q_ii > 0 else -1) if q_ii else (1, 0)
-    v_min, v_max = sorted((-2 * q_ii * w_lo, -2 * q_ii * w_hi))
-    inner_pick = max if inner_maximize else min
-
-    def exact(i: int) -> int:
-        beta, gamma = b0 + b1 * i, m * ((g2 * i + g1) * i + g0)
-        ends = (m * (q_ii * w_lo + beta) * w_lo + gamma, m * (q_ii * w_hi + beta) * w_hi + gamma)
-        if q_ii and v_min <= beta <= v_max:
-            return inner_pick(*ends, gamma - sign * beta * beta)
-        return inner_pick(ends)
-
+    outer_pick = max if outer_pick_max else min
     i0 = _saddle_floor(coefs, grid, inner_maximize=inner_maximize,
                        outer_pick_max=outer_pick_max)
     if i0 is not None:
-        cands = sorted({min(max(i, 0), n) for i in (i0, i0 + 1)})
-    else:
+        cands = [i0, i0 + 1] if 0 <= i0 < n else [min(max(i0, 0), n)]
+    if i0 is None or mode == "exact":
+        # d s^2 f(t_i, W / s) = q_ii W^2 + beta_i W + gamma_i with beta_i = b0 + b1 i
+        # and gamma_i = (g2 i + g1) i + g0; m puts the vertex value on integers.
+        b1, b0 = 2 * q_io * dt, 2 * q_io * t0 + l_i * s
+        g2, g1 = q_oo * dt * dt, (2 * q_oo * t0 + l_o * s) * dt
+        m, sign = (4 * abs(q_ii), 1 if q_ii > 0 else -1) if q_ii else (1, 0)
+    if i0 is None:
         # As index fractions: the A = B switch (beta at -q_ii (lo + hi)) and
         # the vertices of A, B and V.
         points = [(-q_ii * (w_lo + w_hi) - b0, b1), (-(b1 * w_lo + g1), 2 * g2),
@@ -435,22 +435,41 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
         cands = sorted({0, n}.union(*((num // den, num // den + 1)
                                       for num, den in points if den)))
         cands = [i for i in cands if 0 <= i <= n]
-    values = {i: exact(i) for i in cands}
-    best = (max if outer_pick_max else min)(values.values())
     if mode == "exact":
-        return Fraction(best, m * d * s * s)
+        g0 = (q_oo * t0 + l_o * s) * t0 + k * s * s
+        v_min, v_max = sorted((-2 * q_ii * w_lo, -2 * q_ii * w_hi))
+        inner_pick = max if inner_maximize else min
+
+        def exact(i: int) -> int:
+            beta, gamma = b0 + b1 * i, m * ((g2 * i + g1) * i + g0)
+            ends = (m * (q_ii * w_lo + beta) * w_lo + gamma,
+                    m * (q_ii * w_hi + beta) * w_hi + gamma)
+            if q_ii and v_min <= beta <= v_max:
+                return inner_pick(*ends, gamma - sign * beta * beta)
+            return inner_pick(ends)
+
+        return Fraction(outer_pick(map(exact, cands)), m * d * s * s)
 
     # int / int rounds correctly, so each float is the exact rational's float.
-    floats = tuple(c / d for c in coefs)
+    floats = f_ii, f_io, f_oo, f_li, f_lo, f_k = (q_ii / d, q_io / d, q_oo / d, l_i / d,
+                                                  l_o / d, k / d)
     lo, hi, step = w_lo / s, w_hi / s, dt / s
+
+    def scan(i: int) -> float:
+        t = lo + i * step
+        return _segment_extreme(f_ii, 2 * f_io * t + f_li, (f_oo * t + f_lo) * t + f_k,
+                                lo, hi, inner_maximize)
+
     reach = 2 * _float_error_bound(floats, lo, hi)
-    window = [(0, n)]
+    values, window = {}, [(0, n)]  # values: index -> scan(index), for the window search
     if not math.isinf(reach):
-        num, den = reach.as_integer_ratio()
-        reach = -(-num * m * d * s * s // den)  # in units of the exact numerators
+        values = dict(zip(cands, map(scan, cands)))
+        ref = outer_pick(values.values())
 
         def near(i: int) -> bool:
-            return abs((values[i] if i in values else exact(i)) - best) <= reach
+            if i not in values:
+                values[i] = scan(i)
+            return abs(values[i] - ref) <= reach
 
         # Left of the first candidate, between each pair, right of the last.
         window = []
@@ -468,22 +487,13 @@ def _chain_value(form: QuadraticForm, grid: GridSpec, outer: int, *,
     for first, last in window:
         spans.append(range(max(first, start), last + 1))
         start = last + 1
-    count = sum(span.stop - span.start for span in spans)
+    count = sum(map(len, spans))
     if count > _MAX_FLOAT_EVALUATIONS:
         raise ValueError(f"float mode would evaluate {count} grid points in one minimax chain "
                          f"(at most {_MAX_FLOAT_EVALUATIONS}); use --mode exact")
 
-    f_ii, f_io, f_oo, f_li, f_lo, f_k = floats
-    best = None
-    for span in spans:
-        for i in span:
-            t = lo + i * step
-            beta = 2 * f_io * t + f_li
-            gamma = (f_oo * t + f_lo) * t + f_k
-            val = _segment_extreme(f_ii, beta, gamma, lo, hi, inner_maximize)
-            if best is None or (val > best if outer_pick_max else val < best):
-                best = val
-    return best
+    # min and max keep the first of equal values, as the scan's strict comparison does.
+    return outer_pick(values[i] if i in values else scan(i) for span in spans for i in span)
 
 
 def grid_minimax_pair(form: QuadraticForm, grid: GridSpec, *, mode: str = "float"):
@@ -494,11 +504,11 @@ def grid_minimax_pair(form: QuadraticForm, grid: GridSpec, *, mode: str = "float
     the whole interval [lo, hi], where the inner extreme is taken over the
     endpoints and the vertex. The result equals a scan of every grid point:
     exact mode evaluates a few candidate indices exactly, and float mode
-    runs the float scan expression only on the indices whose exact value is
-    within the certified float error of the optimum (see
-    :func:`_chain_value`), and raises ValueError when those indices number
-    more than ``_MAX_FLOAT_EVALUATIONS`` in a chain. Returns (min_max,
-    max_min) in the arithmetic of ``mode``.
+    runs the float scan expression only on those candidates and on the
+    indices whose float value is within twice the certified float error of
+    the candidates' best (see :func:`_chain_value`), and raises ValueError
+    when those indices number more than ``_MAX_FLOAT_EVALUATIONS`` in a
+    chain. Returns (min_max, max_min) in the arithmetic of ``mode``.
     """
     if form.dim != 2:
         raise ValueError(f"expected a two-variable form, got dimension {form.dim}")

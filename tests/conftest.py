@@ -4,8 +4,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from triopoly.cli import run_cli
+
+# Every phase but shrinking, for runs that only need to know whether a test
+# fails, such as a mutation check: HYPOTHESIS_PROFILE=noshrink python3 -m pytest
+settings.register_profile("noshrink", phases=[p for p in Phase if p is not Phase.shrink])
+if os.environ.get("HYPOTHESIS_PROFILE") == "noshrink":
+    settings.load_profile("noshrink")
 
 
 @pytest.fixture

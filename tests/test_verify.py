@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 import re
@@ -345,24 +346,89 @@ def test_chain_value_float_equals_full_scan_bit_for_bit(chain):
     assert (type(got), repr(got)) == (type(want), repr(want))
 
 
-@pytest.mark.parametrize("coefficients, lo, hi, inner_maximize, outer_pick_max", [
-    # The float pick lies after the exact optimum, inside a prefix window.
-    (("-3", "8/3", "-3304738/1000003", "-4/3", "-7656760/3000009", "20/7"),
-     "-200000143/100000000", "-199999043/100000000", True, True),
-    # ... and before it, inside a suffix window.
-    (("-2988318/1000003", "4", "3", "4143206625304/1000006000009", "28667212/1000003", "-4"),
-     "-2047662979014937/1000003000000000", "-2047649978975937/1000003000000000", False, True),
-    (("4860430/1000003", "-3", "-14/3", "14883368/1000003", "-184/3", "-1"),
-     "-2000001963/500000000", "-1999995463/500000000", False, False),
-])
-def test_chain_value_float_pick_off_the_exact_optimum(coefficients, lo, hi, inner_maximize,
-                                                      outer_pick_max):
+_FLOAT_PICK_OFF_CASES = pytest.mark.parametrize(
+    "coefficients, lo, hi, inner_maximize, outer_pick_max", [
+        # The float pick lies after the exact optimum, inside a prefix window.
+        (("-3", "8/3", "-3304738/1000003", "-4/3", "-7656760/3000009", "20/7"),
+         "-200000143/100000000", "-199999043/100000000", True, True),
+        # ... and before it, inside a suffix window.
+        (("-2988318/1000003", "4", "3", "4143206625304/1000006000009", "28667212/1000003",
+          "-4"),
+         "-2047662979014937/1000003000000000", "-2047649978975937/1000003000000000", False,
+         True),
+        (("4860430/1000003", "-3", "-14/3", "14883368/1000003", "-184/3", "-1"),
+         "-2000001963/500000000", "-1999995463/500000000", False, False),
+    ])
+
+
+def _float_pick_off_chain(coefficients, lo, hi, inner_maximize, outer_pick_max):
     q_oo, q_io, alpha, l_o, l_i, k = coefficients
     form = QuadraticForm(((q_oo, q_io), (q_io, alpha)), (l_o, l_i), k)
-    grid = GridSpec(lo, hi, 1001)
     shape = {"outer": 0, "inner_maximize": inner_maximize, "outer_pick_max": outer_pick_max}
+    return form, GridSpec(lo, hi, 1001), shape
+
+
+@_FLOAT_PICK_OFF_CASES
+def test_chain_value_float_pick_off_the_exact_optimum(coefficients, lo, hi, inner_maximize,
+                                                      outer_pick_max):
+    form, grid, shape = _float_pick_off_chain(coefficients, lo, hi, inner_maximize,
+                                              outer_pick_max)
     got = triopoly.verify._chain_value(form, grid, mode="float", **shape)
     assert repr(got) == repr(_full_scan_chain(form, grid, mode="float", **shape))
+
+
+@_FLOAT_PICK_OFF_CASES
+def test_chain_value_float_window_needs_the_error_bound(monkeypatch, coefficients, lo, hi,
+                                                       inner_maximize, outer_pick_max):
+    # Negative control: with no margin the window holds only the candidates'
+    # best value, and each of these chains then misses the float pick.
+    form, grid, shape = _float_pick_off_chain(coefficients, lo, hi, inner_maximize,
+                                              outer_pick_max)
+    monkeypatch.setattr(triopoly.verify, "_float_error_bound", lambda *args: 0.0)
+    got = triopoly.verify._chain_value(form, grid, mode="float", **shape)
+    assert repr(got) != repr(_full_scan_chain(form, grid, mode="float", **shape))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_chains((3, 11, 1001, 10**6 + 1)), st.data())
+def test_float_error_bound_holds_pointwise(chain, data):
+    # The float window rests on this bound alone: at each index the scan's
+    # float expression lies within eps of the exact chain value.
+    form, grid, shape = chain
+    inner, outer = 1 - shape["outer"], shape["outer"]
+    q, lin = form.quad, form.lin
+    coefs = (q[inner][inner], q[inner][outer], q[outer][outer], lin[inner], lin[outer],
+             form.const)
+    floats = tuple(map(float, coefs))
+    lo, hi, step = float(grid.lo), float(grid.hi), float(grid.step)
+    eps = triopoly.verify._float_error_bound(floats, lo, hi)
+    n = grid.points - 1
+    for i in (0, n, data.draw(st.integers(0, n)), data.draw(st.integers(0, n))):
+        t, exact_t = lo + i * step, grid.lo + i * grid.step
+        got = triopoly.verify._segment_extreme(
+            floats[0], 2 * floats[1] * t + floats[3], (floats[2] * t + floats[4]) * t + floats[5],
+            lo, hi, shape["inner_maximize"])
+        want = triopoly.verify._segment_extreme(
+            coefs[0], 2 * coefs[1] * exact_t + coefs[3],
+            (coefs[2] * exact_t + coefs[4]) * exact_t + coefs[5], grid.lo, grid.hi,
+            shape["inner_maximize"])
+        assert eps == math.inf or abs(Fraction(got) - want) <= Fraction(eps)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.booleans(), max_size=300), st.integers(-500, 500))
+def test_last_true_holds_for_any_predicate(tail, lo):
+    # Any pattern with pred(lo) true; lo may be negative, as in a leftward gallop.
+    bits, hi, calls = [True, *tail], lo + 1 + len(tail), []
+
+    def pred(j):
+        assert lo < j < hi
+        calls.append(j)
+        return bits[j - lo]
+
+    j = triopoly.verify._last_true(pred, lo, hi)
+    assert lo <= j < hi and bits[j - lo] and (j + 1 == hi or not bits[j + 1 - lo])
+    assert len(calls) <= 2 * math.ceil(math.log2(hi - lo))
 
 
 @settings(max_examples=400, deadline=None)
