@@ -67,7 +67,42 @@ class _Parser(argparse.ArgumentParser):
         raise _CliExit(status)
 
 
+# A decimal literal with an exponent, in ASCII digits, as Fraction reads one:
+# integer digits, then a fractional part, then e and a signed integer.
+_EXPONENT_LITERAL = re.compile(r"[-+]?(?=[0-9]|\.[0-9])((?:[0-9]+(?:_[0-9]+)*)?)"
+                               r"(?:\.((?:[0-9]+(?:_[0-9]+)*)?))?[eE]([-+]?[0-9]+(?:_[0-9]+)*)")
+
+
+def _forced_digits(text: str) -> int | None:
+    """Digits that a decimal literal's exponent forces on its value, found without it.
+
+    None unless ``text`` matches ``_EXPONENT_LITERAL`` with its integer digits W,
+    fractional digits F and exponent E each within the int-string limit: past it,
+    Fraction's int() refuses the literal before it makes 10^|E|. With s the digits of
+    W F without leading zeros, L = len(s) and N = int(s) < 10^L, the value is N 10^k,
+    k = E - len(F), and 0 is returned for L = 0. For k >= 0 the value is an integer
+    of L + k digits. For k < 0, gcd(N, 10^-k) <= N, so its denominator exceeds
+    10^(-k - L) and has at least max(1, 1 - k - L) digits. So every literal whose
+    count is past the limit is one that ``format_rational`` refuses once it is built.
+    """
+    match = _EXPONENT_LITERAL.fullmatch(text.strip())
+    if match is None:
+        return None
+    whole, frac, exp = (group.replace("_", "") for group in match.groups(""))
+    if max(len(whole), len(frac), len(exp.lstrip("+-"))) > sys.get_int_max_str_digits() > 0:
+        return None
+    digits, k = len((whole + frac).lstrip("0")), int(exp) - len(frac)
+    if digits == 0:
+        return 0
+    return digits + k if k >= 0 else max(1, 1 - k - digits)
+
+
 def _rational(text: str) -> Fraction:
+    forced = _forced_digits(text)
+    if forced == 0:
+        return Fraction(0)  # Fraction would still make 10^|E| first
+    if forced is not None and forced > sys.get_int_max_str_digits() > 0:
+        raise argparse.ArgumentTypeError(_too_many_digits(text))
     try:
         value = as_rational(text)
     except ValueError as exc:
@@ -76,10 +111,13 @@ def _rational(text: str) -> Fraction:
         format_rational(value)
     except ValueError:
         # Beyond Python's int-string limit no output could print the value.
-        raise argparse.ArgumentTypeError(
-            f"{text} has too many digits: a numerator or denominator longer than "
-            f"{sys.get_int_max_str_digits()} digits cannot be printed") from None
+        raise argparse.ArgumentTypeError(_too_many_digits(text)) from None
     return value
+
+
+def _too_many_digits(text: str) -> str:
+    return (f"{text} has too many digits: a numerator or denominator longer than "
+            f"{sys.get_int_max_str_digits()} digits cannot be printed")
 
 
 def _build_parser() -> _Parser:

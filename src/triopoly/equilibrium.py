@@ -84,6 +84,8 @@ from .market import (
     _interior,
     _Lazy,
     _pattern_number,
+    _reduced,
+    _state,
     as_assignment,
     ensure_float_safe,
     firm_index,
@@ -194,16 +196,14 @@ class _Operator:
         reproduce each committed value, a price chooser's p_i and a quantity
         chooser's x_i: on the state's integers, by cross-multiplication.
         """
-        state = MarketState._from_numerators(params, self.output_numerators(nums, a_num),
-                                       self.q * den)
+        state = _state(MarketState, params,
+                       *_reduced(self.output_numerators(nums, a_num), self.q * den))
         x_num, x_den, p_num, p_den = state._ints
         for i, choice in enumerate(self.assignment.choices):
             held, held_den = (p_num[i], p_den) if choice == PRICE else (x_num[i], x_den)
             if held * den != nums[i] * held_den:
-                raise ArithmeticError(
-                    f"market state does not reproduce the committed values "
-                    f"for {self.assignment} at {params.describe()}"
-                )
+                raise ArithmeticError(f"market state does not reproduce the committed values "
+                                      f"for {self.assignment} at {params.describe()}")
         return state
 
     @cached_property
@@ -467,15 +467,16 @@ class Equilibrium:
     ``interior`` records whether all quantities and prices are nonnegative;
     ``soc_ok`` whether every firm's own curvature is negative. Both are
     reported rather than enforced, so degenerate corners stay visible. One
-    made by :func:`solve_equilibrium` holds ``chosen`` as integer
-    numerators over one denominator, and builds it on its first read.
+    made by :func:`solve_equilibrium` builds ``chosen`` and ``payoffs`` on
+    their first read, from ``_ints``: integer numerators over one
+    denominator, then ``params`` and ``state`` for :func:`payoff_vector`.
     """
 
     params: ModelParams
     assignment: StrategyAssignment
     chosen: tuple[Fraction, Fraction, Fraction] = _Lazy(0)
     state: MarketState
-    payoffs: PayoffVector
+    payoffs: PayoffVector = _Lazy(2, payoff_vector)
     interior: bool
     soc_ok: bool
 
@@ -542,18 +543,17 @@ def solve_equilibrium(params: ModelParams, assignment: AssignmentLike) -> Equili
     The committed values are v = -M^-1 L theta from the (b, assignment)
     operator's adjugate, on integer numerators, each firm's own first-order
     condition checked to vanish at v (see :func:`committed_values`), before
-    the operator's pinning map resolves v into the checked state. Every
-    check runs here, on integers; the result's public Fractions are built on
-    their first read.
+    the operator's pinning map resolves v into the checked state. Those
+    checks run here, on integers. ``chosen`` is built on its first read,
+    and ``payoffs`` too, with the zero-sum check of :func:`payoff_vector`.
     """
     asg = as_assignment(assignment)
     op, nums, det = _committed_numerators(params, asg)
     _, _, theta, t = params._ints
     state = op.resolve(params, nums, det * theta[0], det * t)
     return _built(Equilibrium, params=params, assignment=asg, state=state,
-                  payoffs=payoff_vector(params, state), interior=_interior(state),
-                  soc_ok=op.foc[0][0] < 0 and op.foc[1][1] < 0 and op.foc[2][2] < 0,
-                  _ints=(nums, det * t))
+                  interior=_interior(state), _ints=(nums, det * t, params, state),
+                  soc_ok=op.foc[0][0] < 0 and op.foc[1][1] < 0 and op.foc[2][2] < 0)
 
 
 def resolve_market(params: ModelParams, assignment: AssignmentLike,

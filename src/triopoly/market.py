@@ -33,7 +33,8 @@ share no factor with it. The state -> payoff path (:func:`profit`,
 :func:`payoff_vector`) and the interior flag read those integers. A
 state, a payoff vector or an equilibrium made from integers builds each
 public ``Fraction`` once, on its first read, by the :class:`_Lazy`
-descriptor declared at the field.
+descriptor declared at the field; an equilibrium's payoffs are built the
+same way, by :func:`payoff_vector`, with its zero-sum check at that read.
 """
 
 from __future__ import annotations
@@ -103,22 +104,25 @@ class ModelParams:
     c_c: Fraction
 
     def __post_init__(self):
-        for name in ("a", "b", "c_a", "c_b", "c_c"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
+        a, b = as_rational(self.a), as_rational(self.b)
+        c_a, c_b, c_c = as_rational(self.c_a), as_rational(self.c_b), as_rational(self.c_c)
         # Every check reads the integer form: b = n / e with e > 0, theta over t > 0.
-        n, e = self.b.as_integer_ratio()
+        n, e = b.as_integer_ratio()
         if not (0 < n < e):
-            raise ValueError(f"b must satisfy 0 < b < 1, got {self.b}")
-        (a, *costs), t = _over_lcm((self.a, *self.costs))
-        for firm, cost, cost_num in zip(FIRMS, self.costs, costs):
-            if cost_num < 0:
-                raise ValueError(f"marginal cost of firm {firm} must be nonnegative, got {cost}")
-        if a <= max(costs):
+            raise ValueError(f"b must satisfy 0 < b < 1, got {b}")
+        (an, ad), (n0, d0), (n1, d1), (n2, d2) = (
+            a.as_integer_ratio(), c_a.as_integer_ratio(), c_b.as_integer_ratio(),
+            c_c.as_integer_ratio())
+        t = lcm(ad, d0, d1, d2)
+        theta = (an * (t // ad), n0 * (t // d0), n1 * (t // d1), n2 * (t // d2))
+        if n0 < 0 or n1 < 0 or n2 < 0:
+            i = 0 if n0 < 0 else 1 if n1 < 0 else 2
+            raise ValueError(f"marginal cost of firm {FIRMS[i]} must be nonnegative, "
+                             f"got {(c_a, c_b, c_c)[i]}")
+        if theta[0] <= max(theta[1], theta[2], theta[3]):
             raise ValueError(
-                f"a must exceed every marginal cost, got a={self.a} "
-                f"with costs ({', '.join(map(str, self.costs))})"
-            )
-        object.__setattr__(self, "_ints", (n, e, (a, *costs), t))
+                f"a must exceed every marginal cost, got a={a} with costs ({c_a}, {c_b}, {c_c})")
+        self.__dict__.update(a=a, b=b, c_a=c_a, c_b=c_b, c_c=c_c, _ints=(n, e, theta, t))
 
     @property
     def costs(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -195,16 +199,18 @@ class StrategyAssignment:
         return self.choices[firm_index(firm)]
 
     def flip(self, firm: str) -> "StrategyAssignment":
-        """Switch one firm's strategic variable between quantity and price."""
-        i = firm_index(firm)
-        flipped = QUANTITY if self.choices[i] == PRICE else PRICE
-        return StrategyAssignment(
-            tuple(flipped if j == i else c for j, c in enumerate(self.choices))
-        )
+        """Switch one firm's strategic variable between quantity and price.
+
+        Like :meth:`swap_ab`, it returns the member of :data:`ALL_ASSIGNMENTS`
+        it is equal to, so a cache keyed on the assignment matches it by identity.
+        """
+        i, choices = firm_index(firm), list(self.choices)
+        choices[i] = QUANTITY if choices[i] == PRICE else PRICE
+        return _ASSIGNMENT_OF[tuple(choices)]
 
     def swap_ab(self) -> "StrategyAssignment":
         c = self.choices
-        return StrategyAssignment((c[1], c[0], c[2]))
+        return _ASSIGNMENT_OF[(c[1], c[0], c[2])]
 
     @property
     def pattern(self) -> int | None:
@@ -219,23 +225,22 @@ class StrategyAssignment:
         return "".join(self.choices)
 
 
-PATTERNS: dict[int, StrategyAssignment] = {
-    1: StrategyAssignment(("Q", "Q", "Q")),
-    2: StrategyAssignment(("Q", "Q", "P")),
-    3: StrategyAssignment(("Q", "P", "Q")),
-    4: StrategyAssignment(("P", "P", "Q")),
-    5: StrategyAssignment(("P", "Q", "P")),
-    6: StrategyAssignment(("P", "P", "P")),
-}
-
-_PATTERN_OF = {asg.choices: num for num, asg in PATTERNS.items()}
-
 ALL_ASSIGNMENTS: tuple[StrategyAssignment, ...] = tuple(
     StrategyAssignment((a, b, c))
     for a in (QUANTITY, PRICE)
     for b in (QUANTITY, PRICE)
     for c in (QUANTITY, PRICE)
 )
+
+_ASSIGNMENT_OF = {asg.choices: asg for asg in ALL_ASSIGNMENTS}
+
+# The numbered patterns are members of ALL_ASSIGNMENTS.
+PATTERNS: dict[int, StrategyAssignment] = {
+    num: _ASSIGNMENT_OF[tuple(text)]
+    for num, text in enumerate(("QQQ", "QQP", "QPQ", "PPQ", "PQP", "PPP"), start=1)
+}
+
+_PATTERN_OF = {asg.choices: num for num, asg in PATTERNS.items()}
 
 AssignmentLike = Union[StrategyAssignment, str, int]
 
@@ -261,15 +266,23 @@ def _pattern_number(value) -> int:
     return value
 
 
-class _Lazy:
-    """A field ``= _Lazy(at)``: the Fractions ``_ints[at]`` / ``_ints[at + 1]``, on first read.
+def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The three Fractions nums_i / den."""
+    return Fraction(nums[0], den), Fraction(nums[1], den), Fraction(nums[2], den)
 
-    They are stored in the instance, which then hides the descriptor. Read
-    on the class it raises AttributeError: the field has no default.
+
+class _Lazy:
+    """A field ``= _Lazy(at, build)``: ``build(_ints[at], _ints[at + 1])``, on first read.
+
+    ``build`` defaults to :func:`_fractions`, the Fractions ``_ints[at]`` /
+    ``_ints[at + 1]``. The value is stored in the instance, which then hides
+    the descriptor; a build that raises stores nothing. Read on the class,
+    or on an instance without ``_ints``, it raises AttributeError: the field
+    has no default.
     """
 
-    def __init__(self, at: int):
-        self.at = at
+    def __init__(self, at: int, build=_fractions):
+        self.at, self.build = at, build
 
     def __set_name__(self, owner, name: str):
         self.name = name
@@ -280,7 +293,7 @@ class _Lazy:
         except AttributeError:
             message = f"{owner.__name__!r} object has no attribute {self.name!r}"
             raise AttributeError(message) from None
-        value = obj.__dict__[self.name] = _fractions(ints[self.at], ints[self.at + 1])
+        value = obj.__dict__[self.name] = self.build(ints[self.at], ints[self.at + 1])
         return value
 
 
@@ -323,15 +336,6 @@ class MarketState:
         # scale lcm / d is prime to p, so the numerators share no factor with the lcm.
         den = lcm(d0, d1, d2)
         return _state(cls, params, (n0 * (den // d0), n1 * (den // d1), n2 * (den // d2)), den)
-
-    @classmethod
-    def _from_numerators(cls, params: ModelParams, n: Sequence[int], xd: int) -> "MarketState":
-        """The state at outputs n / xd, ints with xd > 0, and the prices that clear them.
-
-        Nothing is coerced: the state keeps the reduced integers, and builds
-        each field from them on its first read.
-        """
-        return _state(cls, params, *_reduced(n, xd))
 
     def swap_ab(self) -> "MarketState":
         return MarketState((self.x[1], self.x[0], self.x[2]), (self.p[1], self.p[0], self.p[2]))
@@ -382,11 +386,6 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, int, int], int]:
     """Three numerators over den > 0, their common factor removed: the form ``_over_lcm`` gives."""
     g = gcd(den, *nums)
     return (nums[0] // g, nums[1] // g, nums[2] // g), den // g
-
-
-def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, Fraction, Fraction]:
-    """The three Fractions nums_i / den."""
-    return Fraction(nums[0], den), Fraction(nums[1], den), Fraction(nums[2], den)
 
 
 def _interior(state: MarketState) -> bool:

@@ -806,7 +806,7 @@ def _check_foc_residual(case: _SuiteCase, oracle: str):
     # made without them. No form and no Fraction is built unless a slope does not.
     for pattern in PATTERN_NUMBERS:
         eq = case.solved[pattern]
-        nums, den = getattr(eq, "_ints", None) or _over_lcm(eq.chosen)
+        nums, den, *_ = getattr(eq, "_ints", None) or _over_lcm(eq.chosen)
         slopes, slope_den = own_payoff_slopes(case.params, pattern, nums, den)
         for firm, slope in zip(FIRMS, slopes):
             if slope != 0:

@@ -1,8 +1,10 @@
 """CLI tests: argument handling, output formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triopoly.cli import run_cli
+from triopoly.cli import _forced_digits, _rational, run_cli
 from triopoly.exact import format_rational
 from triopoly.verify import PropertyResult, SuiteReport
 
@@ -203,6 +205,70 @@ def test_derived_value_beyond_int_string_limit_is_one_line_exit_1(cli, argv):
     assert out == ""
     assert err == (f"error: a computed value has more than {sys.get_int_max_str_digits()} "
                    "digits and cannot be printed\n")
+
+
+# Exponents whose power of 10 alone would take minutes and hundreds of MB to build.
+HUGE_EXPONENTS = {
+    "solve-cC": (["solve", *SPOT_ARGS[:8], "--cC", "1e-999999999"], "argument --cC: 1e-999999999"),
+    "solve-a": (["solve", "--a", "1e999999999", *SPOT_ARGS[2:]], "argument --a: 1e999999999"),
+    "minimax-grid-hi": (["minimax", *SPOT_ARGS, "--grid-hi", "1e999999999"],
+                        "argument --grid-hi: 1e999999999"),
+    "minimax-fix": (["minimax", *SPOT_ARGS, "--fix", "xB=1e-999999999"],
+                    "--fix 'xB=1e-999999999': 1e-999999999"),
+}
+
+
+def _cli_process(src_env, argv):
+    # A subprocess with a timeout, so that a value too large to build fails the test
+    # instead of hanging it.
+    return subprocess.run([sys.executable, "-m", "triopoly", *argv], env=src_env,
+                          capture_output=True, text=True, timeout=30)
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_EXPONENTS))
+def test_huge_exponent_is_refused_before_its_value_is_built(src_env, case):
+    argv, where = HUGE_EXPONENTS[case]
+    run = _cli_process(src_env, argv)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (f"error: {where} has too many digits: a numerator or denominator "
+                          f"longer than {sys.get_int_max_str_digits()} digits cannot be printed\n")
+
+
+def test_zero_with_a_huge_exponent_is_zero(src_env):
+    zero = _cli_process(src_env, ["solve", *SPOT_ARGS[:8], "--cC", "-0.00e-999999999"])
+    assert zero.returncode == 0
+    assert zero.stdout == _cli_process(src_env, ["solve", *SPOT_ARGS[:8], "--cC", "0"]).stdout
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_mantissa_digits = st.text("0123456789_", max_size=6).filter(
+    lambda t: not t.startswith("_") and not t.endswith("_") and "__" not in t)
+
+
+@given(st.sampled_from(["", "-", "+"]), _mantissa_digits, st.none() | _mantissa_digits,
+       st.integers(-_LIMIT - 20, _LIMIT + 20))
+@example("", "1", None, _LIMIT - 1)  # 4300 digits print
+@example("", "1", None, _LIMIT)  # 4301 do not
+@example("", "5", None, -_LIMIT)  # 1 / (2 10^4299): the denominator has 4300 digits
+@example("", "1", None, -_LIMIT)
+@example("-", "0", "000", -_LIMIT - 20)
+@settings(max_examples=300, deadline=None)
+def test_exponent_check_refuses_only_what_the_built_value_would(sign, whole, frac, exp):
+    text = f"{sign}{whole}{'' if frac is None else '.' + frac}e{exp}"
+    try:
+        value = Fraction(text)
+    except ValueError:  # no digit at all
+        assert _forced_digits(text) is None
+        return
+    try:
+        format_rational(value)
+    except ValueError:
+        with pytest.raises(argparse.ArgumentTypeError, match="has too many digits"):
+            _rational(text)
+    else:
+        assert _rational(text) == value
+        forced = _forced_digits(text)
+        assert forced == 0 if value == 0 else 0 < forced <= _LIMIT
 
 
 def test_verify_renders_no_floats_for_huge_values(cli):

@@ -20,6 +20,7 @@ from triopoly.market import (
     MarketState,
     ModelParams,
     PayoffVector,
+    StrategyAssignment,
     _interior,
     as_assignment,
     ensure_float_safe,
@@ -188,6 +189,18 @@ def test_assignment_helpers():
     assert str(PATTERNS[5].swap_ab()) == "QPP"
 
 
+def test_flip_and_swap_return_members_of_all_assignments():
+    # One object per assignment, so the (b, assignment) operator cache matches a
+    # flipped or swapped assignment by identity.
+    members = {id(asg) for asg in ALL_ASSIGNMENTS}
+    assert {id(asg) for asg in PATTERNS.values()} <= members
+    for asg in (*ALL_ASSIGNMENTS, StrategyAssignment(("q", "P", "p"))):
+        for made in (asg.swap_ab(), *(asg.flip(firm) for firm in FIRMS)):
+            assert id(made) in members
+        assert asg.swap_ab().swap_ab() == asg
+        assert all(asg.flip(firm).flip(firm) == asg for firm in FIRMS)
+
+
 # --- demand --------------------------------------------------------------------
 
 
@@ -292,6 +305,7 @@ def test_zero_sum_identity(vec):
 # relative payoff numerators 3 pi_i - sum pi sum to 8.
 _BROKEN_ZERO_SUM = """
 import triopoly.market as market
+from triopoly.equilibrium import solve_equilibrium
 from triopoly.market import MarketState, ModelParams, payoff_vector
 
 market._profit_numerators = lambda params, state: ((1e16, 1.0, 1.0), 1)
@@ -302,6 +316,13 @@ except ArithmeticError as exc:
     print(exc)
 else:
     raise SystemExit("payoff_vector accepted a nonzero sum")
+equilibrium = solve_equilibrium(params, 1)  # the solve reads no payoff
+try:
+    equilibrium.payoffs
+except ArithmeticError as exc:
+    print(exc)
+else:
+    raise SystemExit("an equilibrium's payoffs accepted a nonzero sum")
 """
 
 
@@ -309,7 +330,7 @@ def test_zero_sum_check_survives_optimize_flag(src_env):
     run = subprocess.run([sys.executable, "-O", "-c", _BROKEN_ZERO_SUM], env=src_env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "do not sum to zero" in run.stdout
+    assert run.stdout.count("do not sum to zero") == 2
 
 
 # --- exactness against the textbook formulas ---------------------------------------
@@ -446,6 +467,15 @@ def test_state_from_outputs_builds_x_on_its_first_read():
     assert set(vars(state)) == {"_ints"}
     assert state.x == (Fraction(7, 3), Fraction(-2, 5), Fraction(4))
     assert set(vars(state)) == {"_ints", "x"}
+
+
+def test_solve_builds_payoffs_on_their_first_read():
+    for asg in ALL_ASSIGNMENTS:
+        eq = solve_equilibrium(SPOT, asg)
+        assert "payoffs" not in vars(eq)
+        payoffs = eq.payoffs
+        assert payoffs == payoff_vector(SPOT, eq.state)
+        assert "payoffs" in vars(eq) and eq.payoffs is payoffs
 
 
 def _spellings(value):

@@ -44,45 +44,56 @@ def test_cache_inventory():
 
 def test_lazy_field_inventory():
     # A field built on first read is absent from vars() until then; a new one must be
-    # deliberate. Each is a `_Lazy(at)` at its declaration, the one descriptor that
-    # builds it from the integer form, and has no dataclass default. No class or module
-    # has an attribute hook: on CPython 3.11 a Python __getattr__ keeps every attribute
-    # read from being specialised, hits included (timeit, 2-core VM, with the hooks and
-    # without: a state's `_ints` 58 -> 29 ns, `triopoly.payoff_vector` 90 -> 30 ns).
+    # deliberate. Each is a `_Lazy(at, build)` at its declaration, the one descriptor
+    # class, and has no dataclass default. The inventory is every dataclass field, in
+    # every module, whose class attribute is a descriptor of any kind, so a field given
+    # some other descriptor shows here too. No class or module has an attribute hook: on
+    # CPython 3.11 a Python __getattr__ keeps every attribute read from being
+    # specialised, hits included (timeit, 2-core VM, with the hooks and without: a
+    # state's `_ints` 58 -> 29 ns, `triopoly.payoff_vector` 90 -> 30 ns).
     import dataclasses
+    import importlib
 
     import triopoly
     from triopoly.market import _Lazy
 
-    lazy, calls, defined, hooks = {}, 0, [], []
+    descriptors, calls, hooks = [], 0, []
     for path in sorted((SRC / "triopoly").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ClassDef):
-                if node.name == "_Lazy":
-                    defined.append(path.name)
-                lazy.update(
-                    (f"{node.name}.{stmt.target.id}", ast.literal_eval(stmt.value.args[0]))
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.value, ast.Call)
-                    and getattr(stmt.value.func, "id", None) == "_Lazy")
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(stmt, ast.FunctionDef) and stmt.name == "__get__"
+                    for stmt in node.body):
+                descriptors.append(f"{path.name}:{node.name}")
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Lazy":
                 calls += 1
             names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                      else [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)])
             hooks += [f"{path.name}:{node.lineno}" for name in names
                       if name in ("__getattr__", "__getattribute__")]
-    assert defined == ["market.py"]
+    assert descriptors == ["market.py:_Lazy"]
     assert hooks == []
-    assert lazy == {"Equilibrium.chosen": 0, "MarketState.x": 0, "MarketState.p": 2,
-                    "PayoffVector.pi": 0, "PayoffVector.psi": 2}
-    assert calls == len(lazy)  # no _Lazy outside a class body
-    for qualname in lazy:
-        cls_name, name = qualname.split(".")
-        cls = getattr(triopoly, cls_name)
-        assert isinstance(vars(cls)[name], _Lazy)
-        field = {f.name: f for f in dataclasses.fields(cls)}[name]
-        assert field.default is dataclasses.MISSING
-        assert field.default_factory is dataclasses.MISSING
+
+    lazy = {}
+    for path in sorted((SRC / "triopoly").glob("*.py")):
+        if path.stem == "__main__":  # runs the CLI on import, and declares no class
+            continue
+        module = importlib.import_module(f"triopoly.{path.stem}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls)):
+                continue
+            for field in dataclasses.fields(cls):
+                attr = vars(cls).get(field.name)
+                if hasattr(type(attr), "__get__"):
+                    assert isinstance(attr, _Lazy), f"{cls.__name__}.{field.name}"
+                    lazy[f"{cls.__name__}.{field.name}"] = (attr.at, attr.build.__name__)
+                    assert field.default is dataclasses.MISSING
+                    assert field.default_factory is dataclasses.MISSING
+    assert lazy == {
+        "Equilibrium.chosen": (0, "_fractions"), "Equilibrium.payoffs": (2, "payoff_vector"),
+        "MarketState.x": (0, "_fractions"), "MarketState.p": (2, "_fractions"),
+        "PayoffVector.pi": (0, "_fractions"), "PayoffVector.psi": (2, "_fractions")}
+    assert calls == len(lazy)  # no _Lazy outside a field declaration
     with pytest.raises(TypeError):
         triopoly.MarketState()
     with pytest.raises(TypeError):
