@@ -247,9 +247,9 @@ _mantissa_digits = st.text("0123456789_", max_size=6).filter(
 
 @given(st.sampled_from(["", "-", "+"]), _mantissa_digits, st.none() | _mantissa_digits,
        st.integers(-_LIMIT - 20, _LIMIT + 20))
-@example("", "1", None, _LIMIT - 1)  # 4300 digits print
-@example("", "1", None, _LIMIT)  # 4301 do not
-@example("", "5", None, -_LIMIT)  # 1 / (2 10^4299): the denominator has 4300 digits
+@example("", "1", None, _LIMIT - 1)  # 10^(limit - 1) has the limit's digits and prints
+@example("", "1", None, _LIMIT)  # one digit more does not
+@example("", "5", None, -_LIMIT)  # 1 / (2 10^(limit - 1)): a denominator that prints
 @example("", "1", None, -_LIMIT)
 @example("-", "0", "000", -_LIMIT - 20)
 @settings(max_examples=300, deadline=None)
