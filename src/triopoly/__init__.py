@@ -40,10 +40,7 @@ from .equilibrium import (
     ConcavityViolation,
     Equilibrium,
     IterationResult,
-    QuadraticPayoff,
-    best_response,
     best_response_iteration,
-    build_payoff_quadratic,
     closed_form_outputs,
     committed_values,
     direct_demand,
@@ -102,10 +99,7 @@ __all__ = [
     "ConcavityViolation",
     "Equilibrium",
     "IterationResult",
-    "QuadraticPayoff",
-    "best_response",
     "best_response_iteration",
-    "build_payoff_quadratic",
     "closed_form_outputs",
     "committed_values",
     "own_payoff_slopes",

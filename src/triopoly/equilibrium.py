@@ -29,8 +29,8 @@ b = n / e and the assignment, and built without Fraction arithmetic:
    are straight-line 3x3 integer arithmetic. A solve takes r = L theta with
    theta over its lcm, v = -adj(M) r over det M, and checks its
    first-order conditions on the same ints, M v + det(M) r = 0; a
-   Fraction of the result is built only when a caller reads it. A payoff
-   form's linear and constant terms are 3-term sums over the pinning
+   Fraction of the result is built only when a caller reads it. A
+   payoff's linear and constant terms are 3-term sums over the pinning
    columns the same way, through the columns' cost-weighted sums, which
    every firm shares. The rows of items 1 and 2 come from a builder that
    uses only +, -, * on n and e, so it runs on any ring, as ``_adjugate``
@@ -94,11 +94,8 @@ from .market import (
 
 __all__ = [
     "ConcavityViolation",
-    "QuadraticPayoff",
-    "build_payoff_quadratic",
     "payoff_slice",
     "own_payoff_slopes",
-    "best_response",
     "Equilibrium",
     "solve_equilibrium",
     "committed_values",
@@ -146,8 +143,8 @@ class _Operator:
 
     These rows are the package's only copy of each map: the pinning map and
     ``direct_demand_numerators`` apply ``pin``, the payoff terms
-    (``cost_sums``, ``linear_term`` and ``constant_term``, and through them
-    ``payoff_form``, ``payoff_slice`` and ``own_payoff_slopes``) read
+    (``psi_quad``, ``cost_sums``, ``linear_term`` and ``constant_term``,
+    and through them ``payoff_slice`` and ``own_payoff_slopes``) read
     ``free`` and the columns of ``pin``, the second-order flag reads
     ``foc``, and the solve reads it as :attr:`adjugate` holds it, each row
     over its content. Nothing outside this module reads them.
@@ -215,8 +212,8 @@ class _Operator:
         -1/2 sum_k sym(e_k F_k'): row and column i are firm i's own entries
         (4 F_ii on the diagonal, 2 F_is - F_si off it), the rest is
         ``shared`` (-2 F_rr on the diagonal, -F_rs - F_sr off it). Each entry
-        is an int over 4 q e. Only ``payoff_form``, ``payoff_slice`` and
-        ``own_payoff_slopes`` read it.
+        is an int over 4 q e. Only ``payoff_slice`` and ``own_payoff_slopes``
+        read it.
         """
         (f00, f01, f02, _), (f10, f11, f12, _), (f20, f21, f22, _) = self.free
         s00, s11, s22 = -2 * f00, -2 * f11, -2 * f22
@@ -261,20 +258,6 @@ class _Operator:
         """
         _, _, theta, _ = params._ints
         return -2 * theta[0] * self.e * (3 * theta[i + 1] * self.pin[i][3] - sums[3])
-
-    def payoff_form(self, i: int, params: ModelParams) -> QuadraticForm:
-        """Firm i's relative payoff as a quadratic in v at the theta of params, on ints.
-
-        The matrix is ``psi_quad[i]``, the linear terms :meth:`linear_term`
-        and the constant :meth:`constant_term`. With theta over its lcm t,
-        the form is over 4 q e t^2.
-        """
-        sums = self.cost_sums(params)
-        lin = [self.linear_term(i, j, params, sums) for j in range(3)]
-        tt = params._ints[3] ** 2
-        quad = [[v * tt for v in row] for row in self.psi_quad[i]]
-        return QuadraticForm.from_numerators(quad, lin, self.constant_term(i, params, sums),
-                                             4 * self.q * self.e * tt)
 
 
 def _operator_rows(n, e, assignment: StrategyAssignment) -> tuple:
@@ -337,65 +320,19 @@ def _operator(n: int, e: int, assignment: StrategyAssignment) -> _Operator:
     return _built(_Operator, assignment=assignment, e=e, q=q, pin=pin, free=free, foc=foc)
 
 
-@dataclass(frozen=True)
-class QuadraticPayoff:
-    """One firm's relative payoff as an exact quadratic in the committed vector."""
-
-    firm: str
-    assignment: StrategyAssignment
-    form: QuadraticForm
-
-    @property
-    def own_index(self) -> int:
-        return firm_index(self.firm)
-
-    @property
-    def own_curvature(self) -> Fraction:
-        """Second derivative in the firm's own variable; negative means concave."""
-        i = self.own_index
-        return Fraction(2 * self.form.quad_num[i][i], self.form.den)
-
-    def respond(self, others: Sequence[RationalLike]) -> Fraction:
-        """Payoff-maximizing own value against two fixed rival values.
-
-        ``others`` lists the rivals' committed values in firm order with this
-        firm skipped. Raises ConcavityViolation when the payoff has no
-        interior maximum in the own variable.
-        """
-        rivals = rational_vector(others, 2)
-        i, quad = self.own_index, self.form.quad_num
-        if quad[i][i] >= 0:
-            raise ConcavityViolation(
-                f"payoff of firm {self.firm} under {self.assignment} is not concave "
-                f"in its own variable (curvature {self.own_curvature})"
-            )
-        # With the rivals over their lcm s, the own slope is over den s.
-        nums, s = _over_lcm(rivals)
-        nums.insert(i, 0)
-        slope = self.form.lin_num[i] * s + 2 * sum(map(mul, quad[i], nums))
-        return Fraction(-slope, 2 * quad[i][i] * s)
-
-
-def build_payoff_quadratic(params: ModelParams, assignment: AssignmentLike,
-                           firm: str) -> QuadraticPayoff:
-    """Exact quadratic representation of one firm's relative payoff."""
-    asg = as_assignment(assignment)
-    op = _operator(*params._ints[:2], asg)
-    return QuadraticPayoff(firm, asg, op.payoff_form(firm_index(firm), params))
-
-
 def payoff_slice(params: ModelParams, assignment: AssignmentLike, firm: str,
                  keep: Sequence[int], value: RationalLike) -> QuadraticForm:
     """One firm's relative payoff in the coordinates ``keep``, the third pinned at ``value``.
 
     ``keep`` is two distinct indices in 0..2, else ValueError; the result's
-    coordinate 0 is ``keep[0]``. It equals
-    ``build_payoff_quadratic(params, assignment, firm).form.slice(keep,
-    {f: value})`` for the remaining index f, built in one pass on the
-    operator's ints: with value = n / d, the matrix ``psi_quad`` times
+    coordinate 0 is ``keep[0]``. At (y0, y1) its value is psi_i at the
+    committed values with v[keep[0]] = y0, v[keep[1]] = y1 and v_f = value
+    for the remaining index f. It is built in one pass on the operator's
+    ints: with value = n / d, firm i's matrix Q = ``psi_quad[i]`` times
     t^2 d^2, the linear terms (lin_k d + 2 t^2 Q_kf n) d and the constant
     (const d + lin_f n) d + t^2 Q_ff n^2, all over 4 q e t^2 d^2, and
-    reduced once.
+    reduced once; lin and const are :meth:`_Operator.linear_term` and
+    :meth:`_Operator.constant_term`.
     """
     keep = tuple(keep)
     if (len(keep) != 2 or keep[0] == keep[1]
@@ -434,13 +371,13 @@ def own_payoff_slopes(params: ModelParams, assignment: AssignmentLike, nums: Seq
 
     ``nums`` are three int numerators over the int ``den`` > 0, else
     ValueError. Returns the slopes' numerators over one int denominator,
-    the payoff forms' unreduced one, 4 q e t^2 (q = det S), times ``den``.
-    Firm i's is lin_i den + 2 t^2 (row i of its matrix) . nums, the own
-    component of its form's gradient without the form: it reads the forms'
+    the payoff matrices' unreduced one, 4 q e t^2 (q = det S), times
+    ``den``. Firm i's is lin_i den + 2 t^2 (row i of ``psi_quad[i]``) .
+    nums, with lin_i from :meth:`_Operator.linear_term`: it reads the payoff
     matrices and the one formula of their linear terms, the route of
-    :func:`build_payoff_quadratic`, never the first-order rows the solver
-    reads, so at an equilibrium the slopes vanish by a route of their own.
-    The cost-weighted column sums are made once for the three firms.
+    :func:`payoff_slice`, never the first-order rows the solver reads, so at
+    an equilibrium the slopes vanish by a route of their own. The
+    cost-weighted column sums are made once for the three firms.
     """
     v0, v1, v2 = _int_numerators(nums, den)
     op = _operator(*params._ints[:2], as_assignment(assignment))
@@ -452,12 +389,6 @@ def own_payoff_slopes(params: ModelParams, assignment: AssignmentLike, nums: Seq
         slopes.append(op.linear_term(i, i, params, sums) * den
                       + 2 * tt * (q0 * v0 + q1 * v1 + q2 * v2))
     return slopes, 4 * op.q * op.e * tt * den
-
-
-def best_response(params: ModelParams, assignment: AssignmentLike, firm: str,
-                  others: Sequence[RationalLike]) -> Fraction:
-    """Exact best response of one firm to fixed rival values."""
-    return build_payoff_quadratic(params, assignment, firm).respond(others)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Fraction
 
@@ -108,10 +107,12 @@ class QuadraticForm:
     The form holds integer numerators over one positive denominator ``den``,
     reduced so that they share no common factor with it. That representation
     is unique, so equality and hashing are by value, and ``quad``, ``lin``
-    and ``const`` are exact ``Fraction`` views of it. Evaluation, the
-    gradient and slicing run on the integers. Symmetry is enforced at
-    construction so the gradient is simply ``2 Q v + lin`` with no hidden
-    factor bookkeeping.
+    and ``const`` are exact ``Fraction`` views of it. Symmetry is enforced
+    at construction, so the slope in coordinate i is simply
+    ``2 (Q v)_i + lin_i`` with no hidden factor bookkeeping. The package
+    builds forms from its own integers (``payoff_slice``) and reads their
+    numerators; a caller may build one from exact values and hand it to
+    ``grid_minimax_pair``.
     """
 
     quad_num: tuple[tuple[int, ...], ...]
@@ -179,43 +180,3 @@ class QuadraticForm:
 
     def __repr__(self) -> str:
         return f"QuadraticForm(quad={self.quad!r}, lin={self.lin!r}, const={self.const!r})"
-
-    def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        # At v = nums / s, the value is over den s^2.
-        nums, s = _over_lcm(rational_vector(point, self.dim))
-        total = (self.const_num * s + sum(map(mul, self.lin_num, nums))) * s
-        for row, v in zip(self.quad_num, nums):
-            total += sum(map(mul, row, nums)) * v
-        return Fraction(total, self.den * s * s)
-
-    def gradient(self, point: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        nums, s = _over_lcm(rational_vector(point, self.dim))
-        return tuple(Fraction(2 * sum(map(mul, row, nums)) + lin * s, self.den * s)
-                     for row, lin in zip(self.quad_num, self.lin_num))
-
-    def slice(self, keep: Sequence[int], fixed: Mapping[int, RationalLike]) -> "QuadraticForm":
-        """Restrict to the ``keep`` coordinates, pinning the rest at ``fixed`` values.
-
-        The result is a quadratic form over len(keep) variables whose value at
-        y equals this form's value at the full vector assembled from y and the
-        fixed entries. ``keep`` and ``fixed`` together must cover every
-        coordinate exactly once. With the fixed values over their lcm s, the
-        result is over den s^2.
-        """
-        n = self.dim
-        keep = tuple(keep)
-        fixed_vals = {i: as_rational(v) for i, v in fixed.items()}
-        seen = set(keep) | set(fixed_vals)
-        if len(keep) + len(fixed_vals) != n or seen != set(range(n)):
-            raise ValueError("keep and fixed must partition the coordinate indices")
-        nums, s = _over_lcm(list(fixed_vals.values()))
-        pinned = tuple(zip(fixed_vals, nums))
-        quad, lin = self.quad_num, self.lin_num
-        ss = s * s
-        return QuadraticForm.from_numerators(
-            [[quad[r][c] * ss for c in keep] for r in keep],
-            [(lin[r] * s + 2 * sum(quad[r][f] * v for f, v in pinned)) * s for r in keep],
-            (self.const_num * s + sum(lin[f] * v for f, v in pinned)) * s
-            + sum(quad[f][g] * vf * vg for f, vf in pinned for g, vg in pinned),
-            self.den * ss,
-        )

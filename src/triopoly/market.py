@@ -190,10 +190,11 @@ class StrategyAssignment:
 
     @classmethod
     def from_string(cls, text: str) -> "StrategyAssignment":
+        """The member of :data:`ALL_ASSIGNMENTS`, not a copy, spelt by ``text`` in either case."""
         text = text.strip()
         if len(text) != 3:
             raise ValueError(f"assignment string must have exactly 3 letters, got {text!r}")
-        return cls(tuple(text))
+        return _ASSIGNMENT_OF[cls(tuple(text)).choices]
 
     def choice(self, firm: str) -> str:
         return self.choices[firm_index(firm)]

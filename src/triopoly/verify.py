@@ -39,7 +39,6 @@ from .market import (
 from .equilibrium import (
     ClosedFormOutputs,
     Equilibrium,
-    build_payoff_quadratic,
     closed_form_outputs,
     committed_values,
     direct_demand_numerators,
@@ -800,7 +799,7 @@ def _check_demand_round_trip(case: _SuiteCase, oracle: str):
 
 
 def _check_foc_residual(case: _SuiteCase, oracle: str):
-    # The payoff forms' matrices and terms are a route to the first-order conditions
+    # The payoff matrices and terms are a route to the first-order conditions
     # apart from the solver's rows: each own slope must vanish at the solve's
     # numerators, or at the committed values over their lcm for an equilibrium
     # made without them. No form and no Fraction is built unless a slope does not.
@@ -816,11 +815,13 @@ def _check_foc_residual(case: _SuiteCase, oracle: str):
 
 
 def _check_own_concavity(case: _SuiteCase, oracle: str):
-    # Every solve flags whether each firm's own curvature is negative.
+    # Every solve flags whether each firm's own curvature is negative. A failure
+    # reports each firm's d^2 psi_i / d v_i^2, read off its payoff slice in v_i.
     for asg in ALL_ASSIGNMENTS:
         if not case.solved[asg.pattern or str(asg)].soc_ok:
-            forms = (build_payoff_quadratic(case.params, asg, firm) for firm in FIRMS)
-            curvature = [format_rational(form.own_curvature) for form in forms]
+            slices = (payoff_slice(case.params, asg, firm, (i, (i + 1) % 3), 0)
+                      for i, firm in enumerate(FIRMS))
+            curvature = [format_rational(Fraction(2 * s.quad_num[0][0], s.den)) for s in slices]
             return "fail", {"assignment": str(asg), "curvature": curvature}
     return "ok", None
 

@@ -1,4 +1,4 @@
-"""Equilibrium solver tests: payoff quadratics, best responses, FOC solve, oracles."""
+"""Equilibrium solver tests: payoff slices and slopes, FOC solve, oracles."""
 
 import dataclasses
 import itertools
@@ -17,14 +17,11 @@ import triopoly.verify
 from triopoly.equilibrium import (
     ClosedFormOutputs,
     ConcavityViolation,
-    QuadraticPayoff,
     _adjugate,
     _operator,
     _operator_rows,
     _printed_output_table,
-    best_response,
     best_response_iteration,
-    build_payoff_quadratic,
     closed_form_outputs,
     committed_values,
     direct_demand,
@@ -34,7 +31,7 @@ from triopoly.equilibrium import (
     resolve_market,
     solve_equilibrium,
 )
-from triopoly.exact import QuadraticForm, SingularSystem
+from triopoly.exact import SingularSystem
 from triopoly.market import (
     ALL_ASSIGNMENTS,
     FIRMS,
@@ -69,32 +66,67 @@ SPOT_X = {
 small = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 
 
-# --- payoff quadratics -----------------------------------------------------------
+# --- payoff slices and slopes against the market ---------------------------------
+#
+# The definition psi = payoff_vector(params, resolve_market(params, asg, v)).psi
+# reads none of the operator's payoff terms (psi_quad, cost_sums, linear_term,
+# constant_term), so it is the reference for payoff_slice and own_payoff_slopes.
+
+
+def _market_psi(params, asg, v) -> tuple:
+    """The relative payoffs at committed values v, by their definition on the market."""
+    return payoff_vector(params, resolve_market(params, asg, v)).psi
+
+
+def _bumped(v, i, step) -> tuple:
+    return tuple(x + step if j == i else x for j, x in enumerate(v))
+
+
+def _evaluate(form, point) -> Fraction:
+    """The form's value at ``point``, on its Fraction views."""
+    quad, lin, total = form.quad, form.lin, form.const
+    v = [Fraction(x) for x in point]
+    for i in range(form.dim):
+        total += (lin[i] + sum(quad[i][j] * v[j] for j in range(form.dim))) * v[i]
+    return total
+
+
+def _own_slopes(params, asg, v) -> list:
+    """own_payoff_slopes at the committed values v, as Fractions."""
+    den = math.lcm(*(Fraction(x).denominator for x in v))
+    slopes, slope_den = own_payoff_slopes(params, asg, [int(Fraction(x) * den) for x in v], den)
+    return [Fraction(slope, slope_den) for slope in slopes]
+
+
+def _assert_slices_match_market(params, asg, chosen):
+    # Each firm's slice in every ordered pair of coordinates, the third pinned at
+    # its value in chosen, takes the market's psi at chosen.
+    psi = _market_psi(params, asg, chosen)
+    for i, firm in enumerate(FIRMS):
+        for keep in itertools.permutations(range(3), 2):
+            form = payoff_slice(params, asg, firm, keep, chosen[3 - sum(keep)])
+            assert _evaluate(form, [chosen[k] for k in keep]) == psi[i]
 
 
 def test_pattern1_payoff_coefficients():
-    payoff = build_payoff_quadratic(SPOT, 1, "A")
-    assert payoff.form.quad[0][0] == -1
+    form = payoff_slice(SPOT, 1, "A", (0, 1), 0)
+    assert form.quad[0][0] == -1
     # Coefficient of the x_A x_B cross term is -b/2; the symmetric matrix
     # stores half of it in each off-diagonal slot.
-    assert payoff.form.quad[0][1] + payoff.form.quad[1][0] == -Fraction(1, 4)
-    assert payoff.form.gradient((0, 0, 0))[0] == SPOT.a - SPOT.c_a
-    assert payoff.own_curvature == -2
+    assert form.quad[0][1] + form.quad[1][0] == -Fraction(1, 4)
+    assert _own_slopes(SPOT, 1, (0, 0, 0))[0] == SPOT.a - SPOT.c_a
+    assert Fraction(2 * form.quad_num[0][0], form.den) == -2  # the own curvature
 
 
 def test_payoff_evaluates_spot_psi():
-    payoff = build_payoff_quadratic(SPOT, 1, "A")
-    assert payoff.form.evaluate((2, 2, 2)) == 1
+    assert _evaluate(payoff_slice(SPOT, 1, "A", (0, 2), 2), (2, 2)) == 1
+    assert _market_psi(SPOT, 1, (2, 2, 2))[0] == 1
 
 
 @given(st.sampled_from(ALL_ASSIGNMENTS), st.tuples(small, small, small))
 @settings(max_examples=100, deadline=None)
 def test_payoff_form_matches_resolved_market(asg, chosen):
-    state = resolve_market(SPOT, asg, chosen)
-    psi = payoff_vector(SPOT, state).psi
-    for i, firm in enumerate(FIRMS):
-        form = build_payoff_quadratic(SPOT, asg, firm).form
-        assert form.evaluate(chosen) == psi[i]
+    _assert_slices_match_market(SPOT, asg, chosen)
 
 
 def test_own_curvature_negative_everywhere():
@@ -102,28 +134,45 @@ def test_own_curvature_negative_everywhere():
     for _ in range(10):
         params = sample_model_params(rng)
         for asg in ALL_ASSIGNMENTS:
-            for firm in FIRMS:
-                assert build_payoff_quadratic(params, asg, firm).own_curvature < 0
+            for i, firm in enumerate(FIRMS):
+                assert payoff_slice(params, asg, firm, (i, (i + 1) % 3), 0).quad[0][0] < 0
 
 
 # --- best responses ----------------------------------------------------------------
 
 
+def _best_response(params, asg, i, others) -> Fraction:
+    """Firm i's own value that maximizes psi_i against the rivals' ``others``.
+
+    The own slope is affine in the own value, so its zero is where the slopes at
+    0 and at 1 put it; the payoff must be concave there.
+    """
+    at = [_own_slopes(params, asg, (*others[:i], own, *others[i:]))[i] for own in (0, 1)]
+    assert at[1] < at[0]
+    return at[0] / (at[0] - at[1])
+
+
 def test_best_response_examples():
-    assert best_response(SPOT, 1, "A", (2, 2)) == Fraction(7, 2)
-    assert best_response(SPOT, 2, "C", (2, 2)) == 5
+    assert _best_response(SPOT, 1, 0, (2, 2)) == Fraction(7, 2)
+    assert _best_response(SPOT, 2, 2, (2, 2)) == 5
+    # On the market itself, either step away from 7/2 lowers psi_A.
+    best = _market_psi(SPOT, 1, (Fraction(7, 2), 2, 2))[0]
+    assert all(_market_psi(SPOT, 1, (x, 2, 2))[0] < best for x in (3, 4))
 
 
 def test_best_response_symmetric_firms_agree():
     params = ModelParams(10, "1/3", 4, 4, 4)
-    assert best_response(params, 1, "A", (3, 3)) == best_response(params, 1, "B", (3, 3))
+    assert _best_response(params, 1, 0, (3, 3)) == _best_response(params, 1, 1, (3, 3))
 
 
-def test_respond_rejects_convex_payoff():
-    convex = QuadraticForm(((1, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 0), 0)
-    payoff = QuadraticPayoff("A", PATTERNS[1], convex)
-    with pytest.raises(ConcavityViolation):
-        payoff.respond((1, 1))
+def test_best_response_iteration_rejects_a_convex_payoff(monkeypatch):
+    op = _operator(*SPOT.b.as_integer_ratio(), PATTERNS[1])
+    # Firm B's own curvature, foc[1][1], set to zero: its payoff is flat in x_B.
+    flat = tuple((row[0], 0, *row[2:]) if k == 1 else row for k, row in enumerate(op.foc))
+    monkeypatch.setattr("triopoly.equilibrium._operator",
+                        lambda n, e, asg: dataclasses.replace(op, foc=flat))
+    with pytest.raises(ConcavityViolation, match="payoff of firm B under QQQ is not concave"):
+        best_response_iteration(SPOT, 1)
 
 
 # --- exact equilibrium solve ----------------------------------------------------------
@@ -159,9 +208,11 @@ def test_foc_gradients_vanish_on_random_draws():
         params = sample_model_params(rng)
         for pattern in sorted(PATTERNS):
             eq = solve_equilibrium(params, pattern)
-            for i, firm in enumerate(FIRMS):
-                form = build_payoff_quadratic(params, pattern, firm).form
-                assert form.gradient(eq.chosen)[i] == 0
+            assert _own_slopes(params, pattern, eq.chosen) == [0, 0, 0]
+            # psi is quadratic in v, so a central difference on the market is the slope.
+            for i in range(3):
+                assert (_market_psi(params, pattern, _bumped(eq.chosen, i, 1))[i]
+                        == _market_psi(params, pattern, _bumped(eq.chosen, i, -1))[i])
 
 
 def _asymmetric_draws():
@@ -196,13 +247,15 @@ def _residual_vanishes(rows, rhs, chosen) -> bool:
 
 @pytest.mark.parametrize("asg", ALL_ASSIGNMENTS, ids=str)
 def test_operator_solve_matches_independent_routes(asg):
-    # The stacked own-variable FOCs of the payoff forms, derived apart from the gain.
+    # The stacked own-variable FOCs of the payoff terms, derived apart from the gain:
+    # the own slopes are affine in v, so the slopes at 0 and at the unit vectors
+    # give their rows and right-hand sides.
     for params in ASYMMETRIC_DRAWS:
         eq = solve_equilibrium(params, asg)
-        forms = [build_payoff_quadratic(params, asg, firm).form for firm in FIRMS]
-        rows = [[2 * forms[i].quad[i][j] for j in range(3)] for i in range(3)]
-        rhs = [-forms[i].lin[i] for i in range(3)]
-        assert _residual_vanishes(rows, rhs, eq.chosen)
+        at_zero = _own_slopes(params, asg, (0, 0, 0))
+        at_unit = [_own_slopes(params, asg, _bumped((0, 0, 0), j, 1)) for j in range(3)]
+        rows = [[at_unit[j][i] - at_zero[i] for j in range(3)] for i in range(3)]
+        assert _residual_vanishes(rows, [-slope for slope in at_zero], eq.chosen)
 
 
 # b over 64 and over three large primes; a and costs with mixed denominators, c_A != c_B.
@@ -292,24 +345,24 @@ def test_integer_solve_matches_fraction_reference(params):
 def test_payoff_form_matches_resolved_market_at_fractional_theta(params, chosen):
     # Fractional a and costs put theta over a denominator above 1, unlike SPOT.
     for asg in ALL_ASSIGNMENTS:
-        psi = payoff_vector(params, resolve_market(params, asg, chosen)).psi
-        for i, firm in enumerate(FIRMS):
-            assert build_payoff_quadratic(params, asg, firm).form.evaluate(chosen) == psi[i]
+        _assert_slices_match_market(params, asg, chosen)
 
 
 @given(st.one_of(_mixed_params(), st.randoms(use_true_random=False).map(sample_model_params)),
        st.tuples(small, small, small))
 @settings(max_examples=60, deadline=None)
-def test_own_payoff_slopes_equal_the_payoff_forms_gradients(params, v):
+def test_own_payoff_slopes_are_central_differences_of_the_market_psi(params, v):
     # v is no equilibrium, so the two routes meet where the slopes are not zero;
-    # it is handed over the product of its denominators, not their lcm.
+    # it is handed over the product of its denominators, not their lcm. psi is
+    # quadratic in v, so the central difference with step 1 is exact.
     den = math.prod(x.denominator for x in v)
     nums = [int(x * den) for x in v]
     for asg in ALL_ASSIGNMENTS:
         slopes, slope_den = own_payoff_slopes(params, asg, nums, den)
-        for i, firm in enumerate(FIRMS):
-            gradient = build_payoff_quadratic(params, asg, firm).form.gradient(v)
-            assert Fraction(slopes[i], slope_den) == gradient[i]
+        for i in range(3):
+            difference = (_market_psi(params, asg, _bumped(v, i, 1))[i]
+                          - _market_psi(params, asg, _bumped(v, i, -1))[i]) / 2
+            assert Fraction(slopes[i], slope_den) == difference
 
 
 _pinned_values = st.tuples(
@@ -318,20 +371,45 @@ _pinned_values = st.tuples(
     st.integers(-10**30, 10**30).map(lambda k: Fraction(k, 2**61 - 1)))
 
 
-@given(_mixed_params(), _pinned_values)
+# Offsets that no nonzero quadratic in two variables vanishes on all of: a slice
+# that takes the market's psi at a point plus each of them equals the restricted psi.
+_UNISOLVENT = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+@given(_mixed_params(), _pinned_values, st.tuples(small, small, small))
 @settings(max_examples=40, deadline=None)
-def test_payoff_slice_equals_the_sliced_payoff_form(params, values):
-    # The one-pass pin against the generic route, compared on the integer forms.
+def test_payoff_slice_agrees_with_the_market_psi(params, values, base):
     for asg in ALL_ASSIGNMENTS:
-        for firm in FIRMS:
-            form = build_payoff_quadratic(params, asg, firm).form
-            for keep in itertools.permutations(range(3), 2):
-                pinned = 3 - sum(keep)
-                for value in values:
-                    sliced = payoff_slice(params, asg, firm, keep, value)
-                    expected = form.slice(keep, {pinned: value})
-                    assert (sliced.quad_num, sliced.lin_num, sliced.const_num, sliced.den) == (
-                        expected.quad_num, expected.lin_num, expected.const_num, expected.den)
+        for pinned, value in itertools.product(range(3), values):
+            kept = [k for k in range(3) if k != pinned]
+            points = []
+            for d0, d1 in _UNISOLVENT:
+                v = list(base)
+                v[kept[0]] += d0
+                v[kept[1]] += d1
+                v[pinned] = value
+                points.append((v, _market_psi(params, asg, v)))
+            for i, firm in enumerate(FIRMS):
+                for keep in (kept, kept[::-1]):
+                    form = payoff_slice(params, asg, firm, keep, value)
+                    for v, psi in points:
+                        assert _evaluate(form, [v[k] for k in keep]) == psi[i]
+
+
+def _coefficients(form) -> tuple:
+    return (*(v for row in form.quad for v in row), *form.lin, form.const)
+
+
+@pytest.mark.parametrize("asg", ALL_ASSIGNMENTS, ids=str)
+@given(_mixed_params(), _pinned_values)
+@settings(max_examples=20, deadline=None)
+def test_payoff_slices_of_the_three_firms_sum_to_zero(asg, params, values):
+    # The game is zero-sum at every v, so the three firms' slices add up to the
+    # zero form: the integer route's own zero-sum identity.
+    for keep in itertools.permutations(range(3), 2):
+        for value in values:
+            forms = [payoff_slice(params, asg, firm, keep, value) for firm in FIRMS]
+            assert all(sum(column) == 0 for column in zip(*map(_coefficients, forms)))
 
 
 @pytest.mark.parametrize("keep", [(0, 0), (2, 2), (0, 3), (-1, 1), (0,), (0, 1, 2), (),
@@ -460,17 +538,21 @@ def test_warm_payoff_forms_and_tables_do_no_fraction_arithmetic(monkeypatch):
     cold = ModelParams("37/3", b, "7/2", "7/2", 3)
     warm = ModelParams(50, b, "1/3", "1/3", "5/11")
     prices = (Fraction(7, 3), Fraction(-2, 5), 0)
-    for asg in ALL_ASSIGNMENTS:
-        for firm in FIRMS:
-            build_payoff_quadratic(cold, asg, firm)
+    fixed = Fraction(17, 7)
+
+    def payoff_forms(params):
+        for asg in ALL_ASSIGNMENTS:
+            own_payoff_slopes(params, asg, (7, -3, 2), 5)
+            for firm in FIRMS:
+                payoff_slice(params, asg, firm, (0, 2), fixed)
+
+    payoff_forms(cold)
     for pattern in sorted(PATTERNS):
         closed_form_outputs(cold, pattern)
     direct_demand(cold, prices)
     calls = _count_fraction_arithmetic(monkeypatch)
     for params in (cold, warm):
-        for asg in ALL_ASSIGNMENTS:
-            for firm in FIRMS:
-                build_payoff_quadratic(params, asg, firm)
+        payoff_forms(params)
         for pattern in sorted(PATTERNS):
             closed_form_outputs(params, pattern)
         direct_demand(params, prices)
@@ -479,16 +561,19 @@ def test_warm_payoff_forms_and_tables_do_no_fraction_arithmetic(monkeypatch):
 
 def test_no_kernel_rederives_parameter_integers(monkeypatch):
     # ModelParams puts b and theta on integers once; from warm caches on, no
-    # solve, table, payoff form, payoff vector or float guard does it again.
+    # solve, table, payoff slice or slope, payoff vector or float guard does it
+    # again. A payoff slice takes the pinned value's own ratio, and no other.
     params = ModelParams("101/3", "123457/1000003", "1/4", "1/4", "2/9")
     state = MarketState.from_outputs(params, (Fraction(7, 3), Fraction(-2, 5), 4))
+    fixed = Fraction(17, 7)
 
     def kernels():
         for pattern in sorted(PATTERNS):
             solve_equilibrium(params, pattern)
             closed_form_outputs(params, pattern)
+            own_payoff_slopes(params, pattern, (7, -3, 2), 5)
             for firm in FIRMS:
-                build_payoff_quadratic(params, pattern, firm)
+                payoff_slice(params, pattern, firm, (0, 2), fixed)
         payoff_vector(params, state)
         ensure_float_safe(params)
 
@@ -504,21 +589,21 @@ def test_no_kernel_rederives_parameter_integers(monkeypatch):
     assert Fraction(1, 2).as_integer_ratio() == (1, 2) and calls  # the counter sees calls
     calls.clear()
     kernels()
-    assert calls == []
+    assert calls == [fixed] * (len(PATTERNS) * len(FIRMS))
 
 
 def test_warm_minimax_chains_do_no_fraction_arithmetic(monkeypatch):
-    # From a warm operator to the chain values: the payoff form, its slice, the
-    # one-pass slice of payoff_slice, both chains in either mode and the
-    # outer-derivative bound all run on ints. So does a whole minimax check: its
-    # pinned value, tolerance and verdict, with no solve of the market.
+    # From a warm operator to the chain values: the one-pass slice of
+    # payoff_slice, both chains in either mode and the outer-derivative bound
+    # all run on ints. So does a whole minimax check: its pinned value,
+    # tolerance and verdict, with no solve of the market.
     b = Fraction(5, 1_000_003)
     params = ModelParams("37/3", b, "7/2", "11/5", 3)
     grid = GridSpec(Fraction(-1, 3), params.a, 1001)
     fixed = Fraction(17, 7)
     m, s = max(abs(grid.lo), abs(grid.hi)).as_integer_ratio()
     for asg in ALL_ASSIGNMENTS:
-        build_payoff_quadratic(params, asg, "A")
+        payoff_slice(params, asg, "A", (0, 2), fixed)
     solves = []
     real_solve = triopoly.verify.solve_equilibrium
     monkeypatch.setattr(triopoly.verify, "solve_equilibrium",
@@ -526,13 +611,11 @@ def test_warm_minimax_chains_do_no_fraction_arithmetic(monkeypatch):
     calls = _count_fraction_arithmetic(monkeypatch)
     for asg in ALL_ASSIGNMENTS:
         for firm in FIRMS:
-            form = build_payoff_quadratic(params, asg, firm).form
-            for keep, pinned in (((0, 2), 1), ((1, 0), 2)):
-                for sliced in (form.slice(keep, {pinned: fixed}),
-                               payoff_slice(params, asg, firm, keep, fixed)):
-                    for mode in ("exact", "float"):
-                        grid_minimax_pair(sliced, grid, mode=mode)
-                    _outer_derivative_bound(sliced, m, s)
+            for keep in ((0, 2), (1, 0)):
+                sliced = payoff_slice(params, asg, firm, keep, fixed)
+                for mode in ("exact", "float"):
+                    grid_minimax_pair(sliced, grid, mode=mode)
+                _outer_derivative_bound(sliced, m, s)
             for mode in ("exact", "float"):
                 minimax_check(params, MinimaxSlice(firm, base_assignment=asg), grid, mode=mode)
     assert calls == []
@@ -548,11 +631,12 @@ def test_cold_operator_does_no_fraction_arithmetic(monkeypatch):
         op = _operator(*b.as_integer_ratio(), asg)
         op.adjugate
     assert calls == []
-    # The solves and the payoff forms read the operators built above.
+    # The solves, the payoff slopes and the payoff slices read the operators built above.
     for asg in ALL_ASSIGNMENTS:
         solve_equilibrium(params, asg)
+        own_payoff_slopes(params, asg, (7, -3, 2), 5)
         for firm in FIRMS:
-            build_payoff_quadratic(params, asg, firm)
+            payoff_slice(params, asg, firm, (0, 2), 1)
     assert _operator.cache_info().misses == len(ALL_ASSIGNMENTS)
 
 

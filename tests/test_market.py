@@ -201,6 +201,19 @@ def test_flip_and_swap_return_members_of_all_assignments():
         assert all(asg.flip(firm).flip(firm) == asg for firm in FIRMS)
 
 
+def test_assignment_strings_give_members_of_all_assignments():
+    # A string is read to the member itself, in either case and with spaces
+    # around it, so the property suite's QPP and PQQ match the caches by identity.
+    from triopoly.verify import _SUITE_ASSIGNMENTS
+
+    for asg in ALL_ASSIGNMENTS:
+        for text in (str(asg), str(asg).lower(), f"  {str(asg).lower()} ", f"\t{asg}\n"):
+            assert as_assignment(text) is asg
+            assert StrategyAssignment.from_string(text) is asg
+    members = {id(asg) for asg in ALL_ASSIGNMENTS}
+    assert all(id(asg) in members for asg in _SUITE_ASSIGNMENTS.values())
+
+
 # --- demand --------------------------------------------------------------------
 
 

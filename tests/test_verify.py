@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import triopoly.equilibrium
 import triopoly.verify
-from triopoly.equilibrium import build_payoff_quadratic, solve_equilibrium
+from triopoly.equilibrium import payoff_slice, resolve_market, solve_equilibrium
 from triopoly.exact import QuadraticForm, as_rational, format_rational
 from triopoly.market import (
     ALL_ASSIGNMENTS,
@@ -24,6 +23,7 @@ from triopoly.market import (
     ModelParams,
     as_assignment,
     firm_index,
+    payoff_vector,
 )
 from triopoly.verify import (
     DegenerateSlice,
@@ -442,8 +442,7 @@ def test_chain_value_exact_equals_full_scan(chain):
 
 def test_chain_value_exact_equals_full_scan_on_default_grid():
     # The psi_A slice that minimax_check scans on SPOT: max over xA, min over xC, xB pinned.
-    form = build_payoff_quadratic(SPOT, 1, "A").form
-    sliced = form.slice((0, 2), {1: Fraction(114, 35)})
+    sliced = payoff_slice(SPOT, 1, "A", (0, 2), Fraction(114, 35))
     grid = GridSpec(0, SPOT.a, 1001)
     for outer, inner_maximize in ((1, True), (0, False)):
         shape = {"outer": outer, "inner_maximize": inner_maximize,
@@ -614,21 +613,30 @@ def test_minimax_slice_refuses_equal_max_and_min_firms_at_construction(firms):
 
 def test_minimax_check_pins_with_payoff_slice_alone(monkeypatch):
     # The slices come from the operator in one pass: no 3-variable payoff form
-    # is built and none is sliced.
-    def refuse(*args, **kwargs):
-        raise AssertionError("minimax_check built or sliced a 3-variable payoff form")
-
+    # is built, and the reports are those of the slices built on the market.
     specs = [MinimaxSlice(firm, base_assignment=asg, transform=transform)
              for firm in FIRMS for asg in ("QQQ", "PQP")
              for transform in ("direct", "via_other_variable", "both")]
     specs.append(MinimaxSlice("B", max_firm="C", min_firm="A", fixed_value=Fraction(-7, 3)))
     expected = [[minimax_check(SPOT, spec, mode=mode).to_dict() for spec in specs]
                 for mode in ("float", "exact")]
-    monkeypatch.setattr(triopoly.verify, "build_payoff_quadratic", refuse)
-    monkeypatch.setattr(triopoly.equilibrium, "build_payoff_quadratic", refuse)
-    monkeypatch.setattr(QuadraticForm, "slice", refuse)
+    dims = []
+    real_fill = QuadraticForm._fill
+
+    def counted(self, quad, lin, const, den):
+        dims.append(len(lin))
+        return real_fill(self, quad, lin, const, den)
+
+    monkeypatch.setattr(QuadraticForm, "_fill", counted)
     assert [[minimax_check(SPOT, spec, mode=mode).to_dict() for spec in specs]
             for mode in ("float", "exact")] == expected
+    assert dims and set(dims) == {2}
+    for spec in specs[:-1]:
+        max_firm, min_firm, fixed_firm = spec.resolve_firms()
+        keep = (firm_index(max_firm), firm_index(min_firm))
+        value = solve_equilibrium(SPOT, spec.base_assignment).chosen[firm_index(fixed_firm)]
+        assert payoff_slice(SPOT, spec.base_assignment, spec.payoff_firm, keep, value) == \
+            _market_slice(SPOT, spec.base_assignment, spec.payoff_firm, keep, value)
 
 
 def test_minimax_report_serialization():
@@ -639,8 +647,29 @@ def test_minimax_report_serialization():
     assert doc["base_assignment"] == "QQQ"
 
 
+def _market_slice(params, asg, firm, keep, value) -> QuadraticForm:
+    """Firm ``firm``'s psi in the coordinates ``keep``, the third at ``value``, from the market.
+
+    psi is quadratic in the committed values, so its values at the six points
+    (0, 0), (1, 0), (0, 1), (2, 0), (1, 1) and (0, 2) of the two kept
+    coordinates give its coefficients by finite differences.
+    """
+    i = firm_index(firm)
+
+    def psi(y0, y1):
+        v = [value] * 3
+        v[keep[0]], v[keep[1]] = y0, y1
+        return payoff_vector(params, resolve_market(params, asg, v)).psi[i]
+
+    f00, f10, f01, f20, f11, f02 = (psi(*y) for y in ((0, 0), (1, 0), (0, 1), (2, 0),
+                                                      (1, 1), (0, 2)))
+    q00, q11 = (f20 - 2 * f10 + f00) / 2, (f02 - 2 * f01 + f00) / 2
+    q01 = (f11 - f10 - f01 + f00) / 2
+    return QuadraticForm(((q00, q01), (q01, q11)), (f10 - f00 - q00, f01 - f00 - q11), f00)
+
+
 def _fraction_minimax(params, slice_spec, grid, mode):
-    """Oracle: the pinned value from a full solve, and 2 h G and the spread as Fractions."""
+    """Oracle: the pinned value from a full solve, the market's slices, 2 h G and the spread."""
     max_firm, min_firm, fixed_firm = slice_spec.resolve_firms()
     fixed = firm_index(fixed_firm)
     value = solve_equilibrium(params, slice_spec.base_assignment).chosen[fixed]
@@ -648,8 +677,8 @@ def _fraction_minimax(params, slice_spec, grid, mode):
     base, flipped = slice_spec.base_assignment, slice_spec.base_assignment.flip(min_firm)
     assignments = {"direct": (base,), "via_other_variable": (flipped,),
                    "both": (base, flipped)}[slice_spec.transform]
-    forms = [build_payoff_quadratic(params, asg, slice_spec.payoff_firm).form
-             .slice(keep, {fixed: value}) for asg in assignments]
+    forms = [_market_slice(params, asg, slice_spec.payoff_firm, keep, value)
+             for asg in assignments]
     reach = max(abs(grid.lo), abs(grid.hi))
     bound = max(2 * (abs(form.quad[w][w]) + abs(form.quad[w][1 - w])) * reach
                 + abs(form.lin[w]) for form in forms for w in (0, 1))
@@ -826,13 +855,15 @@ def test_verify_command_builds_no_payoff_form_when_every_property_passes(monkeyp
     # The first-order-condition check runs on the solves' integers; a form is
     # built only to report a failure.
     calls = []
-    real = triopoly.verify.build_payoff_quadratic
+    real = QuadraticForm.from_numerators.__func__
 
-    def counted(*args):
+    def counted(cls, *args):
         calls.append(args)
-        return real(*args)
+        return real(cls, *args)
 
-    monkeypatch.setattr(triopoly.verify, "build_payoff_quadratic", counted)
+    monkeypatch.setattr(QuadraticForm, "from_numerators", classmethod(counted))
+    assert QuadraticForm.from_numerators(((1,),), (0,), 0, 1) and calls  # the counter sees calls
+    calls.clear()
     assert run_cli(["verify", "--a", "10", "--b", "1/2", "--cA", "2", "--cB", "2",
                     "--cC", "3", "--draws", "100"]) == 0
     assert "verification: PASS" in capsys.readouterr().out
@@ -910,9 +941,13 @@ def test_own_concavity_fails_on_a_solve_without_its_second_order_flag(monkeypatc
     assert (concavity.status, concavity.checked) == ("fail", 1)
     example = concavity.counterexample
     assert (example["draw"], example["assignment"]) == (0, "QPP")
+    # Each firm's d^2 psi_i / d v_i^2 under QPP at SPOT. psi is quadratic in v, so
+    # the market's second difference in v_i with step 1 is the same number.
+    assert example["curvature"] == ["-4/3", "-8/3", "-8/3"]
+    unit = [tuple(int(j == i) for j in range(3)) for i in range(3)]
     assert example["curvature"] == [
-        format_rational(build_payoff_quadratic(SPOT, "QPP", firm).own_curvature)
-        for firm in "ABC"]
+        format_rational(_market_psi("QPP", unit[i])[i] - 2 * _market_psi("QPP", (0, 0, 0))[i]
+                        + _market_psi("QPP", tuple(-x for x in unit[i]))[i]) for i in range(3)]
     assert all(p.status != "fail" for name, p in outcome.items() if name != "own_concavity")
 
 
@@ -924,6 +959,11 @@ def test_verify_command_builds_the_matrix_once(solve_calls, capsys):
                     "--cC", "3", "--draws", "1"]) == 0
     assert "equal pairs: (1,2) (4,6)" in capsys.readouterr().out
     assert len(solve_calls) <= 14
+
+
+def _market_psi(asg, v) -> tuple:
+    """The relative payoffs at SPOT and committed values v, by their definition on the market."""
+    return payoff_vector(SPOT, resolve_market(SPOT, asg, v)).psi
 
 
 def _replace_in_draw(monkeypatch, key, change):
@@ -946,10 +986,12 @@ def test_foc_residual_fails_on_perturbed_committed_values(monkeypatch):
     outcome = {p.name: p for p in property_suite(SPOT, draws=1).properties}
     residual = outcome["foc_residual"]
     assert (residual.status, residual.checked) == ("fail", 1)
-    gradient = build_payoff_quadratic(SPOT, 3, "A").form.gradient(perturbed)
-    assert gradient[0] != 0
+    # psi is quadratic in v, so the market's central difference is firm A's own slope.
+    slope = (_market_psi(3, (perturbed[0] + 1, *perturbed[1:]))[0]
+             - _market_psi(3, (perturbed[0] - 1, *perturbed[1:]))[0]) / 2
+    assert slope != 0
     assert residual.counterexample == {"draw": 0, "params": SPOT.to_dict(), "pattern": 3,
-                                       "firm": "A", "residual": format_rational(gradient[0])}
+                                       "firm": "A", "residual": format_rational(slope)}
     assert all(p.status != "fail" for name, p in outcome.items() if name != "foc_residual")
 
 
